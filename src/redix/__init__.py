@@ -16,6 +16,8 @@ the same number:
 `cli` the command-line front end.
 """
 
+__version__ = "0.1.0"
+
 from .errors import (
     DimensionMismatchError,
     EmptyStaircaseError,
@@ -29,7 +31,7 @@ from .errors import (
     UnitIdealError,
     VerificationError,
 )
-from .monomial import Monomial, MonomialIdeal, RingContext, minimalize
+from .monomial import Monomial, MonomialIdeal, RingContext
 from .decompose import (
     Decomposition,
     IrreducibleComponent,
@@ -114,5 +116,3 @@ from .textio import (
     render_poly_text,
 )
 from .selftest import SUITES, SelftestReport, SuiteResult, run_selftest
-
-__version__ = "0.1.0"

@@ -208,13 +208,6 @@ class Subgroup:
     def is_trivial(self) -> bool:
         return self.size == 1
 
-    @property
-    def is_full(self) -> bool:
-        return self.size == self.group.order
-
-    def contains_subgroup(self, other: "Subgroup") -> bool:
-        return not (other.mask & ~self.mask)
-
     @cached_property
     def is_cyclic(self) -> bool:
         return any(self.group.element_order(a) == self.size for a in self.members)
@@ -275,9 +268,6 @@ class SubgroupLattice:
 
     def __len__(self) -> int:
         return len(self.subs)
-
-    def contained(self, i: int, j: int) -> bool:
-        return not (self.masks[i] & ~self.masks[j])
 
     def join(self, i: int, j: int) -> int:
         if i == j:
@@ -356,14 +346,6 @@ def is_sum_irreducible(sub: Subgroup) -> bool:
 def sum_index_formula(group: FiniteAbelianGroup) -> int:
     """Number of cyclic prime-power summands in the canonical form."""
     return len(group.factors)
-
-
-def formula_by_prime(group: FiniteAbelianGroup) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for q in group.factors:
-        p = _prime_power_split(q)[0][0]
-        out[p] = out.get(p, 0) + 1
-    return out
 
 
 @dataclass(frozen=True)

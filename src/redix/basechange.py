@@ -173,12 +173,6 @@ def localization_report(ideal: MonomialIdeal, inverted) -> BaseChangeReport:
     )
 
 
-def localize_index(ideal: MonomialIdeal, inverted) -> int:
-    """Index after inverting the given variables, by direct recomputation."""
-    report = localization_report(ideal, inverted)
-    return report.ir_after_direct
-
-
 def flat_base_change_report(ideal: MonomialIdeal, change) -> BaseChangeReport:
     """Dispatch on a change descriptor: ("extend", k) or ("invert", indices)."""
     kind, arg = change

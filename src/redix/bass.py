@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .decompose import decompose
 from .errors import UnitIdealError
-from .monomial import Monomial, MonomialIdeal, RingContext
+from .monomial import Monomial, MonomialIdeal, RingContext, minimal_exponents
 
 
 @dataclass(frozen=True)
@@ -74,12 +74,12 @@ def bass0(ideal: MonomialIdeal, support) -> tuple[int, tuple[Monomial, ...]]:
     Returns 0 (no witnesses) for primes that are not associated.  The
     witnesses live in the localized ring.
     """
-    local = localized_ideal(ideal, support)
-    if local.is_unit:
-        return 0, ()
-    bounds = local.max_exponents()
-    gens = [g.exponents for g in local.gens]
-    n = local.ring.n
+    keep = sorted(support)
+    gens = minimal_exponents(tuple(g.exponents[i] for i in keep) for g in ideal.gens)
+    if len(gens) == 1 and not any(gens[0]):
+        return 0, ()  # localizes to the unit ideal
+    n = len(keep)
+    bounds = [max((g[i] for g in gens), default=0) for i in range(n)]
     witnesses = []
     for exps in itertools.product(*(range(d) for d in bounds)):
         if any(all(a <= b for a, b in zip(g, exps)) for g in gens):
@@ -98,7 +98,8 @@ def bass0(ideal: MonomialIdeal, support) -> tuple[int, tuple[Monomial, ...]]:
                 break
         if ok:
             witnesses.append(exps)
-    return len(witnesses), tuple(Monomial(e, local.ring) for e in sorted(witnesses))
+    sub = ideal.ring.subring(keep)
+    return len(witnesses), tuple(Monomial(e, sub) for e in sorted(witnesses))
 
 
 def associated_primes(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
@@ -134,17 +135,17 @@ def ass_by_colon_scan(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
     """
     if ideal.is_unit:
         raise UnitIdealError("the unit ideal has no associated primes")
-    bounds = ideal.max_exponents()
-    found = set()
+    n = ideal.ring.n
+    gens = [g.exponents for g in ideal.gens]
+    unit_vectors = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
     prime_forms = {}
-    for r in range(ideal.ring.n + 1):
-        for subset in itertools.combinations(range(ideal.ring.n), r):
-            prime_forms[MonomialPrime(frozenset(subset), ideal.ring).as_ideal().gens] = frozenset(
-                subset
-            )
-    for exps in itertools.product(*(range(d + 1) for d in bounds)):
-        quot = ideal.colon(Monomial(exps, ideal.ring))
-        hit = prime_forms.get(quot.gens)
+    for r in range(n + 1):
+        for subset in itertools.combinations(range(n), r):
+            prime_forms[minimal_exponents(unit_vectors[i] for i in subset)] = frozenset(subset)
+    found = set()
+    for exps in itertools.product(*(range(d + 1) for d in ideal.max_exponents())):
+        quot = minimal_exponents(tuple(max(a - b, 0) for a, b in zip(g, exps)) for g in gens)
+        hit = prime_forms.get(quot)
         if hit is not None:
             found.add(hit)
     return frozenset(MonomialPrime(s, ideal.ring) for s in found)

@@ -26,6 +26,7 @@ import json
 import sys
 import time
 
+from . import __version__ as VERSION
 from .abelian import (
     MAX_ORDER,
     QUOTIENT_SCAN_CAP,
@@ -36,7 +37,7 @@ from .abelian import (
     sum_index_formula,
     sum_reducibility_index_bruteforce,
 )
-from .bass import ass_by_colon_scan, associated_primes, reducibility_index_by_bass
+from .bass import ass_by_colon_scan, reducibility_index_by_bass
 from .basechange import extension_report, localization_report
 from .decompose import decompose
 from .errors import (
@@ -59,8 +60,6 @@ from .textio import (
     render_ideal_text,
     render_poly_text,
 )
-
-VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -97,7 +96,7 @@ def cmd_decompose(args) -> dict:
         sup = comp.support()
         by_support[sup] = by_support.get(sup, 0) + 1
     socle_counts = {prime.support: count for prime, count, _ in bass.entries}
-    ass_socle = associated_primes(ideal)
+    ass_socle = frozenset(prime for prime, _, _ in bass.entries)
     ass_colon = ass_by_colon_scan(ideal)
     checks = [
         ["splitting count equals socle sum", dec.count == bass.index],
@@ -625,4 +624,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidCandidatesError, UnitIdealError
-from .monomial import Monomial, MonomialIdeal, RingContext
+from .monomial import Monomial, MonomialIdeal, RingContext, minimal_exponents
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,6 @@ class IrreducibleComponent:
 
     def contains_monomial(self, u: Monomial) -> bool:
         return any(b and e >= b for b, e in zip(self.bounds, u.exponents))
-
-    def contains_ideal(self, ideal: MonomialIdeal) -> bool:
-        """Component contains the ideal iff it contains every generator."""
-        return all(self.contains_monomial(g) for g in ideal.gens)
 
     def as_ideal(self) -> MonomialIdeal:
         gens = []
@@ -96,7 +92,8 @@ def split_decompose(
     """All irreducible components reached by splitting; may contain redundant ones.
 
     Deterministic for a fixed strategy and seed.  Sub-ideals repeat across
-    branches, so results are memoized per call on the canonical generators.
+    branches, so results are memoized per call on the canonical generator
+    exponents, which are also what the recursion carries.
     """
     if ideal.is_unit:
         raise UnitIdealError("cannot decompose the unit ideal")
@@ -104,41 +101,33 @@ def split_decompose(
     ring = ideal.ring
     memo: dict[tuple, tuple] = {}
 
-    def go(cur: MonomialIdeal) -> tuple:
-        key = tuple(g.exponents for g in cur.gens)
-        got = memo.get(key)
+    def go(gens: tuple) -> tuple:
+        got = memo.get(gens)
         if got is not None:
             return got
-        split_gen = None
-        for g in cur.gens:
-            if len(g.support()) >= 2:
-                split_gen = g
-                break
+        split_gen = next((g for g in gens if sum(1 for e in g if e) >= 2), None)
         if split_gen is None:
             bounds = [0] * ring.n
-            for g in cur.gens:
-                (i,) = g.support()
-                bounds[i] = g.exponents[i]
+            for g in gens:
+                for i, e in enumerate(g):
+                    if e:
+                        bounds[i] = e
             result = (tuple(bounds),)
         else:
-            supp = sorted(split_gen.support())
-            i = pick(supp)
-            a = split_gen.exponents[i]
-            pure = [0] * ring.n
-            pure[i] = a
-            rest = list(split_gen.exponents)
-            rest[i] = 0
-            left = cur.plus([Monomial(tuple(pure), ring)])
-            right = cur.plus([Monomial(tuple(rest), ring)])
+            i = pick([j for j, e in enumerate(split_gen) if e])
+            pure = tuple(e if j == i else 0 for j, e in enumerate(split_gen))
+            rest = split_gen[:i] + (0,) + split_gen[i + 1 :]
+            left = go(minimal_exponents(gens + (pure,)))
+            right = go(minimal_exponents(gens + (rest,)))
             seen = []
-            for b in go(left) + go(right):
+            for b in left + right:
                 if b not in seen:
                     seen.append(b)
             result = tuple(seen)
-        memo[key] = result
+        memo[gens] = result
         return result
 
-    return tuple(IrreducibleComponent(b, ring) for b in go(ideal))
+    return tuple(IrreducibleComponent(b, ring) for b in go(tuple(g.exponents for g in ideal.gens)))
 
 
 def _contains_intersection(c: IrreducibleComponent, others) -> bool:
@@ -170,29 +159,32 @@ def irredundant(candidates, ideal: MonomialIdeal) -> Decomposition:
     for c in candidates:
         if c not in comps:
             comps.append(c)
-    changed = True
-    while changed:
-        changed = False
-        for k, c in enumerate(comps):
-            others = comps[:k] + comps[k + 1 :]
-            if others and _contains_intersection(c, others):
-                comps = others
-                changed = True
-                break
-    inter = _intersect_components(comps, ideal.ring)
-    if inter != ideal:
+    # One pass suffices: dropping a component only enlarges the
+    # intersection of the rest, so a component kept once (it does not
+    # contain the intersection of the others) is never redundant later.
+    k = 0
+    while k < len(comps):
+        others = comps[:k] + comps[k + 1 :]
+        if others and _contains_intersection(comps[k], others):
+            comps = others
+        else:
+            k += 1
+    ring = ideal.ring
+    inter = _intersect_components(comps, ring.n)
+    if inter != tuple(g.exponents for g in ideal.gens):
+        shown = MonomialIdeal.from_gens(ring, [Monomial(e, ring) for e in inter])
         raise InvalidCandidatesError(
-            f"candidates intersect to ({inter.render()}), not ({ideal.render()})"
+            f"candidates intersect to ({shown.render()}), not ({ideal.render()})"
         )
     return Decomposition(ideal, tuple(sorted(comps, key=lambda c: c.bounds, reverse=True)))
 
 
-def _intersect_components(comps, ring: RingContext) -> MonomialIdeal:
-    if not comps:
-        return MonomialIdeal.unit(ring)
-    out = comps[0].as_ideal()
-    for c in comps[1:]:
-        out = out.intersect(c.as_ideal())
+def _intersect_components(comps, n: int) -> tuple[tuple[int, ...], ...]:
+    """Generator exponents of the intersection; the unit ideal when comps is empty."""
+    out = ((0,) * n,)
+    for c in comps:
+        pure = [(0,) * i + (b,) + (0,) * (n - i - 1) for i, b in enumerate(c.bounds) if b]
+        out = minimal_exponents(tuple(map(max, a, p)) for a in out for p in pure)
     return out
 
 

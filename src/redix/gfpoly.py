@@ -240,9 +240,6 @@ class UniPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def is_monic(self) -> bool:
-        return not self.is_zero and self.lead() == self.field.one
-
     def _same_field(self, other: "UniPoly"):
         if self.field != other.field:
             raise DimensionMismatchError("polynomials over different fields")

@@ -116,18 +116,19 @@ class Monomial:
         return self.render()
 
 
-def _minimal_antichain(monos):
-    """Drop every monomial divisible by another; dedupe; sort lex descending."""
-    uniq = set(m.exponents for m in monos)
-    if not uniq:
-        return ()
-    ring = monos[0].ring
+def minimal_exponents(exps) -> tuple[tuple[int, ...], ...]:
+    """Canonical generator exponents: the vectors divisible by no other one.
+
+    Deduplicated and sorted lex descending.  Every generator set in the
+    package is minimalized here, so all routes share one canonical form.
+    """
     kept = []
     # sorting by total degree first makes each divisor appear before its multiples
-    for e in sorted(uniq, key=lambda t: (sum(t), t)):
+    for e in sorted(set(exps), key=lambda t: (sum(t), t)):
         if not any(all(a <= b for a, b in zip(k, e)) for k in kept):
             kept.append(e)
-    return tuple(Monomial(e, ring) for e in sorted(kept, reverse=True))
+    kept.sort(reverse=True)
+    return tuple(kept)
 
 
 @dataclass(frozen=True)
@@ -139,11 +140,12 @@ class MonomialIdeal:
 
     @staticmethod
     def from_gens(ring: RingContext, gens) -> "MonomialIdeal":
-        gens = list(gens)
+        by_exps = {}
         for g in gens:
             if g.ring != ring:
                 raise ValueError("generator from a different ring")
-        return MonomialIdeal(ring, _minimal_antichain(gens))
+            by_exps[g.exponents] = g
+        return MonomialIdeal(ring, tuple(by_exps[e] for e in minimal_exponents(by_exps)))
 
     @staticmethod
     def zero(ring: RingContext) -> "MonomialIdeal":
@@ -161,16 +163,9 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return len(self.gens) == 1 and self.gens[0].is_unit
 
-    @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
-
     def contains(self, u: Monomial) -> bool:
         """Monomial membership: some generator divides u."""
         return any(g.divides(u) for g in self.gens)
-
-    def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        return all(self.contains(g) for g in other.gens)
 
     def plus(self, extra) -> "MonomialIdeal":
         return MonomialIdeal.from_gens(self.ring, list(self.gens) + list(extra))
@@ -239,7 +234,3 @@ class MonomialIdeal:
     def __str__(self) -> str:
         return self.render()
 
-
-def minimalize(ring: RingContext, gens) -> MonomialIdeal:
-    """Canonical minimal-generator form of the ideal generated by `gens`."""
-    return MonomialIdeal.from_gens(ring, gens)

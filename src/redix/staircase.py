@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bass import bass0, reducibility_index_by_bass
 from .decompose import decompose
@@ -40,6 +41,14 @@ MIN_COVER_CAP = 25
 ALL_COVERS_CAP = 12
 
 
+def _check_downset(exps) -> None:
+    """Raise unless every exponent vector's immediate divisors are in the set too."""
+    for e in exps:
+        for i, v in enumerate(e):
+            if v and e[:i] + (v - 1,) + e[i + 1 :] not in exps:
+                raise ValueError("not closed under divisors")
+
+
 @dataclass(frozen=True)
 class Staircase:
     """Finite downset of monomials, the standard monomials of some ideal."""
@@ -48,14 +57,11 @@ class Staircase:
     monomials: frozenset[Monomial]
 
     def __post_init__(self):
-        exps = {m.exponents for m in self.monomials}
-        for e in exps:
-            for i, v in enumerate(e):
-                if v:
-                    below = list(e)
-                    below[i] -= 1
-                    if tuple(below) not in exps:
-                        raise ValueError("not closed under divisors")
+        _check_downset(self.exponents)
+
+    @cached_property
+    def exponents(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(m.exponents for m in self.monomials)
 
     @staticmethod
     def from_ideal(ideal: MonomialIdeal) -> "Staircase":
@@ -73,7 +79,7 @@ class Staircase:
         """The ideal this is the staircase of: minimal monomials outside."""
         if not self.monomials:
             return MonomialIdeal.unit(self.ring)
-        exps = {m.exponents for m in self.monomials}
+        exps = self.exponents
         border = set()
         for e in exps:
             for i in range(self.ring.n):
@@ -91,7 +97,7 @@ class Staircase:
 
 def maximal_elements(g: Staircase) -> frozenset[Monomial]:
     """Monomials with no multiple inside the staircase: the dual's generators."""
-    exps = {m.exponents for m in g.monomials}
+    exps = g.exponents
     out = []
     for m in g.monomials:
         up_any = False
@@ -116,14 +122,7 @@ class DownsetSubmodule:
     def __post_init__(self):
         if not self.members <= self.staircase.monomials:
             raise ValueError("members must lie in the staircase")
-        exps = {m.exponents for m in self.members}
-        for e in exps:
-            for i, v in enumerate(e):
-                if v:
-                    below = list(e)
-                    below[i] -= 1
-                    if tuple(below) not in exps:
-                        raise ValueError("not closed under divisors")
+        _check_downset({m.exponents for m in self.members})
 
     @property
     def size(self) -> int:
@@ -152,6 +151,19 @@ def sum_irreducible_representation(
     return parts, len(parts)
 
 
+def _principal_masks(g: Staircase) -> list[int]:
+    """Bitmask of each principal downset over the staircase in sorted order."""
+    order = sorted(g.exponents)
+    masks = []
+    for u in order:
+        mask = 0
+        for i, m in enumerate(order):
+            if all(a <= b for a, b in zip(m, u)):
+                mask |= 1 << i
+        masks.append(mask)
+    return masks
+
+
 def min_cover_oracle(g: Staircase) -> int:
     """Minimum number of principal downsets covering the staircase.
 
@@ -164,15 +176,7 @@ def min_cover_oracle(g: Staircase) -> int:
         raise EmptyStaircaseError("the unit ideal leaves an empty staircase")
     if g.size > MIN_COVER_CAP:
         raise SizeCapError(f"staircase size {g.size} exceeds cap {MIN_COVER_CAP}")
-    order = g.sorted_monomials()
-    pos = {m: i for i, m in enumerate(order)}
-    masks = []
-    for u in order:
-        mask = 0
-        for m in g.monomials:
-            if m.divides(u):
-                mask |= 1 << pos[m]
-        masks.append(mask)
+    masks = _principal_masks(g)
     masks.sort(key=lambda m: -m.bit_count())
     want = (1 << g.size) - 1
     suffix = [0] * (len(masks) + 1)
@@ -206,15 +210,7 @@ def irredundant_cover_sizes(g: Staircase) -> set[int]:
         raise EmptyStaircaseError("the unit ideal leaves an empty staircase")
     if g.size > ALL_COVERS_CAP:
         raise SizeCapError(f"staircase size {g.size} exceeds cap {ALL_COVERS_CAP}")
-    order = g.sorted_monomials()
-    pos = {m: i for i, m in enumerate(order)}
-    masks = []
-    for u in order:
-        mask = 0
-        for m in g.monomials:
-            if m.divides(u):
-                mask |= 1 << pos[m]
-        masks.append(mask)
+    masks = _principal_masks(g)
     want = (1 << g.size) - 1
     sizes = set()
     idxs = range(g.size)
@@ -237,39 +233,6 @@ def irredundant_cover_sizes(g: Staircase) -> set[int]:
             if irredundant:
                 sizes.add(r)
     return sizes
-
-
-def all_downsets(g: Staircase) -> list[DownsetSubmodule]:
-    """Every submodule of the dual, the empty one included.
-
-    Grown breadth-first by adding one addable monomial at a time, so the
-    cost scales with the number of downsets rather than all subsets.
-    """
-    exps = {m.exponents for m in g.monomials}
-    by_exp = {m.exponents: m for m in g.monomials}
-    seen = {frozenset()}
-    frontier = [frozenset()]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for e, m in by_exp.items():
-                if m in cur:
-                    continue
-                ok = True
-                for i, v in enumerate(e):
-                    if v:
-                        below = list(e)
-                        below[i] -= 1
-                        if by_exp[tuple(below)] not in cur:
-                            ok = False
-                            break
-                if ok:
-                    grown = cur | {m}
-                    if grown not in seen:
-                        seen.add(grown)
-                        nxt.append(grown)
-        frontier = nxt
-    return [DownsetSubmodule(g, s) for s in sorted(seen, key=lambda s: (len(s), sorted(m.exponents for m in s)))]
 
 
 def sum_covers_iff_dual_disjoint(

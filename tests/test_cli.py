@@ -2,10 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import redix
 from redix import parse_ideal_text, render_ideal_text
+from redix.bass import BassReport, reducibility_index_by_bass
 from redix.cli import main
 from redix.selftest import SelftestReport, SuiteResult
 
@@ -42,9 +48,46 @@ def test_decompose_json_round_trip(capsys):
 
 
 def test_reports_are_byte_identical(capsys):
-    _, first, _ = run(capsys, "decompose", IDEAL, "--format", "json", "--seed", "9")
-    _, second, _ = run(capsys, "decompose", IDEAL, "--format", "json", "--seed", "9")
-    assert first == second
+    requests = [
+        ["decompose", IDEAL],
+        ["basechange", "ideal: x^2, x*y", "extend:1"],
+        ["basechange", "ideal: x^2, x*y", "invert:y"],
+        ["basechange", "f: x^2+x+1 over GF(2)", "field:->GF(4)"],
+        ["dual", IDEAL],
+        ["abelian", "group: Z/2 + Z/4"],
+    ]
+    for argv in requests:
+        _, first, _ = run(capsys, *argv, "--format", "json", "--seed", "9")
+        _, second, _ = run(capsys, *argv, "--format", "json", "--seed", "9")
+        assert json.loads(first)["command"] == argv[0]
+        assert first == second, argv
+
+
+def test_module_entry_point_returns_exit_code():
+    src = str(Path(redix.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "redix.cli", "abelian", "group: Z/128"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 3
+    assert "size cap" in proc.stderr
+
+
+def test_decompose_prime_check_reads_socle_scan(capsys, monkeypatch):
+    def drop_first_prime(ideal):
+        report = reducibility_index_by_bass(ideal)
+        return BassReport(report.ideal, report.entries[1:], report.index)
+
+    monkeypatch.setattr("redix.cli.reducibility_index_by_bass", drop_first_prime)
+    # (x^2, x*y) has primes (x) and (x, y); the socle side now lacks (x)
+    code, out, _ = run(capsys, "decompose", "ideal: x^2, x*y", "--format", "json")
+    checks = dict(json.loads(out)["results"]["checks"])
+    assert checks["associated primes agree across socle scan and colon scan"] is False
+    assert code == 1
 
 
 def test_timing_flag_adds_elapsed(capsys):

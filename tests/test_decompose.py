@@ -8,12 +8,16 @@ from redix import (
     IrreducibleComponent,
     MonomialIdeal,
     RingContext,
+    ass_by_colon_scan,
+    associated_primes_by_socle,
     decompose,
     irredundant,
+    reducibility_index_by_bass,
     reducibility_index_by_decomposition,
     split_decompose,
 )
 from redix.errors import InvalidCandidatesError, UnitIdealError
+from redix.monomial import minimal_exponents
 
 R2 = RingContext.default(2)
 
@@ -127,3 +131,45 @@ def test_components_intersect_to_the_ideal(ideal):
         for comp in rest[1:]:
             meet = meet.intersect(comp.as_ideal())
         assert gen_exponents(meet) != gen_exponents(ideal)
+
+
+def divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+@st.composite
+def exponent_lists(draw):
+    n = draw(st.integers(1, 4))
+    return draw(st.lists(st.tuples(*[st.integers(0, 5)] * n), max_size=6))
+
+
+@given(exponent_lists())
+@settings(max_examples=200, deadline=None)
+def test_minimal_exponents_is_the_minimal_antichain(exps):
+    out = minimal_exponents(exps)
+    assert set(out) <= set(exps)
+    assert list(out) == sorted(set(out), reverse=True)
+    for a in out:
+        for b in out:
+            assert a == b or not divides(a, b)
+    for e in exps:
+        assert any(divides(m, e) for m in out)
+
+
+@st.composite
+def proper_ideals(draw):
+    exps = draw(exponent_lists().map(lambda es: [e for e in es if any(e)]).filter(bool))
+    R = RingContext.default(len(exps[0]))
+    return MonomialIdeal.from_gens(R, [R.monomial(*e) for e in exps])
+
+
+@given(proper_ideals())
+@settings(max_examples=100, deadline=None)
+def test_routes_agree_on_random_ideals(ideal):
+    dec = decompose(ideal)
+    assert dec.count == reducibility_index_by_bass(ideal).index
+    supports = {c.support() for c in dec.components}
+    assert supports == {p.support for p in associated_primes_by_socle(ideal)}
+    assert supports == {p.support for p in ass_by_colon_scan(ideal)}
+    for strategy, seed in (("last", None), ("random", 0), ("random", 1)):
+        assert bounds(decompose(ideal, strategy=strategy, seed=seed)) == bounds(dec)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from redix import Monomial, MonomialIdeal, RingContext, minimalize
+from redix import Monomial, MonomialIdeal, RingContext
 
 
 def ring(n):
@@ -73,7 +73,7 @@ def test_zero_and_unit():
 
 @given(ideals())
 def test_minimalize_idempotent_antichain(ideal):
-    again = minimalize(ideal.ring, ideal.gens)
+    again = MonomialIdeal.from_gens(ideal.ring, ideal.gens)
     assert again.gens == ideal.gens  # from_gens already minimalizes
     for a in ideal.gens:
         for b in ideal.gens:
