@@ -16,20 +16,27 @@ of the others is inside the join of the earlier ones), and each is
 visited exactly once, so the minimum leaf depth is the true index and
 the leaf count at that depth is the exact number of minimum
 representations.  Joins depend only on the running join subgroup, not
-on which summands produced it, so the search memoizes on (join, last
-index) and the monster case, the rank-six elementary 2-group with its
-twenty-eight million minimum representations, counts in seconds.
-Progressive covers deeper than the minimum are rechecked explicitly and
-must each be redundant; that, plus the absence of shallower covers, is
-the executable form of the claim that every irredundant representation
-has the same length.
+on which summands produced it, so the counting pass memoizes on (join,
+last index) and the monster case, the rank-six elementary 2-group with
+its twenty-eight million minimum representations, counts in seconds.
+One depth-first walk then takes the first few minimum covers as samples
+and, only when covers deeper than the minimum exist, visits every one
+of them and checks that each is redundant; without deep covers it stops
+at the minimum depth once the samples are in.  That, plus the absence
+of shallower covers, is the executable form of the claim that every
+irredundant representation has the same length.
+
+Each of these facts is computed once per isomorphism class: groups are
+hashable by their factors, and the addition table, the subgroup lattice
+(with its sum-irreducible subgroups) and the search report are cached
+on that key.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import prod
 
 from .errors import SizeCapError, TrivialGroupError, VerificationError
@@ -129,23 +136,10 @@ class FiniteAbelianGroup:
 
     @cached_property
     def add_table(self) -> list[list[int]]:
-        n = self.order
-        coords = [self.coords(i) for i in range(n)]
-        table = []
-        for a in range(n):
-            ca = coords[a]
-            row = []
-            for b in range(n):
-                cb = coords[b]
-                row.append(self.index(tuple((x + y) % q for x, y, q in zip(ca, cb, self.factors))))
-            table.append(row)
-        return table
+        return _add_table(self)
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
-
-    def neg(self, a: int) -> int:
-        return self.index(tuple((-x) % q for x, q in zip(self.coords(a), self.factors)))
 
     def scalar(self, n: int, a: int) -> int:
         return self.index(tuple((n * x) % q for x, q in zip(self.coords(a), self.factors)))
@@ -174,6 +168,22 @@ class FiniteAbelianGroup:
 
     def __str__(self) -> str:
         return self.render()
+
+
+@cache
+def _add_table(group: FiniteAbelianGroup) -> list[list[int]]:
+    """Addition table, shared by every instance with the same factors."""
+    n = group.order
+    coords = [group.coords(i) for i in range(n)]
+    table = []
+    for a in range(n):
+        ca = coords[a]
+        row = []
+        for b in range(n):
+            cb = coords[b]
+            row.append(group.index(tuple((x + y) % q for x, y, q in zip(ca, cb, group.factors))))
+        table.append(row)
+    return table
 
 
 @dataclass(frozen=True)
@@ -320,15 +330,9 @@ class SubgroupLattice:
         )
 
 
-_LATTICE_CACHE: dict[tuple[int, ...], SubgroupLattice] = {}
-
-
+@cache
 def subgroup_lattice(group: FiniteAbelianGroup) -> SubgroupLattice:
-    lat = _LATTICE_CACHE.get(group.factors)
-    if lat is None:
-        lat = SubgroupLattice(group)
-        _LATTICE_CACHE[group.factors] = lat
-    return lat
+    return SubgroupLattice(group)
 
 
 def all_subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
@@ -366,20 +370,13 @@ class SumIndexReport:
         return True
 
 
-_BRUTE_CACHE: dict[tuple[int, ...], SumIndexReport] = {}
-
-
+@cache
 def sum_reducibility_index_bruteforce(group: FiniteAbelianGroup) -> SumIndexReport:
     """Index by exhaustive search over progressive families (see module doc)."""
-    cached = _BRUTE_CACHE.get(group.factors)
-    if cached is not None:
-        return cached
     if group.order > MAX_ORDER:
         raise SizeCapError(f"order {group.order} exceeds cap {MAX_ORDER}")
     if group.is_trivial:
-        report = SumIndexReport(group, 0, 1, ((),), {0: 1}, 0)
-        _BRUTE_CACHE[group.factors] = report
-        return report
+        return SumIndexReport(group, 0, 1, ((),), {0: 1}, 0)
 
     lat = subgroup_lattice(group)
     irr = lat.sum_irreducible_indices
@@ -441,77 +438,62 @@ def sum_reducibility_index_bruteforce(group: FiniteAbelianGroup) -> SumIndexRepo
         raise VerificationError("no sum-irreducible family covers the group")
     r0 = min(hist)
 
+    deep = max(hist) > r0
     samples: list[tuple[int, ...]] = []
+    deferred = 0
 
-    def collect(j: int, last: int, chain: tuple[int, ...]) -> None:
-        if len(samples) >= SAMPLE_CAP:
-            return
-        ensure(j)
+    # covers longer than the minimum must each be redundant, otherwise
+    # representations of different lengths would coexist
+    def fold(indices) -> int:
+        j = lat.trivial_index
+        for i in indices:
+            ensure(j)
+            j = rows[j][i]
+        return j
+
+    def is_redundant(fam: tuple[int, ...]) -> bool:
+        for k in range(len(fam)):
+            if fold(fam[:k] + fam[k + 1 :]) == full:
+                return True
+        return False
+
+    def walk(j: int, last: int, chain: tuple[int, ...]) -> None:
+        """Sample minimum covers in DFS order; check deep covers if any exist.
+
+        counts_below has already built the rows of every node reached here.
+        """
+        nonlocal deferred
         row = rows[j]
         av = avails[j] >> (last + 1)
         base = last + 1
+        depth = len(chain) + 1
         while av:
+            if not deep and len(samples) >= SAMPLE_CAP:
+                return
             lsb = av & -av
             av ^= lsb
             i = base + lsb.bit_length() - 1
             child = row[i]
-            if child == full:
-                if len(chain) + 1 == r0:
-                    samples.append(chain + (i,))
-                    if len(samples) >= SAMPLE_CAP:
-                        return
-            elif len(chain) + 2 <= r0:
-                collect(child, i, chain + (i,))
-
-    collect(lat.trivial_index, -1, ())
-
-    deferred = 0
-    if max(hist) > r0:
-        # covers longer than the minimum exist; each must be redundant,
-        # otherwise representations of different lengths would coexist
-        def fold(indices) -> int:
-            j = lat.trivial_index
-            for i in indices:
-                ensure(j)
-                j = rows[j][i]
-            return j
-
-        def is_redundant(fam: tuple[int, ...]) -> bool:
-            for k in range(len(fam)):
-                if fold(fam[:k] + fam[k + 1 :]) == full:
-                    return True
-            return False
-
-        def walk(j: int, last: int, chain: tuple[int, ...]) -> None:
-            nonlocal deferred
-            ensure(j)
-            row = rows[j]
-            av = avails[j] >> (last + 1)
-            base = last + 1
-            while av:
-                lsb = av & -av
-                av ^= lsb
-                i = base + lsb.bit_length() - 1
-                child = row[i]
-                if child == full:
-                    if len(chain) + 1 > r0:
-                        deferred += 1
-                        if not is_redundant(chain + (i,)):
-                            raise VerificationError(
-                                "irredundant representations of different"
-                                f" lengths in {group.render()}"
-                            )
-                else:
+            if child != full:
+                if deep or depth < r0:
                     walk(child, i, chain + (i,))
+            elif depth == r0:
+                if len(samples) < SAMPLE_CAP:
+                    samples.append(chain + (i,))
+            else:  # depth > r0: no cover is shallower than the minimum
+                deferred += 1
+                if not is_redundant(chain + (i,)):
+                    raise VerificationError(
+                        "irredundant representations of different"
+                        f" lengths in {group.render()}"
+                    )
 
-        walk(lat.trivial_index, -1, ())
+    walk(lat.trivial_index, -1, ())
 
     sample_subs = tuple(
         tuple(lat.subs[irr[i]] for i in chain) for chain in samples
     )
-    report = SumIndexReport(group, r0, hist[r0], sample_subs, hist, deferred)
-    _BRUTE_CACHE[group.factors] = report
-    return report
+    return SumIndexReport(group, r0, hist[r0], sample_subs, hist, deferred)
 
 
 @dataclass(frozen=True)
@@ -519,6 +501,7 @@ class SecondaryPart:
     """One primary piece of the group with its action checks."""
 
     prime: int
+    attached: int
     subgroup: Subgroup
     prime_nilpotent: bool
     action_split: bool
@@ -532,7 +515,7 @@ class SecondaryReport:
 
     @property
     def attached(self) -> tuple[int, ...]:
-        return tuple(part.prime for part in self.parts)
+        return tuple(part.attached for part in self.parts)
 
     @property
     def passed(self) -> bool:
@@ -541,39 +524,49 @@ class SecondaryReport:
         )
 
 
+def _stable_image(group: FiniteAbelianGroup, n: int, members: frozenset[int]) -> frozenset[int]:
+    """Limit of members, n*members, n^2*members, ...; {0} exactly when n acts nilpotently."""
+    cur = members
+    while True:
+        nxt = frozenset(group.scalar(n, g) for g in cur)
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
 def secondary_representation(group: FiniteAbelianGroup) -> SecondaryReport:
     """Split into primary parts and verify each integer acts one-sidedly.
 
-    On each part, every integer must act either surjectively or
-    nilpotently; the prime of the part is the one acting nilpotently.
+    The part for p holds the elements whose order is a power of p.  On
+    each part, every integer must act either surjectively or
+    nilpotently; the part's attached prime is read off that action as
+    the least n >= 2 acting nilpotently, so nothing here assumes it is p.
     """
     if group.is_trivial:
         raise TrivialGroupError("the trivial group has no secondary representation")
     order = group.order
+    element_orders = [group.element_order(g) for g in range(order)]
     parts = []
     sizes = []
     masks = []
     for p in group.primes:
-        e = 0
-        n = order
-        while n % p == 0:
-            n //= p
-            e += 1
-        members = frozenset(g for g in range(order) if group.scalar(p**e, g) == 0)
+        members = frozenset(
+            g
+            for g, k in enumerate(element_orders)
+            if all(q == p for q, _ in _prime_power_split(k))
+        )
         sub = Subgroup(group, members)
-        nilp = all(group.scalar(p**e, g) == 0 for g in members)
+        nilpotent = []
         split = True
         for n_act in range(order + 1):
-            image = {group.scalar(n_act, g) for g in members}
-            if image == members:
-                continue
-            k_img = set(members)
-            for _ in range(e):
-                k_img = {group.scalar(n_act, g) for g in k_img}
-            if k_img != {0}:
-                split = False
-                break
-        parts.append(SecondaryPart(p, sub, nilp, split))
+            stable = _stable_image(group, n_act, members)
+            if stable == {0}:
+                nilpotent.append(n_act)
+            elif stable != members:
+                split = False  # neither surjective nor nilpotent
+        attached = min(n for n in nilpotent if n >= 2)
+        nilp = _stable_image(group, p, members) == {0}
+        parts.append(SecondaryPart(p, attached, sub, nilp, split))
         sizes.append(len(members))
         masks.append(sub.mask)
     pairwise = all(
@@ -713,13 +706,14 @@ class CharacterizationReport:
 
 def characterization_report(group: FiniteAbelianGroup) -> CharacterizationReport:
     lat = subgroup_lattice(group)
+    irreducible = set(lat.sum_irreducible_indices)
     bad = []
     count = 0
     for h in range(len(lat.subs)):
         if h == lat.trivial_index:
             continue
         sub = lat.subs[h]
-        lattice_side = lat.is_sum_irreducible_index(h)
+        lattice_side = h in irreducible
         structure_side = sub.is_cyclic and sub.is_prime_power_order
         count += 1
         if lattice_side != structure_side:

@@ -111,19 +111,13 @@ def associated_primes(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
 
 
 def associated_primes_by_socle(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
-    """Primes with positive socle dimension, scanning every variable subset.
+    """Primes with positive socle dimension, read off the subset scan.
 
     Independent of the decomposition route.
     """
     if ideal.is_unit:
         raise UnitIdealError("the unit ideal has no associated primes")
-    out = []
-    for r in range(ideal.ring.n + 1):
-        for subset in itertools.combinations(range(ideal.ring.n), r):
-            count, _ = bass0(ideal, subset)
-            if count:
-                out.append(MonomialPrime(frozenset(subset), ideal.ring))
-    return frozenset(out)
+    return frozenset(prime for prime, _, _ in reducibility_index_by_bass(ideal).entries)
 
 
 def ass_by_colon_scan(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:

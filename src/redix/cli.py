@@ -30,7 +30,7 @@ from . import __version__ as VERSION
 from .abelian import (
     MAX_ORDER,
     QUOTIENT_SCAN_CAP,
-    attached_primes,
+    _prime_power_split,
     characterization_report,
     quotient_monotonicity_report,
     secondary_representation,
@@ -48,7 +48,7 @@ from .errors import (
 )
 from .gfpoly import ExtField, field_extension_report
 from .selftest import DOCUMENTED_UNTESTED, run_selftest
-from .staircase import Staircase, dual_index_report, maximal_elements
+from .staircase import dual_index_report
 from .textio import (
     parse_change_descriptor,
     parse_field_spec,
@@ -200,16 +200,14 @@ def cmd_basechange(args) -> dict:
 def cmd_dual(args) -> dict:
     ideal = parse_ideal_text(_read_input(args))
     rep = dual_index_report(ideal)
-    g = Staircase.from_ideal(ideal)
+    standard = rep.staircase.sorted_monomials()
     results = {
         "staircase_size": rep.staircase_size,
         "variables": list(ideal.ring.names),
-        "standard_monomials": [m.render() for m in g.sorted_monomials()],
-        "standard_exponents": [list(m.exponents) for m in g.sorted_monomials()],
-        "maximal_elements": sorted(m.render() for m in maximal_elements(g)),
-        "maximal_exponents": sorted(
-            list(m.exponents) for m in maximal_elements(g)
-        ),
+        "standard_monomials": [m.render() for m in standard],
+        "standard_exponents": [list(m.exponents) for m in standard],
+        "maximal_elements": sorted(m.render() for m in rep.corners),
+        "maximal_exponents": sorted(list(m.exponents) for m in rep.corners),
         "indices": {
             "decomposition": rep.ir_decomposition,
             "socle_formula": rep.ir_socle_formula,
@@ -236,7 +234,8 @@ def cmd_abelian(args) -> dict:
             f"group order {group.order} exceeds the hard ceiling {MAX_ORDER}"
         )
     formula = sum_index_formula(group)
-    att = attached_primes(group) if not group.is_trivial else ()
+    sec = secondary_representation(group) if not group.is_trivial else None
+    att = sec.attached if sec is not None else ()
     results: dict = {
         "group": group.render(),
         "order": group.order,
@@ -276,8 +275,7 @@ def cmd_abelian(args) -> dict:
     else:
         results["bruteforce"] = None
         results["characterization"] = None
-    if not group.is_trivial:
-        sec = secondary_representation(group)
+    if sec is not None:
         results["secondary"] = {
             "direct_sum_ok": sec.direct_sum_ok,
             "parts": [
@@ -294,7 +292,7 @@ def cmd_abelian(args) -> dict:
         checks.append(
             [
                 "attached primes are the primes dividing the order",
-                sec.attached == att,
+                att == tuple(p for p, _ in _prime_power_split(group.order)),
             ]
         )
     else:

@@ -38,9 +38,6 @@ class IrreducibleComponent:
     def support(self) -> frozenset[int]:
         return frozenset(i for i, b in enumerate(self.bounds) if b)
 
-    def contains_monomial(self, u: Monomial) -> bool:
-        return any(b and e >= b for b, e in zip(self.bounds, u.exponents))
-
     def as_ideal(self) -> MonomialIdeal:
         gens = []
         for i, b in enumerate(self.bounds):

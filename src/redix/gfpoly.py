@@ -223,10 +223,6 @@ class UniPoly:
     def one(field) -> "UniPoly":
         return UniPoly(field, (field.one,))
 
-    @staticmethod
-    def x(field) -> "UniPoly":
-        return UniPoly(field, (field.zero, field.one))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # zero polynomial has degree -1

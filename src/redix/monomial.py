@@ -41,10 +41,6 @@ class RingContext:
         return len(self.names)
 
     @staticmethod
-    def make(names) -> "RingContext":
-        return RingContext(tuple(names))
-
-    @staticmethod
     def default(n: int) -> "RingContext":
         if n <= len(_DEFAULT_NAMES):
             return RingContext(_DEFAULT_NAMES[:n])
@@ -78,9 +74,6 @@ class Monomial:
     @property
     def is_unit(self) -> bool:
         return not any(self.exponents)
-
-    def degree(self) -> int:
-        return sum(self.exponents)
 
     def support(self) -> frozenset[int]:
         return frozenset(i for i, e in enumerate(self.exponents) if e)

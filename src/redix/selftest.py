@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from .abelian import (
-    FiniteAbelianGroup,
+    _prime_power_split,
     abelian_group_classes,
     additivity_report,
     attached_primes,
@@ -29,7 +29,7 @@ from .abelian import (
     sum_index_formula,
     sum_reducibility_index_bruteforce,
 )
-from .bass import bass0, reducibility_index_by_bass
+from .bass import reducibility_index_by_bass
 from .basechange import extension_report, localization_report
 from .decompose import decompose
 from .gfpoly import (
@@ -284,13 +284,9 @@ def _suite_decomposition_uniqueness(seed: int, rec: _Recorder) -> None:
         for comp in dec.components:
             sup = comp.support()
             by_support[sup] = by_support.get(sup, 0) + 1
-        n = ideal.ring.n
-        socle_counts = {}
-        for r in range(n + 1):
-            for subset in itertools.combinations(range(n), r):
-                cnt, _ = bass0(ideal, subset)
-                if cnt:
-                    socle_counts[frozenset(subset)] = cnt
+        socle_counts = {
+            prime.support: cnt for prime, cnt, _ in reducibility_index_by_bass(ideal).entries
+        }
         rec.check(
             by_support == socle_counts,
             f"{ideal.render()}: per-prime counts {by_support} vs socle {socle_counts}",
@@ -522,7 +518,7 @@ def _suite_abelian_secondary(seed: int, rec: _Recorder) -> None:
         if group.is_trivial:
             continue
         report = secondary_representation(group)
-        divisors = tuple(sorted({p for p in group.primes}))
+        divisors = tuple(p for p, _ in _prime_power_split(group.order))
         rec.check(
             report.passed and report.attached == divisors,
             f"{group.render()}: secondary split failed",

@@ -276,12 +276,20 @@ class DualIndexReport:
     """The index of I and of its dual, by every route that applies."""
 
     ideal: MonomialIdeal
-    staircase_size: int
+    staircase: Staircase
+    corners: frozenset[Monomial]
     ir_decomposition: int
     ir_socle_formula: int
-    dual_generator_count: int
     min_cover: int | None
     completion_note: str
+
+    @property
+    def staircase_size(self) -> int:
+        return self.staircase.size
+
+    @property
+    def dual_generator_count(self) -> int:
+        return len(self.corners)
 
     @property
     def all_equal(self) -> bool:
@@ -298,7 +306,6 @@ def dual_index_report(ideal: MonomialIdeal) -> DualIndexReport:
         raise EmptyStaircaseError("the unit ideal leaves an empty staircase")
     ir_dec = decompose(ideal).count
     ir_bass = reducibility_index_by_bass(ideal).index
-    gens = len(maximal_elements(g))
     cover = min_cover_oracle(g) if g.size <= MIN_COVER_CAP else None
     note = (
         "finite length over a field: the ring is already complete, so the"
@@ -306,10 +313,10 @@ def dual_index_report(ideal: MonomialIdeal) -> DualIndexReport:
     )
     return DualIndexReport(
         ideal=ideal,
-        staircase_size=g.size,
+        staircase=g,
+        corners=maximal_elements(g),
         ir_decomposition=ir_dec,
         ir_socle_formula=ir_bass,
-        dual_generator_count=gens,
         min_cover=cover,
         completion_note=note,
     )

@@ -85,6 +85,69 @@ def test_sum_irreducibility_classification():
     assert report.passed
 
 
+def _members(report):
+    return [[sorted(sub.members) for sub in rep] for rep in report.samples]
+
+
+def test_bruteforce_reports_pinned():
+    # exact figures of the search, samples in depth-first order: any
+    # change to the walk order or to the deferred check shows here
+    rep = sum_reducibility_index_bruteforce(G(2, 4))
+    assert (rep.index, rep.minimum_count, rep.deferred_checked) == (2, 5, 7)
+    assert rep.cover_histogram == {2: 5, 3: 7}
+    assert _members(rep) == [
+        [[0, 4], [0, 1, 2, 3]],
+        [[0, 4], [0, 2, 5, 7]],
+        [[0, 6], [0, 1, 2, 3]],
+        [[0, 6], [0, 2, 5, 7]],
+        [[0, 1, 2, 3], [0, 2, 5, 7]],
+    ]
+    rep = sum_reducibility_index_bruteforce(G(2, 2, 2))
+    assert (rep.index, rep.minimum_count, rep.deferred_checked) == (3, 28, 0)
+    assert rep.cover_histogram == {3: 28}
+    assert _members(rep) == [
+        [[0, 1], [0, a], [0, b]]
+        for a, b in [(2, 4), (2, 5), (2, 6), (2, 7), (3, 4), (3, 5)]
+        + [(3, 6), (3, 7), (4, 6), (4, 7), (5, 6), (5, 7)]
+    ]
+    rep = sum_reducibility_index_bruteforce(G(4, 4))
+    assert (rep.index, rep.minimum_count, rep.deferred_checked) == (2, 12, 82)
+    assert rep.cover_histogram == {2: 12, 3: 41, 4: 41}
+    c1, c2, c4 = [0, 1, 2, 3], [0, 2, 9, 11], [0, 4, 8, 12]
+    c5, c6, c7 = [0, 5, 10, 15], [0, 6, 8, 14], [0, 7, 10, 13]
+    assert _members(rep) == [
+        [c1, c4], [c1, c5], [c1, c6], [c1, c7], [c2, c4], [c2, c5],
+        [c2, c6], [c2, c7], [c4, c5], [c4, c7], [c5, c6], [c6, c7],
+    ]
+    rep = sum_reducibility_index_bruteforce(G(2, 4, 4))
+    assert (rep.index, rep.minimum_count, rep.deferred_checked) == (3, 320, 3566)
+    assert rep.cover_histogram == {3: 320, 4: 1500, 5: 2066}
+    tail = [c4, c5, c6, c7, [0, 8, 20, 28], [0, 8, 22, 30], [0, 10, 21, 31], [0, 10, 23, 29]]
+    assert _members(rep) == [[[0, 16], c1, c] for c in tail] + [
+        [[0, 16], c2, c] for c in (c4, c5, c6, c7)
+    ]
+
+
+def test_irreducibility_decided_once_per_subgroup(monkeypatch):
+    from redix import abelian
+
+    subgroup_lattice.cache_clear()
+    sum_reducibility_index_bruteforce.cache_clear()
+    calls = []
+    original = abelian.SubgroupLattice.is_sum_irreducible_index
+
+    def counted(self, h):
+        calls.append(h)
+        return original(self, h)
+
+    monkeypatch.setattr(abelian.SubgroupLattice, "is_sum_irreducible_index", counted)
+    group = G(4, 4)
+    sum_reducibility_index_bruteforce(group)
+    assert characterization_report(group).passed
+    lat = subgroup_lattice(group)
+    assert sorted(calls) == [h for h in range(len(lat)) if h != lat.trivial_index]
+
+
 def test_secondary_representation():
     rep = secondary_representation(G(12))
     assert rep.attached == (2, 3)

@@ -127,6 +127,25 @@ def test_dual_grid_and_indices(capsys):
     assert "min cover: 2" in out
 
 
+def test_dual_builds_staircase_and_corners_once(capsys, monkeypatch):
+    import redix.staircase as staircase
+
+    built, corners = [], []
+    from_ideal, maximal = staircase.Staircase.from_ideal, staircase.maximal_elements
+    monkeypatch.setattr(
+        staircase.Staircase,
+        "from_ideal",
+        staticmethod(lambda ideal: built.append(ideal) or from_ideal(ideal)),
+    )
+    monkeypatch.setattr(
+        staircase, "maximal_elements", lambda g: corners.append(g) or maximal(g)
+    )
+    code, out, _ = run(capsys, "dual", IDEAL, "--format", "json")
+    assert code == 0
+    assert (len(built), len(corners)) == (1, 1)
+    assert json.loads(out)["results"]["maximal_exponents"] == [[0, 2], [1, 0]]
+
+
 def test_basechange_extend(capsys):
     code, out, _ = run(capsys, "basechange", "ideal: x^2, x*y", "extend:1", "--format", "json")
     assert code == 0
@@ -178,6 +197,17 @@ def test_abelian_report(capsys):
     assert doc["results"]["bruteforce"]["index"] == 2
     assert doc["results"]["verdict"] is True
     assert doc["inputs"]["group"] == "group: Z/4 + Z/9"
+
+
+def test_abelian_attached_prime_check_can_fail(capsys, monkeypatch):
+    # a claimed prime that does not divide the order must not pass as attached
+    from redix.abelian import FiniteAbelianGroup
+
+    monkeypatch.setattr(FiniteAbelianGroup, "primes", property(lambda self: (2, 3, 5)))
+    code, out, _ = run(capsys, "abelian", "group: Z/4 + Z/3", "--format", "json")
+    checks = dict(json.loads(out)["results"]["checks"])
+    assert checks["attached primes are the primes dividing the order"] is False
+    assert code == 1
 
 
 def test_abelian_order_cap(capsys):
