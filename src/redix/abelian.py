@@ -534,6 +534,7 @@ def _stable_image(group: FiniteAbelianGroup, n: int, members: frozenset[int]) ->
         cur = nxt
 
 
+@cache
 def secondary_representation(group: FiniteAbelianGroup) -> SecondaryReport:
     """Split into primary parts and verify each integer acts one-sidedly.
 

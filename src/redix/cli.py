@@ -47,6 +47,7 @@ from .errors import (
     VerificationError,
 )
 from .gfpoly import ExtField, field_extension_report
+from .monomial import Monomial
 from .selftest import DOCUMENTED_UNTESTED, run_selftest
 from .staircase import dual_index_report
 from .textio import (
@@ -206,8 +207,8 @@ def cmd_dual(args) -> dict:
         "variables": list(ideal.ring.names),
         "standard_monomials": [m.render() for m in standard],
         "standard_exponents": [list(m.exponents) for m in standard],
-        "maximal_elements": sorted(m.render() for m in rep.corners),
-        "maximal_exponents": sorted(list(m.exponents) for m in rep.corners),
+        "maximal_elements": sorted(Monomial(e, ideal.ring).render() for e in rep.corners),
+        "maximal_exponents": sorted(list(e) for e in rep.corners),
         "indices": {
             "decomposition": rep.ir_decomposition,
             "socle_formula": rep.ir_socle_formula,

@@ -14,11 +14,13 @@ input grammar never produces it directly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import InfiniteColengthError, SizeCapError
 
 MAX_EXPONENT = 10**6  # larger exponents are refused, not silently accepted
+MAX_STANDARD_BOX = 100_000  # box points standard_monomials scans before refusing
 
 _DEFAULT_NAMES = ("x", "y", "z", "w")
 
@@ -198,26 +200,27 @@ class MonomialIdeal:
                 return True
         return all(pure)
 
-    def standard_monomials(self) -> frozenset[Monomial]:
-        """All monomials outside the ideal; requires finite colength."""
+    def standard_monomials(self) -> frozenset[tuple[int, ...]]:
+        """Exponent vectors outside the ideal, scanned in the pure-power box.
+
+        Requires finite colength and a box of at most MAX_STANDARD_BOX points.
+        """
         if not self.is_finite_colength():
             raise InfiniteColengthError(f"{self.render()} does not have finite colength")
         if self.is_unit:
             return frozenset()
-        bounds = []
-        for i in range(self.ring.n):
-            b = min(
-                g.exponents[i]
-                for g in self.gens
-                if g.exponents[i] and g.support() == {i}
-            )
-            bounds.append(b)
-        out = []
-        for exps in itertools.product(*(range(b) for b in bounds)):
-            u = Monomial(exps, self.ring)
-            if not self.contains(u):
-                out.append(u)
-        return frozenset(out)
+        gens = [g.exponents for g in self.gens]
+        bounds = [
+            min(e[i] for e in gens if e[i] and e[i] == sum(e)) for i in range(self.ring.n)
+        ]
+        points = math.prod(bounds)
+        if points > MAX_STANDARD_BOX:
+            raise SizeCapError(f"staircase box of {points} points exceeds cap {MAX_STANDARD_BOX}")
+        return frozenset(
+            u
+            for u in itertools.product(*(range(b) for b in bounds))
+            if not any(all(a <= b for a, b in zip(e, u)) for e in gens)
+        )
 
     def render(self) -> str:
         if self.is_zero:

@@ -1,11 +1,12 @@
 """Finite-length duality through staircases of standard monomials.
 
 For a finite-colength monomial ideal I the quotient ring has the finite
-staircase G = standard monomials as a basis.  The dual module lives on
-the same set with the divisibility order reversed: a submodule of the
-dual is a subset of G closed under passing to divisors (a downset), and
-the cyclic submodule generated by u is the principal downset of its
-divisors.  Under this dictionary:
+staircase G = standard monomials as a basis, kept here as a set of
+exponent vectors (Monomial objects appear only when it is rendered).
+The dual module lives on the same set with the divisibility order
+reversed: a submodule of the dual is a subset of G closed under passing
+to divisors (a downset), and the cyclic submodule generated by u is the
+principal downset of its divisors.  Under this dictionary:
 
   * generators of the dual correspond to maximal elements of G,
   * sum-irreducible submodules are exactly principal downsets,
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .bass import bass0, reducibility_index_by_bass
 from .decompose import decompose
@@ -51,65 +51,45 @@ def _check_downset(exps) -> None:
 
 @dataclass(frozen=True)
 class Staircase:
-    """Finite downset of monomials, the standard monomials of some ideal."""
+    """Finite downset of exponent vectors, the standard monomials of some ideal."""
 
     ring: RingContext
-    monomials: frozenset[Monomial]
+    exponents: frozenset[tuple[int, ...]]
 
     def __post_init__(self):
         _check_downset(self.exponents)
-
-    @cached_property
-    def exponents(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(m.exponents for m in self.monomials)
 
     @staticmethod
     def from_ideal(ideal: MonomialIdeal) -> "Staircase":
         return Staircase(ideal.ring, ideal.standard_monomials())
 
-    @staticmethod
-    def from_exponents(ring: RingContext, exps) -> "Staircase":
-        return Staircase(ring, frozenset(Monomial(tuple(e), ring) for e in exps))
-
     @property
     def size(self) -> int:
-        return len(self.monomials)
+        return len(self.exponents)
 
     def ideal(self) -> MonomialIdeal:
         """The ideal this is the staircase of: minimal monomials outside."""
-        if not self.monomials:
+        if not self.exponents:
             return MonomialIdeal.unit(self.ring)
         exps = self.exponents
-        border = set()
-        for e in exps:
-            for i in range(self.ring.n):
-                up = list(e)
-                up[i] += 1
-                if tuple(up) not in exps:
-                    border.add(tuple(up))
+        border = {e[:i] + (v + 1,) + e[i + 1 :] for e in exps for i, v in enumerate(e)}
         return MonomialIdeal.from_gens(
-            self.ring, [Monomial(e, self.ring) for e in border]
+            self.ring, [Monomial(e, self.ring) for e in border - exps]
         )
 
     def sorted_monomials(self) -> list[Monomial]:
-        return sorted(self.monomials, key=lambda m: m.exponents)
+        """The staircase as monomials in lex order, for rendering."""
+        return [Monomial(e, self.ring) for e in sorted(self.exponents)]
 
 
-def maximal_elements(g: Staircase) -> frozenset[Monomial]:
-    """Monomials with no multiple inside the staircase: the dual's generators."""
+def maximal_elements(g: Staircase) -> frozenset[tuple[int, ...]]:
+    """Exponent vectors with no multiple inside the staircase: the dual's generators."""
     exps = g.exponents
-    out = []
-    for m in g.monomials:
-        up_any = False
-        for i in range(g.ring.n):
-            up = list(m.exponents)
-            up[i] += 1
-            if tuple(up) in exps:
-                up_any = True
-                break
-        if not up_any:
-            out.append(m)
-    return frozenset(out)
+    return frozenset(
+        e
+        for e in exps
+        if all(e[:i] + (v + 1,) + e[i + 1 :] not in exps for i, v in enumerate(e))
+    )
 
 
 @dataclass(frozen=True)
@@ -117,23 +97,25 @@ class DownsetSubmodule:
     """Submodule of the dual: a divisor-closed subset of the staircase."""
 
     staircase: Staircase
-    members: frozenset[Monomial]
+    members: frozenset[tuple[int, ...]]
 
     def __post_init__(self):
-        if not self.members <= self.staircase.monomials:
+        if not self.members <= self.staircase.exponents:
             raise ValueError("members must lie in the staircase")
-        _check_downset({m.exponents for m in self.members})
+        _check_downset(self.members)
 
     @property
     def size(self) -> int:
         return len(self.members)
 
 
-def principal_downset(g: Staircase, u: Monomial) -> DownsetSubmodule:
+def principal_downset(g: Staircase, u: tuple[int, ...]) -> DownsetSubmodule:
     """Cyclic submodule of the dual generated by u: all divisors of u."""
-    if u not in g.monomials:
-        raise NotInStaircaseError(f"{u.render()} is not a standard monomial here")
-    members = frozenset(m for m in g.monomials if m.divides(u))
+    if u not in g.exponents:
+        raise NotInStaircaseError(
+            f"{Monomial(u, g.ring).render()} is not a standard monomial here"
+        )
+    members = frozenset(e for e in g.exponents if all(a <= b for a, b in zip(e, u)))
     return DownsetSubmodule(g, members)
 
 
@@ -141,12 +123,11 @@ def sum_irreducible_representation(
     g: Staircase,
 ) -> tuple[tuple[DownsetSubmodule, ...], int]:
     """One principal downset per maximal element; their union is everything."""
-    if not g.monomials:
+    if not g.exponents:
         raise EmptyStaircaseError("the unit ideal leaves an empty staircase")
-    gens = sorted(maximal_elements(g), key=lambda m: m.exponents)
-    parts = tuple(principal_downset(g, u) for u in gens)
+    parts = tuple(principal_downset(g, u) for u in sorted(maximal_elements(g)))
     covered = frozenset().union(*(p.members for p in parts))
-    if covered != g.monomials:
+    if covered != g.exponents:
         raise VerificationError("principal downsets of maximal elements fail to cover")
     return parts, len(parts)
 
@@ -172,7 +153,7 @@ def min_cover_oracle(g: Staircase) -> int:
     is the true minimum.  Pruned by the union of what is still
     selectable.  Capped at 25 monomials.
     """
-    if not g.monomials:
+    if not g.exponents:
         raise EmptyStaircaseError("the unit ideal leaves an empty staircase")
     if g.size > MIN_COVER_CAP:
         raise SizeCapError(f"staircase size {g.size} exceeds cap {MIN_COVER_CAP}")
@@ -206,7 +187,7 @@ def irredundant_cover_sizes(g: Staircase) -> set[int]:
 
     Used to confirm that every irredundant cover has the same size.
     """
-    if not g.monomials:
+    if not g.exponents:
         raise EmptyStaircaseError("the unit ideal leaves an empty staircase")
     if g.size > ALL_COVERS_CAP:
         raise SizeCapError(f"staircase size {g.size} exceeds cap {ALL_COVERS_CAP}")
@@ -245,8 +226,8 @@ def sum_covers_iff_dual_disjoint(
     B and C sum to the whole dual, checked member by member.  The lemma
     says the answers always agree.
     """
-    left = not (g.monomials - (b.members | c.members))
-    right = all((m in b.members) or (m in c.members) for m in g.monomials)
+    left = not (g.exponents - (b.members | c.members))
+    right = all((e in b.members) or (e in c.members) for e in g.exponents)
     return left, right
 
 
@@ -264,11 +245,21 @@ def dual_single_generator_check(ideal: MonomialIdeal) -> tuple[bool, bool]:
 def quotient_index(g: Staircase, b: DownsetSubmodule) -> int:
     """Sum-reducibility index of (dual module)/B.
 
-    The quotient has basis G minus B with the inherited action; its
-    generators are the staircase-maximal monomials that escaped B.  For
-    B = G the quotient is zero and the index is 0.
+    The quotient has basis G minus B with the inherited action, and its
+    generators are the elements of G minus B with no x_i multiple in G
+    minus B; they are counted here on that basis alone.  Since B is a
+    downset, G minus B is an upset of G: a multiple inside G of an
+    element outside B is outside B too.  So these are exactly the
+    corners of G that escaped B, which is what makes the count at most
+    the index of the dual.  For B = G the quotient is zero and the
+    index is 0.
     """
-    return len(maximal_elements(g) - b.members)
+    rest = g.exponents - b.members
+    count = 0
+    for e in rest:
+        if not any(e[:i] + (v + 1,) + e[i + 1 :] in rest for i, v in enumerate(e)):
+            count += 1
+    return count
 
 
 @dataclass(frozen=True)
@@ -277,7 +268,7 @@ class DualIndexReport:
 
     ideal: MonomialIdeal
     staircase: Staircase
-    corners: frozenset[Monomial]
+    corners: frozenset[tuple[int, ...]]
     ir_decomposition: int
     ir_socle_formula: int
     min_cover: int | None
@@ -302,7 +293,7 @@ class DualIndexReport:
 def dual_index_report(ideal: MonomialIdeal) -> DualIndexReport:
     """Index of a finite-colength ideal against the dual-side counts."""
     g = Staircase.from_ideal(ideal)
-    if not g.monomials:
+    if not g.exponents:
         raise EmptyStaircaseError("the unit ideal leaves an empty staircase")
     ir_dec = decompose(ideal).count
     ir_bass = reducibility_index_by_bass(ideal).index

@@ -402,6 +402,9 @@ def _parse_poly_tokens(ts: _Tokens, field, var_hint):
             sign = -1
         while True:
             c = parse_coef_atom()
+            while ts.peek()[0] == "*":  # a product such as 2*t^2
+                ts.take()
+                c = field.mul(c, parse_coef_atom())
             acc = field.add(acc, c if sign == 1 else field.neg(c))
             kind, s, _ = ts.peek()
             if kind == "+":

@@ -158,6 +158,12 @@ def test_secondary_representation():
     assert [len(p.subgroup.members) for p in rep.parts] == [4, 3]
 
 
+def test_secondary_representation_once_per_group():
+    first, second = G(4, 3), G(3, 4)
+    assert first is not second and first == second
+    assert secondary_representation(first) is secondary_representation(second)
+
+
 def test_quotients():
     g = G(4)
     subs = sorted(all_subgroups(g), key=lambda s: len(s.members))

@@ -201,13 +201,24 @@ def test_abelian_report(capsys):
 
 def test_abelian_attached_prime_check_can_fail(capsys, monkeypatch):
     # a claimed prime that does not divide the order must not pass as attached
-    from redix.abelian import FiniteAbelianGroup
+    from redix.abelian import FiniteAbelianGroup, secondary_representation
 
     monkeypatch.setattr(FiniteAbelianGroup, "primes", property(lambda self: (2, 3, 5)))
-    code, out, _ = run(capsys, "abelian", "group: Z/4 + Z/3", "--format", "json")
+    # the report is cached per group: neither read a stale one nor leave a bogus one
+    secondary_representation.cache_clear()
+    try:
+        code, out, _ = run(capsys, "abelian", "group: Z/4 + Z/3", "--format", "json")
+    finally:
+        secondary_representation.cache_clear()
     checks = dict(json.loads(out)["results"]["checks"])
     assert checks["attached primes are the primes dividing the order"] is False
     assert code == 1
+
+
+def test_dual_box_cap(capsys):
+    code, _, err = run(capsys, "dual", "ideal: x^100, y^100, z^100")
+    assert code == 3
+    assert "size cap" in err
 
 
 def test_abelian_order_cap(capsys):

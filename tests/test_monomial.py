@@ -137,14 +137,14 @@ def test_finite_colength_detection():
 def test_standard_monomials_are_the_complement(ideal):
     if not ideal.is_finite_colength():
         return
-    standard = set(ideal.standard_monomials())
-    for m in standard:
-        assert not ideal.contains(m)
-    # divisor closed
+    standard = ideal.standard_monomials()
     R = ideal.ring
-    for m in standard:
+    for e in standard:
+        assert not ideal.contains(Monomial(e, R))
+    # divisor closed
+    for e in standard:
         for i in range(R.n):
-            if m.exponents[i]:
-                down = list(m.exponents)
+            if e[i]:
+                down = list(e)
                 down[i] -= 1
-                assert Monomial(tuple(down), R) in standard
+                assert tuple(down) in standard

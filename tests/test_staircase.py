@@ -37,8 +37,9 @@ def test_frozen_staircase():
     I = ideal(R2, (2, 0), (1, 1), (0, 3))
     g = Staircase.from_ideal(I)
     assert g.size == 4
-    assert {m.render() for m in g.monomials} == {"1", "x", "y", "y^2"}
-    assert {m.render() for m in maximal_elements(g)} == {"x", "y^2"}
+    assert g.exponents == {(0, 0), (1, 0), (0, 1), (0, 2)}
+    assert [m.render() for m in g.sorted_monomials()] == ["1", "y", "y^2", "x"]
+    assert maximal_elements(g) == {(1, 0), (0, 2)}
     assert min_cover_oracle(g) == 2
     parts, count = sum_irreducible_representation(g)
     assert count == 2 and len(parts) == 2
@@ -64,7 +65,7 @@ def test_one_dimensional_power():
     assert min_cover_oracle(g) == 1
     # the top element generates everything
     top = next(iter(maximal_elements(g)))
-    assert principal_downset(g, top).members == g.monomials
+    assert principal_downset(g, top).members == g.exponents
 
 
 def test_maximal_ideal_gives_trivial_dual():
@@ -84,8 +85,8 @@ def test_socle_equals_corners():
 def test_not_in_staircase():
     I = ideal(R2, (2, 0), (0, 2))
     g = Staircase.from_ideal(I)
-    with pytest.raises(NotInStaircaseError):
-        principal_downset(g, R2.monomial(5, 5))
+    with pytest.raises(NotInStaircaseError, match=r"x\^5\*y\^5"):
+        principal_downset(g, (5, 5))
 
 
 def test_empty_staircase_has_no_representation():
@@ -117,7 +118,7 @@ def test_cover_sizes_are_all_the_index():
 def downset_of(g, *exps):
     members = set()
     for e in exps:
-        members |= principal_downset(g, g.ring.monomial(*e)).members
+        members |= principal_downset(g, e).members
     return DownsetSubmodule(g, frozenset(members))
 
 
@@ -138,7 +139,7 @@ def test_quotient_index_complement():
     g = Staircase.from_ideal(I)
     empty = DownsetSubmodule(g, frozenset())
     assert quotient_index(g, empty) == 2
-    everything = DownsetSubmodule(g, g.monomials)
+    everything = DownsetSubmodule(g, g.exponents)
     assert quotient_index(g, everything) == 0
     # knocking out one corner leaves the other
     one_corner = downset_of(g, (1, 0))
@@ -153,3 +154,28 @@ def test_staircase_ideal_round_trip():
         assert sorted(m.exponents for m in back.gens) == sorted(
             m.exponents for m in I.gens
         )
+
+
+def test_quotient_index_counts_corners_outside_b(monkeypatch):
+    import redix.staircase as staircase
+    from redix.selftest import _downset_masks
+
+    stairs = [
+        Staircase.from_ideal(ideal(R2, (2, 0), (1, 1), (0, 3))),
+        Staircase.from_ideal(ideal(R2, (3, 0), (2, 1), (0, 2))),
+        Staircase.from_ideal(ideal(RingContext.default(3), (2, 0, 0), (0, 2, 0), (0, 0, 2))),
+    ]
+    calls = []
+    maximal = staircase.maximal_elements
+    monkeypatch.setattr(
+        staircase, "maximal_elements", lambda g: calls.append(g) or maximal(g)
+    )
+    for g in stairs:
+        corners = maximal(g)
+        order, masks = _downset_masks(g)
+        for mask in masks:
+            b = DownsetSubmodule(
+                g, frozenset(order[i] for i in range(len(order)) if mask >> i & 1)
+            )
+            assert quotient_index(g, b) == len(corners - b.members)
+    assert calls == []

@@ -1,6 +1,8 @@
 """Input grammars: parsing, canonical rendering, round trips, positions."""
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from redix import (
     ExtField,
@@ -16,6 +18,7 @@ from redix import (
     render_poly_text,
 )
 from redix.errors import ParseError
+from redix.gfpoly import UniPoly
 
 
 def test_ideal_basic_forms():
@@ -143,3 +146,95 @@ def test_change_descriptors():
         parse_change_descriptor("extend:0")
     with pytest.raises(ParseError):
         parse_change_descriptor("shrink:2")
+
+
+# ------------------------------------------------ property: parse -> render -> parse
+
+_NAMES = ("x", "y", "z", "w", "a", "b", "x1", "x2", "u_1")
+
+
+def _factor_texts(name, e, draw):
+    """Exponent e of one variable, written as a random split like x^2*x."""
+    out = []
+    while e:
+        k = draw(st.integers(1, e))
+        out.append(name if k == 1 else f"{name}^{k}")
+        e -= k
+    return out
+
+
+@st.composite
+def ideal_texts(draw):
+    names = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True))
+    gens = []
+    for _ in range(draw(st.integers(0, 5))):
+        factors = []
+        for name in names:
+            factors += _factor_texts(name, draw(st.integers(0, 5)), draw)
+        gens.append("*".join(draw(st.permutations(factors))) or "1")
+    return f"ring: {', '.join(names)}\nideal: {', '.join(gens)}"
+
+
+@st.composite
+def group_texts(draw):
+    orders = draw(st.lists(st.integers(1, 60), min_size=1, max_size=4))
+    return "group: " + " + ".join(f"Z/{n}" for n in orders)
+
+
+_FIELD_SPECS = (
+    "GF(2)", "GF(3)", "GF(5)", "GF(7)", "GF(11)", "GF(13)",
+    "GF(4)", "GF(8)", "GF(9)", "GF(25)", "GF(27)", "GF(4)=a^2+a+1", "GF(9)=w^2+1",
+)
+
+
+@st.composite
+def poly_texts(draw):
+    field = parse_field_spec(draw(st.sampled_from(_FIELD_SPECS)))
+    coeffs = draw(st.lists(st.sampled_from(list(field.elements())), max_size=6))
+    return render_poly_text(UniPoly.make(field, coeffs))
+
+
+@st.composite
+def change_texts(draw):
+    kind = draw(st.sampled_from(("extend", "invert", "field")))
+    if kind == "extend":
+        return f"extend: {draw(st.integers(1, 9))}"
+    if kind == "invert":
+        names = draw(st.lists(st.sampled_from(_NAMES), max_size=3, unique=True))
+        return "invert:" + " , ".join(names)
+    src = draw(st.sampled_from(("",) + _FIELD_SPECS))
+    return f"field:{src} -> {draw(st.sampled_from(_FIELD_SPECS))}"
+
+
+def _round_trip(parse, render, text):
+    first = parse(text)
+    canonical = render(first)
+    again = parse(canonical)
+    assert again == first
+    assert render(again) == canonical
+
+
+@settings(max_examples=150)
+@given(ideal_texts())
+def test_ideal_text_round_trip_property(text):
+    _round_trip(parse_ideal_text, render_ideal_text, text)
+
+
+@settings(max_examples=100)
+@given(group_texts())
+def test_group_text_round_trip_property(text):
+    _round_trip(parse_group_text, render_group_text, text)
+
+
+@settings(max_examples=150)
+@given(poly_texts())
+def test_poly_text_round_trip_property(text):
+    first, _ = parse_poly_text(text)
+    assert render_poly_text(first) == text
+    _round_trip(lambda t: parse_poly_text(t)[0], render_poly_text, text)
+
+
+@settings(max_examples=100)
+@given(change_texts())
+def test_change_descriptor_round_trip_property(text):
+    _round_trip(parse_change_descriptor, render_change_descriptor, text)
