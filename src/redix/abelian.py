@@ -26,6 +26,12 @@ at the minimum depth once the samples are in.  That, plus the absence
 of shallower covers, is the executable form of the claim that every
 irredundant representation has the same length.
 
+Sum-irreducibility is read off the lattice of subgroups as bitmasks
+over the elements: a subgroup is a sum of two strictly smaller ones
+unless it has exactly one lower cover, which one OR over the masks of
+its proper subgroups decides (Davey-Priestley, Introduction to
+Lattices and Order, ch. 2).
+
 Each of these facts is computed once per isomorphism class: groups are
 hashable by their factors, and the addition table, the subgroup lattice
 (with its sum-irreducible subgroups) and the search report are cached
@@ -297,29 +303,24 @@ class SubgroupLattice:
         self._join_memo[key] = out
         return out
 
-    def proper_under(self, h: int) -> list[int]:
-        """Indices of subgroups strictly inside subs[h], largest first."""
-        mh = self.masks[h]
-        out = [k for k in range(len(self.subs)) if k != h and not (self.masks[k] & ~mh)]
-        out.sort(key=lambda k: -len(self._member_lists[k]))
-        return out
-
     def is_sum_irreducible_index(self, h: int) -> bool:
-        """No two strictly smaller subgroups join to subs[h]."""
+        """No two strictly smaller subgroups join to subs[h].
+
+        That holds exactly when subs[h] has one lower cover, i.e. its
+        proper subgroups have a greatest element M: two of them then join
+        inside M, while two distinct maximal ones A, B join to subs[h],
+        since A < A + B.  And a greatest M exists exactly when the union
+        of the proper subgroups is itself a proper subgroup (it is M).
+        Subgroups are sorted by size, so every proper one has index < h.
+        """
         if h == self.trivial_index:
             raise TrivialGroupError("the zero subgroup is excluded by convention")
-        inside = self.proper_under(h)
-        size_h = len(self._member_lists[h])
-        for a_pos, a in enumerate(inside):
-            size_a = len(self._member_lists[a])
-            for b in inside[a_pos + 1 :]:
-                # sizes run downhill: once the product is too small, every
-                # later pair is too small as well
-                if size_a * len(self._member_lists[b]) < size_h:
-                    break
-                if self.join(a, b) == h:
-                    return False
-        return True
+        mh = self.masks[h]
+        union = 0
+        for mk in self.masks[:h]:
+            if not mk & ~mh:
+                union |= mk
+        return union != mh and union in self.index_of
 
     @cached_property
     def sum_irreducible_indices(self) -> tuple[int, ...]:

@@ -5,7 +5,8 @@ zeros; the zero polynomial is the empty tuple.  Prime fields store
 elements as ints mod p; extension fields store them as coefficient
 tuples mod a monic irreducible modulus over the prime field.  Bounds
 are hard errors: factoring refuses degree above 8 or field size above
-13^3, and extension fields refuse p > 13 or size above 13^3.
+13^3, and extension fields (and the search for their modulus) refuse
+p > 13 or size above 13^3.
 
 Factoring is trial division by monic candidates of increasing degree,
 which is deterministic and adequate at the enforced sizes.  A divisor
@@ -13,10 +14,14 @@ of minimal degree is automatically irreducible, so the factor list is
 correct without a separate irreducibility pass.
 
 The module also carries an exhaustive oracle for the index of k[x]/(f):
-it enumerates every submodule (each is generated by one element), marks
-the irreducible ones, and searches all irredundant families meeting in
-zero.  That route never factors anything, so it can sit on the other
-side of a cross-check from the factor-counting route.
+it enumerates every submodule (each is generated by one element) as a
+bitmask over the quotient's elements, keeps the meet-irreducible ones
+(those with one upper cover, decided by one AND over the submodules
+above), and searches all irredundant families meeting in zero.  That
+route never factors anything and multiplies by x with its own
+companion shift, sharing no polynomial arithmetic with `factor`, so it
+can sit on the other side of a cross-check from the factor-counting
+route.
 """
 
 from __future__ import annotations
@@ -240,28 +245,6 @@ class UniPoly:
         if self.field != other.field:
             raise DimensionMismatchError("polynomials over different fields")
 
-    def add(self, other: "UniPoly") -> "UniPoly":
-        self._same_field(other)
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return UniPoly.make(F, out)
-
-    def sub(self, other: "UniPoly") -> "UniPoly":
-        self._same_field(other)
-        F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            x = self.coeffs[i] if i < len(self.coeffs) else F.zero
-            y = other.coeffs[i] if i < len(other.coeffs) else F.zero
-            out.append(F.sub(x, y))
-        return UniPoly.make(F, out)
-
     def mul(self, other: "UniPoly") -> "UniPoly":
         self._same_field(other)
         F = self.field
@@ -308,12 +291,6 @@ class UniPoly:
         if self.is_zero:
             return self
         return self.scale(self.field.inv(self.lead()))
-
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a.mod(b)
-        return a.monic()
 
     def pow(self, e: int) -> "UniPoly":
         out = UniPoly.one(self.field)
@@ -426,6 +403,8 @@ def hypersurface_index(f: UniPoly) -> int:
 def irreducible_modulus(p: int, k: int) -> tuple[int, ...]:
     """First monic irreducible of degree k over GF(p) in canonical order."""
     F = PrimeField(p)
+    if p**k > MAX_FIELD_SIZE:
+        raise SizeCapError(f"field size {p}^{k} exceeds cap {MAX_FIELD_SIZE}")
     for cand in monic_polys(F, k):
         if is_irreducible(cand):
             return cand.coeffs
@@ -497,11 +476,12 @@ def hypersurface_index_bruteforce(f: UniPoly) -> int:
     """Index of k[x]/(f) from the full submodule lattice; never factors.
 
     Enumerates the quotient's elements, generates every cyclic submodule
-    (each submodule is one, the ring being a principal ideal ring),
-    marks those not expressible as an intersection of two strictly
-    larger submodules, and searches every irredundant family of marked
-    submodules meeting in zero.  All such families must share one
-    cardinality; that shared size is returned.
+    as a bitmask over them (each submodule is one, the ring being a
+    principal ideal ring), keeps the meet-irreducible ones, and searches
+    every irredundant family of those meeting in zero.  All such
+    families must share one cardinality; that shared size is returned.
+    Multiplication by x is the companion shift, done here on coefficient
+    tuples, so no polynomial division is shared with `factor`.
     """
     if not isinstance(f.field, PrimeField):
         raise SizeCapError("lattice oracle works over prime fields only")
@@ -511,52 +491,57 @@ def hypersurface_index_bruteforce(f: UniPoly) -> int:
     d = f.degree
     if p**d > MAX_LATTICE_SIZE:
         raise SizeCapError(f"quotient size {p}^{d} exceeds lattice cap {MAX_LATTICE_SIZE}")
-    F = f.field
-    fm = f.monic()
+    inv_lead = f.field.inv(f.coeffs[-1])
+    # x^d = -(tail[0] + tail[1]*x + ... + tail[d-1]*x^(d-1)) in k[x]/(f)
+    tail = [(c * inv_lead) % p for c in f.coeffs[:-1]]
     elems = [tuple(e) for e in itertools.product(range(p), repeat=d)]
     index = {e: i for i, e in enumerate(elems)}
+    xmap = [
+        index[tuple((s - v[-1] * m) % p for s, m in zip((0,) + v[:-1], tail))]
+        for v in elems
+    ]
 
-    def times_x(v):
-        shifted = UniPoly.make(F, (F.zero,) + v).mod(fm)
-        cs = list(shifted.coeffs) + [0] * (d - len(shifted.coeffs))
-        return tuple(cs)
-
-    xmap = [index[times_x(v)] for v in elems]
-
-    def span(vidx: int) -> frozenset[int]:
-        orbit = []
-        cur = vidx
-        for _ in range(d):
-            orbit.append(cur)
-            cur = xmap[cur]
-        members = {0}
-        for g in orbit:
-            gvec = elems[g]
-            base = list(members)  # a subgroup before each fold
+    def span(v: int) -> int:
+        members = [0]
+        mask = 1
+        cur = v
+        # once the next orbit vector x^k v lies in span(v, ..., x^(k-1) v),
+        # that span is x-stable, hence the submodule generated by v
+        while not mask >> cur & 1:
+            gvec = elems[cur]
+            grown = []
             for k in range(1, p):
-                kg = tuple((k * b) % p for b in gvec)
-                for s in base:
-                    svec = elems[s]
-                    members.add(index[tuple((a + c) % p for a, c in zip(svec, kg))])
-        return frozenset(members)
+                kg = [(k * b) % p for b in gvec]
+                for s in members:
+                    i = index[tuple((a + c) % p for a, c in zip(elems[s], kg))]
+                    grown.append(i)
+                    mask |= 1 << i
+            members += grown
+            cur = xmap[cur]
+        return mask
 
-    submodules = sorted({span(i) for i in range(len(elems))}, key=lambda s: (len(s), sorted(s)))
-    zero_mod = frozenset({0})
+    submodules = {span(i) for i in range(len(elems))}
+    zero_mod = 1  # elems[0] is the zero vector
+    full = (1 << len(elems)) - 1
+    # N is meet-irreducible iff it has one upper cover M (then every
+    # submodule strictly above N contains M), i.e. iff the meet of those
+    # submodules is not N (two distinct covers already meet in N).  The
+    # top has an empty family whose meet is the top, so it is left out;
+    # it never enters an irredundant family anyway.
     irreducible = []
     for N in submodules:
-        strictly_bigger = [A for A in submodules if N < A]
-        reducible = any(
-            A & B == N for A, B in itertools.combinations(strictly_bigger, 2)
-        )
-        if not reducible:
+        above = full
+        for A in submodules:
+            if A != N and not N & ~A:
+                above &= A
+        if above != N:
             irreducible.append(N)
     sizes = set()
-    full = frozenset(range(len(elems)))
     for r in range(1, len(irreducible) + 1):
         for family in itertools.combinations(irreducible, r):
             inter = full
             for N in family:
-                inter = inter & N
+                inter &= N
             if inter != zero_mod:
                 continue
             # irredundant: every member is needed
@@ -565,7 +550,7 @@ def hypersurface_index_bruteforce(f: UniPoly) -> int:
                 rest = full
                 for j, N in enumerate(family):
                     if j != skip:
-                        rest = rest & N
+                        rest &= N
                 if rest == zero_mod:
                     needed = False
                     break

@@ -111,10 +111,13 @@ class DownsetSubmodule:
 
 def principal_downset(g: Staircase, u: tuple[int, ...]) -> DownsetSubmodule:
     """Cyclic submodule of the dual generated by u: all divisors of u."""
+    u = tuple(u)
     if u not in g.exponents:
-        raise NotInStaircaseError(
-            f"{Monomial(u, g.ring).render()} is not a standard monomial here"
-        )
+        try:
+            shown = Monomial(u, g.ring).render()
+        except (ValueError, SizeCapError):  # not an exponent vector of this ring
+            shown = str(u)
+        raise NotInStaircaseError(f"{shown} is not a standard monomial here")
     members = frozenset(e for e in g.exponents if all(a <= b for a, b in zip(e, u)))
     return DownsetSubmodule(g, members)
 

@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import re
 
-from .abelian import FiniteAbelianGroup
-from .errors import ParseError
+from .abelian import FiniteAbelianGroup, _prime_power_split
+from .errors import ParseError, SizeCapError
 from .gfpoly import (
     _SMALL_PRIMES,
+    MAX_FIELD_SIZE,
     ExtField,
     PrimeField,
     UniPoly,
@@ -246,18 +247,6 @@ def render_group_text(group: FiniteAbelianGroup) -> str:
 # ------------------------------------------------------------ field specs
 
 
-def _as_prime_power(q: int):
-    for p in _SMALL_PRIMES:
-        if q % p == 0:
-            k = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                k += 1
-            return (p, k) if n == 1 else None
-    return None
-
-
 def parse_field_spec(spec: str, line_no: int = 1):
     """`GF(q)` or `GF(q)=modulus` to a field object."""
     ts = _Tokens(spec, line_no)
@@ -268,10 +257,13 @@ def parse_field_spec(spec: str, line_no: int = 1):
     digits, dcol = ts.take("INT", "a field size")
     q = int(digits)
     ts.take(")", "a closing parenthesis")
-    split = _as_prime_power(q)
-    if split is None:
+    if q > MAX_FIELD_SIZE:
+        # refused before factoring: trial division of a huge q would not return
+        raise SizeCapError(f"field size {q} exceeds cap {MAX_FIELD_SIZE}")
+    split = _prime_power_split(q)
+    if len(split) != 1 or split[0][0] not in _SMALL_PRIMES:  # q < 2 splits to []
         raise ParseError(f"{q} is not a power of a prime up to 13", line_no, dcol)
-    p, k = split
+    ((p, k),) = split
     if ts.done:
         if k == 1:
             return PrimeField(p)

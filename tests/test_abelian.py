@@ -1,5 +1,7 @@
 """Finite abelian groups: sum-index search against the factor-count formula."""
 
+import itertools
+
 import pytest
 
 from redix import (
@@ -146,6 +148,21 @@ def test_irreducibility_decided_once_per_subgroup(monkeypatch):
     assert characterization_report(group).passed
     lat = subgroup_lattice(group)
     assert sorted(calls) == [h for h in range(len(lat)) if h != lat.trivial_index]
+
+
+def _joins_from_two_smaller(lat, h):
+    """Reference: some two subgroups strictly inside subs[h] join to it."""
+    inside = [k for k in range(len(lat)) if k != h and not lat.masks[k] & ~lat.masks[h]]
+    return any(lat.join(a, b) == h for a, b in itertools.combinations(inside, 2))
+
+
+def test_irreducibility_matches_pairwise_reference():
+    for group in abelian_group_classes(32):
+        lat = subgroup_lattice(group)
+        for h in range(len(lat)):
+            if h != lat.trivial_index:
+                expected = not _joins_from_two_smaller(lat, h)
+                assert lat.is_sum_irreducible_index(h) == expected, (group.render(), h)
 
 
 def test_secondary_representation():

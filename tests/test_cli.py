@@ -1,5 +1,6 @@
 """CLI plumbing: exit codes, determinism, canonical echoes, formats."""
 
+import contextlib
 import io
 import json
 import os
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import redix
 from redix import parse_ideal_text, render_ideal_text
@@ -63,18 +66,33 @@ def test_reports_are_byte_identical(capsys):
         assert first == second, argv
 
 
-def test_module_entry_point_returns_exit_code():
+def run_module(*argv):
+    """`python -m redix.cli ARGV` in a child process; a hang fails the test."""
     src = str(Path(redix.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "redix.cli", "abelian", "group: Z/128"],
+    return subprocess.run(
+        [sys.executable, "-m", "redix.cli", *argv],
         capture_output=True,
         text=True,
         env=env,
+        timeout=30,
     )
+
+
+def test_module_entry_point_returns_exit_code():
+    proc = run_module("abelian", "group: Z/128")
     assert proc.returncode == 3
     assert "size cap" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "target, code", [("GF(0)", 2), ("GF(1)", 2), ("GF(1162261467)", 3)]
+)
+def test_field_specs_are_refused_promptly(target, code):
+    proc = run_module("basechange", "f: x^2+x+1 over GF(2)", f"field:->{target}")
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("size cap" if code == 3 else "input error")
 
 
 def test_decompose_prime_check_reads_socle_scan(capsys, monkeypatch):
@@ -281,3 +299,80 @@ def test_human_output_echoes_canonical_input(capsys):
     _, out, _ = run(capsys, "decompose", "ideal: y^3, x^2, x*y")
     assert "ring: x, y" in out
     assert "ideal: x^2, x*y, y^3" in out
+
+
+# ------------------------------------------------ property: no command crashes
+
+# no leading "-": argparse would read it as an option, and "-" means stdin
+_GARBAGE = st.text(alphabet="xyzft0123456789^*+-,:;/()= GFZ", max_size=24).filter(
+    lambda t: not t.startswith("-")
+)
+
+
+@st.composite
+def _ideal_texts(draw):
+    if draw(st.booleans()):
+        return draw(_GARBAGE)
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 4)] * 3), max_size=4))
+    if draw(st.booleans()):  # pure powers make the colength finite
+        gens += [(draw(st.integers(1, 4)), 0, 0), (0, draw(st.integers(1, 4)), 0)]
+        gens += [(0, 0, draw(st.integers(1, 4)))]
+    words = [
+        "*".join(f"{v}^{e}" for v, e in zip("xyz", g) if e) or "1" for g in gens
+    ]
+    return "ideal: " + ", ".join(words)
+
+
+@st.composite
+def _field_specs(draw, p=None):
+    if p is not None and draw(st.booleans()):
+        return f"GF({p ** draw(st.integers(1, 6 if p == 2 else 2))})"
+    return f"GF({draw(st.integers(0, 64))})"
+
+
+@st.composite
+def _poly_changes(draw):
+    """A polynomial and a field change, over a usable prime field half the time."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    field = draw(st.one_of(st.just(f"GF({p})"), _field_specs()))
+    terms = draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 3)), max_size=4))
+    body = "+".join(f"{c}*x^{k}" for c, k in terms) or "0"
+    source = draw(st.one_of(st.just(""), _field_specs(p)))
+    return [f"f: {body} over {field}", f"field:{source}->{draw(_field_specs(p))}"]
+
+
+@st.composite
+def _ideal_changes(draw):
+    if draw(st.booleans()):
+        change = f"extend:{draw(st.integers(0, 3))}"
+    else:
+        change = "invert:" + ",".join(draw(st.lists(st.sampled_from("xyzw"), max_size=3)))
+    return [draw(_ideal_texts()), draw(st.one_of(st.just(change), _GARBAGE))]
+
+
+@st.composite
+def _cli_requests(draw):
+    command = draw(st.sampled_from(("decompose", "dual", "basechange", "abelian", "selftest")))
+    argv = [command, "--format", draw(st.sampled_from(("human", "json")))]
+    if command in ("decompose", "dual"):
+        argv.append(draw(_ideal_texts()))
+    elif command == "basechange":
+        argv += draw(st.one_of(_ideal_changes(), _poly_changes()))
+    elif command == "abelian":
+        orders = draw(st.lists(st.integers(0, 20), min_size=1, max_size=3))
+        text = "group: " + " + ".join(f"Z/{n}" for n in orders)
+        argv += [draw(st.one_of(st.just(text), _GARBAGE))]
+        argv += ["--max-order", str(draw(st.integers(0, 16)))]
+    else:
+        # exhaustive suites are too slow to fuzz; every drawn scope is unknown
+        argv.append("--scope=" + draw(st.text(alphabet="0123456789+ ", max_size=6)))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cli_requests())
+def test_every_command_answers_or_refuses(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())

@@ -108,6 +108,41 @@ def test_hypersurface_index_is_distinct_factor_count():
     assert hypersurface_index_bruteforce(g) == 1
 
 
+@st.composite
+def _non_monic_small_quotients(draw):
+    """Non-monic f over GF(p), p >= 5, with p^deg(f) <= 512."""
+    p = draw(st.sampled_from((5, 7, 11, 13)))
+    d = draw(st.integers(1, 3 if p <= 7 else 2))
+    low = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+    lead = draw(st.integers(2, p - 1))
+    return UniPoly(PrimeField(p), tuple(low) + (lead,))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_non_monic_small_quotients())
+def test_lattice_oracle_on_non_monic_polynomials(f):
+    assert hypersurface_index_bruteforce(f) == hypersurface_index(f)
+
+
+def test_lattice_oracle_does_no_polynomial_arithmetic(monkeypatch):
+    f = poly(PrimeField(7), 6, 0, 3, 4)  # 4x^3 + 3x^2 + 6, not monic
+    expected = hypersurface_index(f)
+
+    def forbidden(*args):
+        raise AssertionError("the lattice oracle shares polynomial arithmetic with factor")
+
+    for name in ("divmod", "mod", "mul", "scale", "monic", "pow"):
+        monkeypatch.setattr(UniPoly, name, forbidden)
+    assert hypersurface_index_bruteforce(f) == expected
+
+
+def test_irreducible_modulus_refuses_large_fields_before_searching():
+    from redix.errors import SizeCapError
+
+    with pytest.raises(SizeCapError, match=r"3\^19 exceeds cap"):
+        irreducible_modulus(3, 19)
+
+
 def test_field_extension_frozen_example():
     # x^2+x+1 stays squarefree but splits in GF(4): index 1 -> 2
     gf4 = ExtField(F2, irreducible_modulus(2, 2))

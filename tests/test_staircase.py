@@ -89,6 +89,14 @@ def test_not_in_staircase():
         principal_downset(g, (5, 5))
 
 
+def test_principal_downset_normalizes_its_argument():
+    g = Staircase.from_ideal(ideal(R2, (2, 0), (0, 2)))
+    assert principal_downset(g, [0, 0]) == principal_downset(g, (0, 0))
+    for bad in ((5,), [5, 5], (0, 0, 0), (-1, 0)):
+        with pytest.raises(NotInStaircaseError):
+            principal_downset(g, bad)
+
+
 def test_empty_staircase_has_no_representation():
     g = Staircase.from_ideal(MonomialIdeal.unit(R2))
     assert g.size == 0

@@ -17,7 +17,7 @@ from redix import (
     render_ideal_text,
     render_poly_text,
 )
-from redix.errors import ParseError
+from redix.errors import ParseError, SizeCapError
 from redix.gfpoly import UniPoly
 
 
@@ -130,9 +130,12 @@ def test_field_specs():
     assert explicit.modulus == gf4.modulus
     gf169 = parse_field_spec("GF(169)")
     assert gf169.size == 169
-    for bad in ("GF(6)", "GF(17)", "GF(4)=t^2", "GF(8)=t^2+t+1"):
+    for bad in ("GF(0)", "GF(1)", "GF(6)", "GF(17)", "GF(4)=t^2", "GF(8)=t^2+t+1"):
         with pytest.raises(ParseError):
             parse_field_spec(bad)
+    for huge in ("GF(1162261467)", "GF(4913)", "GF(1000000000000000000000000000057)"):
+        with pytest.raises(SizeCapError):
+            parse_field_spec(huge)
 
 
 def test_change_descriptors():
