@@ -47,14 +47,12 @@ from .bass import (
     associated_primes,
     associated_primes_by_socle,
     bass0,
-    is_index_one,
     reducibility_index_by_bass,
 )
 from .basechange import (
     BaseChangeReport,
     PrimeFiber,
     extension_report,
-    flat_base_change_report,
     localization_report,
 )
 from .gfpoly import (

@@ -20,11 +20,17 @@ on which summands produced it, so the counting pass memoizes on (join,
 last index) and the monster case, the rank-six elementary 2-group with
 its twenty-eight million minimum representations, counts in seconds.
 One depth-first walk then takes the first few minimum covers as samples
-and, only when covers deeper than the minimum exist, visits every one
-of them and checks that each is redundant; without deep covers it stops
-at the minimum depth once the samples are in.  That, plus the absence
-of shallower covers, is the executable form of the claim that every
-irredundant representation has the same length.
+and, only when covers deeper than the minimum exist, checks that each
+of them is redundant; without deep covers it stops at the minimum depth
+once the samples are in.  The walk carries, for each member of the
+prefix, the join of the other members, so redundancy costs one lookup
+per member.  Redundancy is inherited by supersets, so a redundant
+prefix is pruned with its subtree and its deep covers are counted from
+the memo; the deep covers accounted for must add up to the counting
+pass's figure.  No irredundant deep cover, plus the absence of
+shallower covers, is the executable form of the claim that every
+irredundant representation has the same length; the report says
+whether it held.
 
 Sum-irreducibility is read off the lattice of subgroups as bitmasks
 over the elements: a subgroup is a sum of two strictly smaller ones
@@ -363,12 +369,7 @@ class SumIndexReport:
     samples: tuple[tuple[Subgroup, ...], ...]
     cover_histogram: dict[int, int]
     deferred_checked: int
-
-    @property
-    def equicardinal(self) -> bool:
-        # construction raises rather than report a violation, so reaching
-        # a report object means the check passed
-        return True
+    equicardinal: bool  # no irredundant cover is deeper than the minimum
 
 
 @cache
@@ -377,7 +378,7 @@ def sum_reducibility_index_bruteforce(group: FiniteAbelianGroup) -> SumIndexRepo
     if group.order > MAX_ORDER:
         raise SizeCapError(f"order {group.order} exceeds cap {MAX_ORDER}")
     if group.is_trivial:
-        return SumIndexReport(group, 0, 1, ((),), {0: 1}, 0)
+        return SumIndexReport(group, 0, 1, ((),), {0: 1}, 0, True)
 
     lat = subgroup_lattice(group)
     irr = lat.sum_irreducible_indices
@@ -442,28 +443,33 @@ def sum_reducibility_index_bruteforce(group: FiniteAbelianGroup) -> SumIndexRepo
     deep = max(hist) > r0
     samples: list[tuple[int, ...]] = []
     deferred = 0
+    equicardinal = True
 
-    # covers longer than the minimum must each be redundant, otherwise
-    # representations of different lengths would coexist
-    def fold(indices) -> int:
-        j = lat.trivial_index
-        for i in indices:
-            ensure(j)
-            j = rows[j][i]
-        return j
-
-    def is_redundant(fam: tuple[int, ...]) -> bool:
-        for k in range(len(fam)):
-            if fold(fam[:k] + fam[k + 1 :]) == full:
-                return True
-        return False
-
-    def walk(j: int, last: int, chain: tuple[int, ...]) -> None:
+    def walk(j: int, last: int, chain: tuple[int, ...], others: tuple[int, ...]) -> None:
         """Sample minimum covers in DFS order; check deep covers if any exist.
 
-        counts_below has already built the rows of every node reached here.
+        others[k] is the join of every chain member but the k-th.  Adding
+        summand i maps it to rows[others[k]][i], and the new member's own
+        entry is j.  The family is redundant exactly when the child is
+        among those joins; j never is, since the walk is progressive.
+
+        Lemma (monotone redundancy): if join(F - s) = join(F) and F lies
+        in G, then join(G - s) = join(F - s) + join(G - F) = join(G).  So
+        a redundant prefix is pruned with its whole subtree, and the deep
+        covers under it are read off the counts_below memo.
+
+        Every prefix of a minimum cover is irredundant: dropping a
+        redundant member from it would leave a shorter cover, which holds
+        an irredundant, hence progressive, one below the minimum.  So
+        pruning drops no sample, and every deep cover is counted once,
+        as a leaf or under its shortest redundant prefix.  A deep leaf
+        has an irredundant prefix, so its own redundancy is the check.
+
+        counts_below has already built the rows of every node reached
+        here and of every join in others: dropping a member from a
+        progressive chain leaves a progressive chain with a smaller join.
         """
-        nonlocal deferred
+        nonlocal deferred, equicardinal
         row = rows[j]
         av = avails[j] >> (last + 1)
         base = last + 1
@@ -475,26 +481,34 @@ def sum_reducibility_index_bruteforce(group: FiniteAbelianGroup) -> SumIndexRepo
             av ^= lsb
             i = base + lsb.bit_length() - 1
             child = row[i]
-            if child != full:
-                if deep or depth < r0:
-                    walk(child, i, chain + (i,))
-            elif depth == r0:
-                if len(samples) < SAMPLE_CAP:
-                    samples.append(chain + (i,))
-            else:  # depth > r0: no cover is shallower than the minimum
-                deferred += 1
-                if not is_redundant(chain + (i,)):
-                    raise VerificationError(
-                        "irredundant representations of different"
-                        f" lengths in {group.render()}"
-                    )
+            joins = [rows[o][i] for o in others]
+            if child == full:
+                if depth == r0:
+                    if len(samples) < SAMPLE_CAP:
+                        samples.append(chain + (i,))
+                else:  # depth > r0: no cover is shallower than the minimum
+                    deferred += 1
+                    if child not in joins:
+                        equicardinal = False
+            elif child in joins:
+                below = counts_below(child, i)
+                deferred += sum(c for d, c in enumerate(below) if depth + d > r0)
+            elif deep or depth < r0:
+                joins.append(j)
+                walk(child, i, chain + (i,), tuple(joins))
 
-    walk(lat.trivial_index, -1, ())
+    walk(lat.trivial_index, -1, (), ())
+    expected = sum(c for d, c in hist.items() if d > r0)
+    if deferred != expected:
+        raise VerificationError(
+            f"deferred walk of {group.render()} accounts for {deferred}"
+            f" deep covers, the counting pass for {expected}"
+        )
 
     sample_subs = tuple(
         tuple(lat.subs[irr[i]] for i in chain) for chain in samples
     )
-    return SumIndexReport(group, r0, hist[r0], sample_subs, hist, deferred)
+    return SumIndexReport(group, r0, hist[r0], sample_subs, hist, deferred, equicardinal)
 
 
 @dataclass(frozen=True)

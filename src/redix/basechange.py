@@ -171,13 +171,3 @@ def localization_report(ideal: MonomialIdeal, inverted) -> BaseChangeReport:
         fibers=tuple(fibers),
         checks=checks,
     )
-
-
-def flat_base_change_report(ideal: MonomialIdeal, change) -> BaseChangeReport:
-    """Dispatch on a change descriptor: ("extend", k) or ("invert", indices)."""
-    kind, arg = change
-    if kind == "extend":
-        return extension_report(ideal, arg)
-    if kind == "invert":
-        return localization_report(ideal, arg)
-    raise ValueError(f"unknown change kind {kind!r}")

@@ -172,20 +172,3 @@ def reducibility_index_by_bass(ideal: MonomialIdeal) -> BassReport:
                 total += count
     entries.sort(key=lambda e: e[0].sort_key())
     return BassReport(ideal, tuple(entries), total)
-
-
-def is_index_one(ideal: MonomialIdeal) -> tuple[bool, str]:
-    """Index-one test: one associated prime and socle dimension 1 there.
-
-    The quotient then has irreducible zero; with a single associated
-    prime and a one-dimensional socle at it the quotient is generically
-    Gorenstein, and conversely.
-    """
-    report = reducibility_index_by_bass(ideal)
-    primes = [e[0] for e in report.entries]
-    if len(primes) != 1:
-        return False, f"{len(primes)} associated primes"
-    prime, count, _ = report.entries[0]
-    if count != 1:
-        return False, f"socle dimension {count} at {prime.render()}"
-    return True, f"single associated prime {prime.render()} with socle dimension 1"

@@ -483,8 +483,9 @@ def _suite_abelian_agreement(seed: int, rec: _Recorder) -> None:
         report = sum_reducibility_index_bruteforce(group)
         formula = sum_index_formula(group)
         rec.check(
-            report.index == formula,
-            f"{group.render()}: search {report.index} vs formula {formula}",
+            report.index == formula and report.equicardinal,
+            f"{group.render()}: search {report.index} vs formula {formula},"
+            f" equicardinal {report.equicardinal}",
         )
 
 

@@ -1,6 +1,8 @@
 """Finite abelian groups: sum-index search against the factor-count formula."""
 
 import itertools
+import json
+from collections import Counter
 
 import pytest
 
@@ -19,6 +21,7 @@ from redix import (
     sum_reducibility_index_bruteforce,
 )
 from redix.abelian import all_subgroups
+from redix.cli import main
 from redix.errors import SizeCapError, TrivialGroupError
 
 
@@ -128,6 +131,86 @@ def test_bruteforce_reports_pinned():
     assert _members(rep) == [[[0, 16], c1, c] for c in tail] + [
         [[0, 16], c2, c] for c in (c4, c5, c6, c7)
     ]
+
+
+def _progressive_covers(lat):
+    """Reference: every progressive cover, by plain recursion over lat.join."""
+    irr = lat.sum_irreducible_indices
+    covers = []
+
+    def go(j, start, chain):
+        for i in range(start, len(irr)):
+            h = irr[i]
+            if lat.masks[h] & ~lat.masks[j]:
+                child = lat.join(j, h)
+                if child == lat.full_index:
+                    covers.append(chain + (h,))
+                else:
+                    go(child, i + 1, chain + (h,))
+
+    go(lat.trivial_index, 0, ())
+    return covers
+
+
+def _join_all(lat, members):
+    j = lat.trivial_index
+    for h in members:
+        j = lat.join(j, h)
+    return j
+
+
+def test_deferred_walk_matches_refold_reference():
+    # the walk prunes redundant prefixes; the reference re-folds every
+    # deep cover without each member in turn, as the search once did
+    deep_groups = 0
+    for group in abelian_group_classes(32):
+        if group.is_trivial:
+            continue
+        lat = subgroup_lattice(group)
+        covers = _progressive_covers(lat)
+        rep = sum_reducibility_index_bruteforce(group)
+        assert rep.cover_histogram == Counter(map(len, covers)), group.render()
+        deep = [c for c in covers if len(c) > rep.index]
+        assert rep.deferred_checked == len(deep), group.render()
+        for cover in deep:
+            assert any(
+                _join_all(lat, cover[:k] + cover[k + 1 :]) == lat.full_index
+                for k in range(len(cover))
+            ), (group.render(), cover)
+        assert rep.equicardinal
+        deep_groups += bool(deep)
+    assert deep_groups == 23
+
+
+def test_irredundant_deep_cover_is_reported_not_raised(capsys, monkeypatch):
+    # declaring the whole Klein group sum-irreducible makes it a cover of
+    # length one, while the three pairs of lines stay irredundant covers
+    from redix import abelian
+
+    def with_full(self):
+        return tuple(
+            h
+            for h in range(len(self))
+            if h == self.full_index
+            or (h != self.trivial_index and self.is_sum_irreducible_index(h))
+        )
+
+    monkeypatch.setattr(abelian.SubgroupLattice, "sum_irreducible_indices", property(with_full))
+    subgroup_lattice.cache_clear()
+    sum_reducibility_index_bruteforce.cache_clear()
+    try:
+        rep = sum_reducibility_index_bruteforce(G(2, 2))
+        code = main(["abelian", "group: Z/2 + Z/2", "--format", "json"])
+        out = capsys.readouterr().out
+    finally:
+        subgroup_lattice.cache_clear()
+        sum_reducibility_index_bruteforce.cache_clear()
+    assert (rep.index, rep.cover_histogram, rep.deferred_checked) == (1, {1: 1, 2: 6}, 6)
+    assert rep.equicardinal is False
+    results = json.loads(out)["results"]
+    assert results["bruteforce"]["equicardinal"] is False
+    assert dict(results["checks"])["all irredundant representations equicardinal"] is False
+    assert code == 1
 
 
 def test_irreducibility_decided_once_per_subgroup(monkeypatch):

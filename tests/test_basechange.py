@@ -1,12 +1,9 @@
 """Index bookkeeping under polynomial extension and localization."""
 
-import pytest
-
 from redix import (
     MonomialIdeal,
     RingContext,
     extension_report,
-    flat_base_change_report,
     localization_report,
 )
 
@@ -58,12 +55,3 @@ def test_localization_never_grows():
         rep = localization_report(I, subset)
         assert rep.ir_after_direct <= base
         assert rep.passed
-
-
-def test_dispatch_by_descriptor():
-    rep = flat_base_change_report(ideal((1, 1)), ("extend", 2))
-    assert rep.kind == "extend" and rep.passed
-    rep = flat_base_change_report(ideal((1, 1)), ("invert", (0,)))
-    assert rep.kind == "invert" and rep.passed
-    with pytest.raises(ValueError):
-        flat_base_change_report(ideal((1, 1)), ("warp", 3))

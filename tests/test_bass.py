@@ -1,7 +1,5 @@
 """Socle dimensions, associated primes, and the summed index."""
 
-import itertools
-
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -13,7 +11,6 @@ from redix import (
     associated_primes_by_socle,
     bass0,
     decompose,
-    is_index_one,
     reducibility_index_by_bass,
 )
 
@@ -52,18 +49,6 @@ def test_ass_routes_agree_frozen():
     assert associated_primes(I) == ass_by_colon_scan(I)
     assert associated_primes(I) == associated_primes_by_socle(I)
     assert {p.support for p in associated_primes(I)} == {frozenset({0, 1})}
-
-
-def test_is_index_one_matches_irreducibility():
-    # exhaustive small two-variable sweep
-    exps = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
-    for r in (1, 2):
-        for combo in itertools.combinations(exps, r):
-            I = ideal(*combo)
-            if I.is_unit:
-                continue
-            verdict, _reason = is_index_one(I)
-            assert verdict == (decompose(I).count == 1)
 
 
 @st.composite
