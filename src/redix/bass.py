@@ -7,10 +7,9 @@ the S variables.  The socle dimension after localizing (the 0-th Bass
 number, written mu0) counts monomials u in the S variables with u
 outside the localized ideal but x_i * u inside it for every i in S.
 
-Witness monomials are bounded: a witness exponent u_i never reaches the
-maximum generator exponent d_i of the localized ideal, since any
-generator certifying x_i * u inside would already certify u itself.
-That makes the scan over the product of ranges [0, d_i) exhaustive.
+Both scans test their definitions on the breakpoint grid of the
+generators, the exponents g_i - 1 (Miller-Sturmfels, GTM 227, ch. 5),
+so no loop depends on exponent size; each docstring proves its grid.
 
 The sum of mu0 over all primes equals the reducibility index; the code
 here computes it without ever running the splitting decomposition, so
@@ -72,34 +71,29 @@ def bass0(ideal: MonomialIdeal, support) -> tuple[int, tuple[Monomial, ...]]:
     """Socle dimension at the prime on `support`, with witness monomials.
 
     Returns 0 (no witnesses) for primes that are not associated.  The
-    witnesses live in the localized ring.
+    witnesses live in the localized ring, in lex order.  A witness u is
+    outside the ideal with u + e_i inside for every i, so some generator
+    g lies below u + e_i but not below u: g_i = u_i + 1, and u_i is on
+    the grid {g_i - 1 : g_i >= 1}.
     """
     keep = sorted(support)
     gens = minimal_exponents(tuple(g.exponents[i] for i in keep) for g in ideal.gens)
     if len(gens) == 1 and not any(gens[0]):
         return 0, ()  # localizes to the unit ideal
+
+    def inside(v):
+        return any(all(a <= b for a, b in zip(g, v)) for g in gens)
+
     n = len(keep)
-    bounds = [max((g[i] for g in gens), default=0) for i in range(n)]
-    witnesses = []
-    for exps in itertools.product(*(range(d) for d in bounds)):
-        if any(all(a <= b for a, b in zip(g, exps)) for g in gens):
-            continue  # already inside
-        ok = True
-        for i in range(n):
-            hit = False
-            for g in gens:
-                if g[i] <= exps[i] + 1 and all(
-                    g[j] <= exps[j] for j in range(n) if j != i
-                ):
-                    hit = True
-                    break
-            if not hit:
-                ok = False
-                break
-        if ok:
-            witnesses.append(exps)
+    grid = [sorted({g[i] - 1 for g in gens if g[i]}) for i in range(n)]
+    witnesses = [
+        u
+        for u in itertools.product(*grid)
+        if not inside(u)
+        and all(inside(u[:i] + (u[i] + 1,) + u[i + 1 :]) for i in range(n))
+    ]
     sub = ideal.ring.subring(keep)
-    return len(witnesses), tuple(Monomial(e, sub) for e in sorted(witnesses))
+    return len(witnesses), tuple(Monomial(u, sub) for u in witnesses)
 
 
 def associated_primes(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
@@ -121,27 +115,29 @@ def associated_primes_by_socle(ideal: MonomialIdeal) -> frozenset[MonomialPrime]
 
 
 def ass_by_colon_scan(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
-    """Brute-force route: primes of the form (I : u) for bounded monomials u.
+    """Brute-force route: the primes of the form (I : u) for monomials u.
 
-    Scans u with u_i <= d_i (the maximum generator exponents); beyond
-    those bounds the colon stabilizes coordinatewise, so the scan finds
-    every prime that occurs.
+    (I : u) is generated by the (g - u)+; it is prime exactly when its
+    minimal generators are variables ((0) when I is zero).  The grid
+    u_k in {g_k - 1 : g_k >= 1} | {d_k} finds every such prime.  Take u
+    to u' by moving each u_k up to the next grid value (down to d_k above
+    it).  Each test g_k <= u_k keeps its outcome, since g_k > u_k puts
+    g_k - 1 >= u_k on the grid, so each (g - u')+ keeps the support of
+    (g - u)+ and lies below it.  If (I : u) = P, then (I : u') contains
+    P and its generators lie in P.
     """
     if ideal.is_unit:
         raise UnitIdealError("the unit ideal has no associated primes")
-    n = ideal.ring.n
     gens = [g.exponents for g in ideal.gens]
-    unit_vectors = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
-    prime_forms = {}
-    for r in range(n + 1):
-        for subset in itertools.combinations(range(n), r):
-            prime_forms[minimal_exponents(unit_vectors[i] for i in subset)] = frozenset(subset)
+    grid = [
+        sorted({g[k] - 1 for g in gens if g[k]} | {d})
+        for k, d in enumerate(ideal.max_exponents())
+    ]
     found = set()
-    for exps in itertools.product(*(range(d + 1) for d in ideal.max_exponents())):
-        quot = minimal_exponents(tuple(max(a - b, 0) for a, b in zip(g, exps)) for g in gens)
-        hit = prime_forms.get(quot)
-        if hit is not None:
-            found.add(hit)
+    for u in itertools.product(*grid):
+        quot = minimal_exponents(tuple(max(a - b, 0) for a, b in zip(g, u)) for g in gens)
+        if all(sum(e) == 1 for e in quot):
+            found.add(frozenset(e.index(1) for e in quot))
     return frozenset(MonomialPrime(s, ideal.ring) for s in found)
 
 

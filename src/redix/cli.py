@@ -160,7 +160,7 @@ def cmd_basechange(args) -> dict:
     descriptor = parse_change_descriptor(args.change)
     text = _read_input(args)
     if descriptor[0] == "field":
-        poly, declared = parse_poly_text(text)
+        poly = parse_poly_text(text)
         _, source, target = descriptor
         if source is not None:
             src_field = parse_field_spec(source)

@@ -46,6 +46,7 @@ from .gfpoly import (
 )
 from .monomial import Monomial, MonomialIdeal, RingContext
 from .staircase import (
+    ALL_COVERS_CAP,
     Staircase,
     dual_single_generator_check,
     irredundant_cover_sizes,
@@ -271,17 +272,14 @@ def _suite_index_socle_agreement(seed: int, rec: _Recorder) -> None:
 def _suite_decomposition_uniqueness(seed: int, rec: _Recorder) -> None:
     strategies = (("first", None), ("last", None), ("random", 0), ("random", 1))
     for ideal in ideal_sample(seed, 1000, 4, 5):
-        outcomes = []
-        for strategy, extra in strategies:
-            dec = decompose(ideal, strategy=strategy, seed=extra)
-            outcomes.append(frozenset(c.bounds for c in dec.components))
+        decs = [decompose(ideal, strategy=s, seed=extra) for s, extra in strategies]
+        outcomes = [frozenset(c.bounds for c in dec.components) for dec in decs]
         rec.check(
             all(o == outcomes[0] for o in outcomes),
             f"{ideal.render()}: components differ across strategies",
         )
-        dec = decompose(ideal)
         by_support: dict[frozenset, int] = {}
-        for comp in dec.components:
+        for comp in decs[0].components:
             sup = comp.support()
             by_support[sup] = by_support.get(sup, 0) + 1
         socle_counts = {
@@ -402,7 +400,7 @@ def _suite_finite_length_duality(seed: int, rec: _Recorder) -> None:
 def _suite_cover_uniqueness(seed: int, rec: _Recorder) -> None:
     for ideal in _dual_sample(seed):
         g = Staircase.from_ideal(ideal)
-        if g.size > 12:
+        if g.size > ALL_COVERS_CAP:
             continue
         sizes = irredundant_cover_sizes(g)
         expected = len(maximal_elements(g))

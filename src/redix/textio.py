@@ -293,21 +293,13 @@ def render_field_spec(field) -> str:
 # ------------------------------------------------------------ polynomials
 
 
-def parse_poly_text(text: str):
-    """`f: ... over GF(q)` text to (UniPoly, declared extension or None)."""
+def parse_poly_text(text: str) -> UniPoly:
+    """`f: ... over GF(q)` text to its UniPoly."""
     poly = None
-    ext = None
     for line_no, content in _logical_lines(text):
         ts = _Tokens(content, line_no)
         word = _keyword(ts)
-        if word == "ext":
-            if ext is not None:
-                raise ParseError("duplicate ext line", line_no, 1)
-            rest = content.split(":", 1)[1]
-            ext = parse_field_spec(rest.strip(), line_no)
-            if isinstance(ext, PrimeField):
-                raise ParseError("ext must name a proper extension field", line_no, 1)
-        elif word in (None, "f"):
+        if word in (None, "f"):
             if poly is not None:
                 raise ParseError("more than one polynomial line", line_no, 1)
             poly = _parse_poly_line(ts, line_no)
@@ -315,7 +307,7 @@ def parse_poly_text(text: str):
             raise ParseError(f"unknown section {word!r}", line_no, 1)
     if poly is None:
         raise ParseError("no polynomial given", 1, 1)
-    return poly, ext
+    return poly
 
 
 def _parse_poly_line(ts: _Tokens, line_no: int) -> UniPoly:

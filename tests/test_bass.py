@@ -1,5 +1,7 @@
 """Socle dimensions, associated primes, and the summed index."""
 
+import itertools
+
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -13,6 +15,7 @@ from redix import (
     decompose,
     reducibility_index_by_bass,
 )
+from redix.monomial import minimal_exponents
 
 R2 = RingContext.default(2)
 
@@ -52,8 +55,8 @@ def test_ass_routes_agree_frozen():
 
 
 @st.composite
-def random_ideals(draw):
-    n = draw(st.integers(1, 3))
+def random_ideals(draw, max_vars=3):
+    n = draw(st.integers(1, max_vars))
     R = RingContext.default(n)
     gens = draw(
         st.lists(
@@ -79,3 +82,64 @@ def test_witness_counts_match_entries(ideal):
     for prime, count, witnesses in report.entries:
         assert count == len(witnesses)
         assert count > 0
+
+
+def bass0_box_reference(ideal, support):
+    """Socle witnesses by scanning the whole box [0, d_i) of the localized ideal."""
+    keep = sorted(support)
+    gens = minimal_exponents(tuple(g.exponents[i] for i in keep) for g in ideal.gens)
+    if len(gens) == 1 and not any(gens[0]):
+        return ()
+    n = len(keep)
+    bounds = [max((g[i] for g in gens), default=0) for i in range(n)]
+    witnesses = []
+    for exps in itertools.product(*(range(d) for d in bounds)):
+        if any(all(a <= b for a, b in zip(g, exps)) for g in gens):
+            continue  # already inside
+        ok = True
+        for i in range(n):
+            hit = False
+            for g in gens:
+                if g[i] <= exps[i] + 1 and all(
+                    g[j] <= exps[j] for j in range(n) if j != i
+                ):
+                    hit = True
+                    break
+            if not hit:
+                ok = False
+                break
+        if ok:
+            witnesses.append(exps)
+    return tuple(sorted(witnesses))
+
+
+def colon_scan_box_reference(ideal):
+    """Supports of the prime colons (I : u) over the whole box u <= d."""
+    n = ideal.ring.n
+    gens = [g.exponents for g in ideal.gens]
+    unit_vectors = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
+    prime_forms = {}
+    for r in range(n + 1):
+        for subset in itertools.combinations(range(n), r):
+            prime_forms[minimal_exponents(unit_vectors[i] for i in subset)] = frozenset(subset)
+    found = set()
+    for exps in itertools.product(*(range(d + 1) for d in ideal.max_exponents())):
+        quot = minimal_exponents(tuple(max(a - b, 0) for a, b in zip(g, exps)) for g in gens)
+        hit = prime_forms.get(quot)
+        if hit is not None:
+            found.add(hit)
+    return frozenset(found)
+
+
+@given(random_ideals(max_vars=5))
+@settings(max_examples=200, deadline=None)
+def test_grid_scans_match_box_references(ideal):
+    n = ideal.ring.n
+    for r in range(n + 1):
+        for subset in itertools.combinations(range(n), r):
+            count, witnesses = bass0(ideal, subset)
+            reference = bass0_box_reference(ideal, subset)
+            assert count == len(reference)
+            assert tuple(w.exponents for w in witnesses) == reference
+    found = {p.support for p in ass_by_colon_scan(ideal)}
+    assert found == colon_scan_box_reference(ideal)

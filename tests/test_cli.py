@@ -86,6 +86,16 @@ def test_module_entry_point_returns_exit_code():
     assert "size cap" in proc.stderr
 
 
+def test_decompose_time_does_not_grow_with_exponents():
+    # both scans walk the generators' breakpoints, not the exponent box
+    proc = run_module(
+        "decompose", "ideal: x^1000000*y, x*y^1000000", "--format", "json"
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    assert results["ir"] == 3 and results["verdict"] is True
+
+
 @pytest.mark.parametrize(
     "target, code", [("GF(0)", 2), ("GF(1)", 2), ("GF(1162261467)", 3)]
 )

@@ -91,25 +91,24 @@ def test_group_errors():
 
 
 def test_poly_parse_prime_field():
-    f, ext = parse_poly_text("f: x^2+x+1 over GF(2)")
-    assert ext is None
+    f = parse_poly_text("f: x^2+x+1 over GF(2)")
     assert f.field.p == 2 and f.degree == 2
     assert render_poly_text(f) == "f: x^2+x+1 over GF(2)"
 
 
 def test_poly_parse_ext_field_coefficients():
-    f, ext = parse_poly_text("f: t*x^2+(t+1)*x+1 over GF(4)\next: GF(4)=t^2+t+1")
+    f = parse_poly_text("f: t*x^2+(t+1)*x+1 over GF(4)")
     assert isinstance(f.field, ExtField)
     assert f.degree == 2
     text = render_poly_text(f)
-    again, _ = parse_poly_text(text)
+    again = parse_poly_text(text)
     assert again == f and render_poly_text(again) == text
 
 
 def test_poly_signs_and_bare_input():
-    f, _ = parse_poly_text("x^3 - x over GF(5)")
+    f = parse_poly_text("x^3 - x over GF(5)")
     assert f.coeffs[1] == 4  # -1 mod 5
-    g, _ = parse_poly_text("f: -x + 2 over GF(5)")
+    g = parse_poly_text("f: -x + 2 over GF(5)")
     assert g.coeffs == (2, 4)
 
 
@@ -120,6 +119,8 @@ def test_poly_errors():
         parse_poly_text("f: x*y over GF(2)")  # two variables
     with pytest.raises(ParseError):
         parse_poly_text("f: t*x over GF(2)")  # t needs an extension field
+    with pytest.raises(ParseError):
+        parse_poly_text("f: x^2+x+1 over GF(2)\next: GF(4)")  # no ext section
 
 
 def test_field_specs():
@@ -232,9 +233,9 @@ def test_group_text_round_trip_property(text):
 @settings(max_examples=150)
 @given(poly_texts())
 def test_poly_text_round_trip_property(text):
-    first, _ = parse_poly_text(text)
+    first = parse_poly_text(text)
     assert render_poly_text(first) == text
-    _round_trip(lambda t: parse_poly_text(t)[0], render_poly_text, text)
+    _round_trip(parse_poly_text, render_poly_text, text)
 
 
 @settings(max_examples=100)
