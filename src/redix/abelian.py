@@ -8,29 +8,11 @@ settle by exhaustive lattice search, which is the point: the counts the
 structure theory predicts are recomputed from the raw subgroup lattice
 with no structure theory in the loop.
 
-The brute-force index search enumerates progressive families: subgroup
-tuples, indices strictly increasing in a fixed canonical order, where
-each new summand escapes the join of the earlier ones.  Every
-irredundant sum representation is progressive (a member inside the join
-of the others is inside the join of the earlier ones), and each is
-visited exactly once, so the minimum leaf depth is the true index and
-the leaf count at that depth is the exact number of minimum
-representations.  Joins depend only on the running join subgroup, not
-on which summands produced it, so the counting pass memoizes on (join,
-last index) and the monster case, the rank-six elementary 2-group with
-its twenty-eight million minimum representations, counts in seconds.
-One depth-first walk then takes the first few minimum covers as samples
-and, only when covers deeper than the minimum exist, checks that each
-of them is redundant; without deep covers it stops at the minimum depth
-once the samples are in.  The walk carries, for each member of the
-prefix, the join of the other members, so redundancy costs one lookup
-per member.  Redundancy is inherited by supersets, so a redundant
-prefix is pruned with its subtree and its deep covers are counted from
-the memo; the deep covers accounted for must add up to the counting
-pass's figure.  No irredundant deep cover, plus the absence of
-shallower covers, is the executable form of the claim that every
-irredundant representation has the same length; the report says
-whether it held.
+The brute-force index search is a census (`census`) of progressive
+families of sum-irreducible subgroups under join.  Its counting pass
+memoizes on (join, last index), so the rank-six elementary 2-group,
+with twenty-eight million minimum representations, counts in seconds;
+the report says whether every irredundant representation had one length.
 
 Sum-irreducibility is read off the lattice of subgroups as bitmasks
 over the elements: a subgroup is a sum of two strictly smaller ones
@@ -51,6 +33,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from math import prod
 
+from .census import census
 from .errors import SizeCapError, TrivialGroupError, VerificationError
 
 MAX_ORDER = 64
@@ -374,141 +357,25 @@ class SumIndexReport:
 
 @cache
 def sum_reducibility_index_bruteforce(group: FiniteAbelianGroup) -> SumIndexReport:
-    """Index by exhaustive search over progressive families (see module doc)."""
-    if group.order > MAX_ORDER:
-        raise SizeCapError(f"order {group.order} exceeds cap {MAX_ORDER}")
+    """Index by a census of joins (see module doc); a strict join at least doubles the order."""
     if group.is_trivial:
         return SumIndexReport(group, 0, 1, ((),), {0: 1}, 0, True)
 
     lat = subgroup_lattice(group)
-    irr = lat.sum_irreducible_indices
-    m = len(irr)
-    irr_masks = [lat.masks[j] for j in irr]
-    full = lat.full_index
-    max_depth = group.order.bit_length() - 1
-
-    rows: dict[int, list[int]] = {}
-    avails: dict[int, int] = {}
-
-    def ensure(j: int) -> None:
-        if j in rows:
-            return
-        mj = lat.masks[j]
-        row = [0] * m
-        av = 0
-        for i in range(m):
-            if irr_masks[i] & ~mj:
-                av |= 1 << i
-                row[i] = lat.join(j, irr[i])
-            else:
-                row[i] = j
-        rows[j] = row
-        avails[j] = av
-
-    memo: dict[int, tuple[int, ...]] = {}
-
-    def counts_below(j: int, last: int) -> tuple[int, ...]:
-        """counts_below(j, last)[d] = progressive covers using d more summands."""
-        key = j * (m + 1) + last + 1
-        got = memo.get(key)
-        if got is not None:
-            return got
-        counts = [0] * (max_depth + 1)
-        row = rows[j]
-        av = avails[j] >> (last + 1)
-        base = last + 1
-        while av:
-            lsb = av & -av
-            av ^= lsb
-            i = base + lsb.bit_length() - 1
-            child = row[i]
-            if child == full:
-                counts[1] += 1
-            else:
-                ensure(child)
-                for d, c in enumerate(counts_below(child, i)):
-                    if c:
-                        counts[d + 1] += c
-        out = tuple(counts)
-        memo[key] = out
-        return out
-
-    ensure(lat.trivial_index)
-    total = counts_below(lat.trivial_index, -1)
-    hist = {d: c for d, c in enumerate(total) if c and d >= 1}
+    irr, masks = lat.sum_irreducible_indices, lat.masks
+    hist, samples, deferred, irredundant_deep = census(
+        lat.trivial_index,
+        lat.full_index,
+        len(irr),
+        group.order.bit_length() - 1,
+        lambda j, i: lat.join(j, irr[i]) if masks[irr[i]] & ~masks[j] else j,
+        SAMPLE_CAP,
+    )
     if not hist:
         raise VerificationError("no sum-irreducible family covers the group")
     r0 = min(hist)
-
-    deep = max(hist) > r0
-    samples: list[tuple[int, ...]] = []
-    deferred = 0
-    equicardinal = True
-
-    def walk(j: int, last: int, chain: tuple[int, ...], others: tuple[int, ...]) -> None:
-        """Sample minimum covers in DFS order; check deep covers if any exist.
-
-        others[k] is the join of every chain member but the k-th.  Adding
-        summand i maps it to rows[others[k]][i], and the new member's own
-        entry is j.  The family is redundant exactly when the child is
-        among those joins; j never is, since the walk is progressive.
-
-        Lemma (monotone redundancy): if join(F - s) = join(F) and F lies
-        in G, then join(G - s) = join(F - s) + join(G - F) = join(G).  So
-        a redundant prefix is pruned with its whole subtree, and the deep
-        covers under it are read off the counts_below memo.
-
-        Every prefix of a minimum cover is irredundant: dropping a
-        redundant member from it would leave a shorter cover, which holds
-        an irredundant, hence progressive, one below the minimum.  So
-        pruning drops no sample, and every deep cover is counted once,
-        as a leaf or under its shortest redundant prefix.  A deep leaf
-        has an irredundant prefix, so its own redundancy is the check.
-
-        counts_below has already built the rows of every node reached
-        here and of every join in others: dropping a member from a
-        progressive chain leaves a progressive chain with a smaller join.
-        """
-        nonlocal deferred, equicardinal
-        row = rows[j]
-        av = avails[j] >> (last + 1)
-        base = last + 1
-        depth = len(chain) + 1
-        while av:
-            if not deep and len(samples) >= SAMPLE_CAP:
-                return
-            lsb = av & -av
-            av ^= lsb
-            i = base + lsb.bit_length() - 1
-            child = row[i]
-            joins = [rows[o][i] for o in others]
-            if child == full:
-                if depth == r0:
-                    if len(samples) < SAMPLE_CAP:
-                        samples.append(chain + (i,))
-                else:  # depth > r0: no cover is shallower than the minimum
-                    deferred += 1
-                    if child not in joins:
-                        equicardinal = False
-            elif child in joins:
-                below = counts_below(child, i)
-                deferred += sum(c for d, c in enumerate(below) if depth + d > r0)
-            elif deep or depth < r0:
-                joins.append(j)
-                walk(child, i, chain + (i,), tuple(joins))
-
-    walk(lat.trivial_index, -1, (), ())
-    expected = sum(c for d, c in hist.items() if d > r0)
-    if deferred != expected:
-        raise VerificationError(
-            f"deferred walk of {group.render()} accounts for {deferred}"
-            f" deep covers, the counting pass for {expected}"
-        )
-
-    sample_subs = tuple(
-        tuple(lat.subs[irr[i]] for i in chain) for chain in samples
-    )
-    return SumIndexReport(group, r0, hist[r0], sample_subs, hist, deferred, equicardinal)
+    sample_subs = tuple(tuple(lat.subs[irr[i]] for i in chain) for chain in samples)
+    return SumIndexReport(group, r0, hist[r0], sample_subs, hist, deferred, not irredundant_deep)
 
 
 @dataclass(frozen=True)

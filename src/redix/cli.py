@@ -229,6 +229,8 @@ def cmd_abelian(args) -> dict:
         raise ParseError(
             f"--max-order {args.max_order} exceeds the hard ceiling {MAX_ORDER}"
         )
+    if args.max_order < 0:
+        raise ParseError(f"--max-order {args.max_order} is negative")
     group = parse_group_text(_read_input(args))
     if group.order > MAX_ORDER:
         raise SizeCapError(

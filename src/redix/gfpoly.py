@@ -17,7 +17,8 @@ The module also carries an exhaustive oracle for the index of k[x]/(f):
 it enumerates every submodule (each is generated by one element) as a
 bitmask over the quotient's elements, keeps the meet-irreducible ones
 (those with one upper cover, decided by one AND over the submodules
-above), and searches all irredundant families meeting in zero.  That
+above), and counts every irredundant family meeting in zero with the
+census of progressive families shared by the exhaustive oracles.  That
 route never factors anything and multiplies by x with its own
 companion shift, sharing no polynomial arithmetic with `factor`, so it
 can sit on the other side of a cross-check from the factor-counting
@@ -29,6 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .census import census
 from .errors import DimensionMismatchError, SizeCapError, VerificationError
 
 MAX_FACTOR_DEGREE = 8
@@ -477,20 +479,38 @@ def hypersurface_index_bruteforce(f: UniPoly) -> int:
 
     Enumerates the quotient's elements, generates every cyclic submodule
     as a bitmask over them (each submodule is one, the ring being a
-    principal ideal ring), keeps the meet-irreducible ones, and searches
-    every irredundant family of those meeting in zero.  All such
-    families must share one cardinality; that shared size is returned.
-    Multiplication by x is the companion shift, done here on coefficient
-    tuples, so no polynomial division is shared with `factor`.
+    principal ideal ring), keeps the meet-irreducible ones, and runs a
+    census (`census`) of their meets, each strict one dropping the
+    dimension.  All irredundant families meeting in zero must share one
+    cardinality; that shared size is returned.  Multiplication by x is
+    the companion shift, done here on coefficient tuples, so no
+    polynomial division is shared with `factor`.
     """
     if not isinstance(f.field, PrimeField):
         raise SizeCapError("lattice oracle works over prime fields only")
     if f.degree < 1:
         raise ValueError("need a nonconstant polynomial")
+    if f.field.p**f.degree > MAX_LATTICE_SIZE:
+        raise SizeCapError(
+            f"quotient size {f.field.p}^{f.degree} exceeds lattice cap {MAX_LATTICE_SIZE}"
+        )
+    irreducible, full = _meet_irreducible_submodules(f)
+    # the zero submodule is the mask of element 0, the zero vector
+    hist, _, _, deep = census(
+        full, 1, len(irreducible), f.degree, lambda n, i: n & irreducible[i], 0
+    )
+    if not hist:
+        raise VerificationError("no irreducible decomposition of zero found")
+    sizes = {min(hist)} | deep
+    if len(sizes) != 1:
+        raise VerificationError(f"irredundant decompositions of unequal sizes: {sorted(sizes)}")
+    return sizes.pop()
+
+
+def _meet_irreducible_submodules(f: UniPoly) -> tuple[list[int], int]:
+    """Meet-irreducible submodules of k[x]/(f) as bitmasks over its elements, and the top."""
     p = f.field.p
     d = f.degree
-    if p**d > MAX_LATTICE_SIZE:
-        raise SizeCapError(f"quotient size {p}^{d} exceeds lattice cap {MAX_LATTICE_SIZE}")
     inv_lead = f.field.inv(f.coeffs[-1])
     # x^d = -(tail[0] + tail[1]*x + ... + tail[d-1]*x^(d-1)) in k[x]/(f)
     tail = [(c * inv_lead) % p for c in f.coeffs[:-1]]
@@ -521,7 +541,6 @@ def hypersurface_index_bruteforce(f: UniPoly) -> int:
         return mask
 
     submodules = {span(i) for i in range(len(elems))}
-    zero_mod = 1  # elems[0] is the zero vector
     full = (1 << len(elems)) - 1
     # N is meet-irreducible iff it has one upper cover M (then every
     # submodule strictly above N contains M), i.e. iff the meet of those
@@ -536,28 +555,4 @@ def hypersurface_index_bruteforce(f: UniPoly) -> int:
                 above &= A
         if above != N:
             irreducible.append(N)
-    sizes = set()
-    for r in range(1, len(irreducible) + 1):
-        for family in itertools.combinations(irreducible, r):
-            inter = full
-            for N in family:
-                inter &= N
-            if inter != zero_mod:
-                continue
-            # irredundant: every member is needed
-            needed = True
-            for skip in range(r):
-                rest = full
-                for j, N in enumerate(family):
-                    if j != skip:
-                        rest &= N
-                if rest == zero_mod:
-                    needed = False
-                    break
-            if needed:
-                sizes.add(r)
-    if not sizes:
-        raise VerificationError("no irreducible decomposition of zero found")
-    if len(sizes) != 1:
-        raise VerificationError(f"irredundant decompositions of unequal sizes: {sorted(sizes)}")
-    return sizes.pop()
+    return irreducible, full

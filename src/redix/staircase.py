@@ -16,18 +16,19 @@ principal downset of its divisors.  Under this dictionary:
 
 So the sum-reducibility index of the dual is the number of maximal
 elements, which a separate minimum-cover search can confirm without
-knowing anything about maximality.  The ring here is a finite
-dimensional graded algebra over the field, already complete, so the
-index of the ideal and the index of its dual agree on the nose; the
-reports state that equality and verify it numerically.
+knowing anything about maximality, and a census of progressive covers
+(`census`) checks that every irredundant cover has that size.  The ring
+here is a finite dimensional graded algebra over the field, already
+complete, so the index of the ideal and the index of its dual agree on
+the nose; the reports state that equality and verify it numerically.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .bass import bass0, reducibility_index_by_bass
+from .census import census
 from .decompose import decompose
 from .errors import (
     EmptyStaircaseError,
@@ -188,35 +189,16 @@ def min_cover_oracle(g: Staircase) -> int:
 def irredundant_cover_sizes(g: Staircase) -> set[int]:
     """Sizes of all irredundant covers by principal downsets (cap 12).
 
-    Used to confirm that every irredundant cover has the same size.
+    Used to confirm that every irredundant cover has the same size, by a
+    census of unions (`census`); each strict union adds a monomial.
     """
     if not g.exponents:
         raise EmptyStaircaseError("the unit ideal leaves an empty staircase")
     if g.size > ALL_COVERS_CAP:
         raise SizeCapError(f"staircase size {g.size} exceeds cap {ALL_COVERS_CAP}")
     masks = _principal_masks(g)
-    want = (1 << g.size) - 1
-    sizes = set()
-    idxs = range(g.size)
-    for r in range(1, g.size + 1):
-        for combo in itertools.combinations(idxs, r):
-            acc = 0
-            for i in combo:
-                acc |= masks[i]
-            if acc != want:
-                continue
-            irredundant = True
-            for skip in combo:
-                rest = 0
-                for i in combo:
-                    if i != skip:
-                        rest |= masks[i]
-                if rest == want:
-                    irredundant = False
-                    break
-            if irredundant:
-                sizes.add(r)
-    return sizes
+    found = census(0, (1 << g.size) - 1, len(masks), g.size, lambda a, i: a | masks[i], 0)
+    return {min(found.histogram)} | found.irredundant_deep
 
 
 def sum_covers_iff_dual_disjoint(

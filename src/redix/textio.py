@@ -27,8 +27,9 @@ parsing an echo reproduces the parsed object exactly.
 from __future__ import annotations
 
 import re
+from math import prod
 
-from .abelian import FiniteAbelianGroup, _prime_power_split
+from .abelian import MAX_ORDER, FiniteAbelianGroup, _prime_power_split
 from .errors import ParseError, SizeCapError
 from .gfpoly import (
     _SMALL_PRIMES,
@@ -235,6 +236,8 @@ def parse_group_text(text: str) -> FiniteAbelianGroup:
         if payload.done:
             break
         payload.take("+", "a plus sign")
+    if max(orders) > MAX_ORDER:  # refuse before splitting a huge order into primes
+        raise SizeCapError(f"group order {prod(orders)} exceeds the hard ceiling {MAX_ORDER}")
     return FiniteAbelianGroup.from_orders(*orders)
 
 

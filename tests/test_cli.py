@@ -86,6 +86,12 @@ def test_module_entry_point_returns_exit_code():
     assert "size cap" in proc.stderr
 
 
+def test_huge_cyclic_order_is_refused_before_factoring():
+    proc = run_module("abelian", "group: Z/1000000000000000000000000000057")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("size cap")
+
+
 def test_decompose_time_does_not_grow_with_exponents():
     # both scans walk the generators' breakpoints, not the exponent box
     proc = run_module(
@@ -266,8 +272,10 @@ def test_abelian_max_order_skips_bruteforce(capsys):
 
 
 def test_abelian_max_order_ceiling(capsys):
-    code, _, err = run(capsys, "abelian", "group: Z/4", "--max-order", "100")
-    assert code == 2
+    for max_order in ("100", "-1"):
+        code, _, err = run(capsys, "abelian", "group: Z/4", "--max-order", max_order)
+        assert code == 2, max_order
+        assert err.startswith("input error"), max_order
 
 
 def test_selftest_scope(capsys):

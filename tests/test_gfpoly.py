@@ -18,6 +18,7 @@ from redix import (
     is_irreducible,
     monic_polys,
 )
+from redix.gfpoly import _meet_irreducible_submodules
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -108,6 +109,32 @@ def test_hypersurface_index_is_distinct_factor_count():
     assert hypersurface_index_bruteforce(g) == 1
 
 
+def _lattice_sizes_by_subsets(f):
+    """Reference: irredundant sizes, by re-meeting every family without each member."""
+    irreducible, full = _meet_irreducible_submodules(f)
+    zero_mod = 1
+    sizes = set()
+    for r in range(1, len(irreducible) + 1):
+        for family in itertools.combinations(irreducible, r):
+            inter = full
+            for N in family:
+                inter &= N
+            if inter != zero_mod:
+                continue
+            needed = True
+            for skip in range(r):
+                rest = full
+                for j, N in enumerate(family):
+                    if j != skip:
+                        rest &= N
+                if rest == zero_mod:
+                    needed = False
+                    break
+            if needed:
+                sizes.add(r)
+    return sizes
+
+
 @st.composite
 def _non_monic_small_quotients(draw):
     """Non-monic f over GF(p), p >= 5, with p^deg(f) <= 512."""
@@ -121,7 +148,16 @@ def _non_monic_small_quotients(draw):
 @settings(max_examples=30, deadline=None)
 @given(_non_monic_small_quotients())
 def test_lattice_oracle_on_non_monic_polynomials(f):
-    assert hypersurface_index_bruteforce(f) == hypersurface_index(f)
+    by_lattice = hypersurface_index_bruteforce(f)
+    assert by_lattice == hypersurface_index(f)
+    assert {by_lattice} == _lattice_sizes_by_subsets(f)
+
+
+def test_lattice_oracle_matches_subset_reference():
+    for field, dmax in ((F2, 6), (F3, 4)):
+        for d in range(1, dmax + 1):
+            for f in monic_polys(field, d):
+                assert {hypersurface_index_bruteforce(f)} == _lattice_sizes_by_subsets(f), f.render()
 
 
 def test_lattice_oracle_does_no_polynomial_arithmetic(monkeypatch):

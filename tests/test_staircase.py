@@ -1,5 +1,7 @@
 """Staircase duality: corners, covers, downset sums, quotients."""
 
+import itertools
+
 import pytest
 
 from redix import (
@@ -23,7 +25,8 @@ from redix.errors import (
     NotInStaircaseError,
     SizeCapError,
 )
-from redix.staircase import irredundant_cover_sizes
+from redix.selftest import all_staircases
+from redix.staircase import _principal_masks, irredundant_cover_sizes
 
 R1 = RingContext.default(1)
 R2 = RingContext.default(2)
@@ -121,6 +124,38 @@ def test_cover_sizes_are_all_the_index():
         I = ideal(R2, *exps)
         g = Staircase.from_ideal(I)
         assert irredundant_cover_sizes(g) == {len(maximal_elements(g))}
+
+
+def _cover_sizes_by_subsets(g):
+    """Reference: every subset of principal downsets, re-unioned without each member."""
+    masks = _principal_masks(g)
+    want = (1 << g.size) - 1
+    sizes = set()
+    for r in range(1, g.size + 1):
+        for combo in itertools.combinations(masks, r):
+            acc = 0
+            for mask in combo:
+                acc |= mask
+            if acc != want:
+                continue
+            irredundant = True
+            for skip in range(r):
+                rest = 0
+                for k, mask in enumerate(combo):
+                    if k != skip:
+                        rest |= mask
+                if rest == want:
+                    irredundant = False
+                    break
+            if irredundant:
+                sizes.add(r)
+    return sizes
+
+
+def test_cover_sizes_match_subset_reference():
+    for n in (1, 2, 3):
+        for g in all_staircases(n, 10):
+            assert irredundant_cover_sizes(g) == _cover_sizes_by_subsets(g), sorted(g.exponents)
 
 
 def downset_of(g, *exps):
