@@ -58,6 +58,12 @@ def _prime_power_split(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def _check_order(order: int) -> None:
+    """Refuse a group above MAX_ORDER before any order is split into primes."""
+    if order > MAX_ORDER:
+        raise SizeCapError(f"group order {order} exceeds the hard ceiling {MAX_ORDER}")
+
+
 def _partitions(n: int):
     """Partitions of n as weakly decreasing tuples."""
 
@@ -84,10 +90,14 @@ class FiniteAbelianGroup:
     factors: tuple[int, ...]
 
     def __post_init__(self):
+        for q in self.factors:
+            if q < 2:
+                raise ValueError(f"factor {q} is not a prime power")
+        _check_order(prod(self.factors))
         keys = []
         for q in self.factors:
             split = _prime_power_split(q)
-            if q < 2 or len(split) != 1:
+            if len(split) != 1:
                 raise ValueError(f"factor {q} is not a prime power")
             keys.append(split[0])
         if keys != sorted(keys):
@@ -96,10 +106,12 @@ class FiniteAbelianGroup:
     @staticmethod
     def from_orders(*orders: int) -> "FiniteAbelianGroup":
         """Canonical form of Z/n1 + Z/n2 + ..., any positive orders."""
-        pieces = []
         for n in orders:
             if n < 1:
                 raise ValueError(f"order {n} is not positive")
+        _check_order(prod(orders))
+        pieces = []
+        for n in orders:
             for p, e in _prime_power_split(n):
                 pieces.append(p**e)
         pieces.sort(key=lambda q: _prime_power_split(q)[0])
@@ -167,16 +179,22 @@ class FiniteAbelianGroup:
 
 @cache
 def _add_table(group: FiniteAbelianGroup) -> list[list[int]]:
-    """Addition table, shared by every instance with the same factors."""
+    """Addition table, shared by every instance with the same factors.
+
+    Row a starts as the identity row and adds a's digit factor by
+    factor: for digit c of factor q at stride s, entry x with digit d
+    there moves by s * ((d + c) % q - d), read off a per-digit shift list.
+    """
     n = group.order
-    coords = [group.coords(i) for i in range(n)]
+    digits = [[(x // s) % q for x in range(n)] for q, s in zip(group.factors, group._strides)]
     table = []
     for a in range(n):
-        ca = coords[a]
-        row = []
-        for b in range(n):
-            cb = coords[b]
-            row.append(group.index(tuple((x + y) % q for x, y, q in zip(ca, cb, group.factors))))
+        row = list(range(n))
+        for q, s, dig in zip(group.factors, group._strides, digits):
+            c = dig[a]
+            if c:
+                shift = [s * ((d + c) % q - d) for d in range(q)]
+                row = [x + shift[d] for x, d in zip(row, dig)]
         table.append(row)
     return table
 
@@ -231,41 +249,51 @@ class Subgroup:
 class SubgroupLattice:
     """Every subgroup, canonically ordered, with joins memoized.
 
-    Built by closing the cyclic subgroups under join; every subgroup of
-    a finite abelian group is a join of cyclic ones, so nothing is
-    missed.  Joins of subgroups are computed as elementwise sum sets,
-    which are already subgroups in the abelian case.
+    Built by coset closure from the zero subgroup: each subgroup S found
+    is grown by one element g at a time.  S + <g> is the union of the
+    cosets S + t*g for t = 0, 1, ... up to the first t*g in S, and it
+    depends only on g mod S, so S is grown once per coset, the union is
+    an OR of coset masks, and results are deduplicated by mask.  Every
+    subgroup is a join of cyclic ones, hence reached from zero by such
+    steps, so nothing is missed.  Joins of two subgroups are computed as
+    elementwise sum sets, which are already subgroups in the abelian case.
     """
 
     def __init__(self, group: FiniteAbelianGroup):
-        if group.order > MAX_ORDER:
-            raise SizeCapError(f"order {group.order} exceeds cap {MAX_ORDER}")
         self.group = group
         table = group.add_table
-        cyclic = {}
-        for g in range(group.order):
-            orbit = {0}
-            cur = g
-            while cur != 0:
-                orbit.add(cur)
-                cur = table[cur][g]
-            cyclic[frozenset(orbit)] = None
-        self._cyclic_sets = list(cyclic)
-        seen = {frozenset([0])}
-        frontier = list(seen)
+        n = group.order
+        found = {1: [0]}  # mask -> sorted member list
+        frontier = [1]
         while frontier:
-            new = []
-            for s in frontier:
-                for c in self._cyclic_sets:
-                    joined = frozenset(table[a][b] for a in s for b in c)
-                    if joined not in seen:
-                        seen.add(joined)
-                        new.append(joined)
-            frontier = new
-        sets = sorted(seen, key=lambda s: (len(s), sorted(s)))
-        self.subs = [Subgroup(group, s) for s in sets]
+            grown = []
+            for s_mask in frontier:
+                s_list = found[s_mask]
+                coset_of = [-1] * n
+                coset_masks: list[int] = []
+                reps = []
+                for g in range(n):
+                    if coset_of[g] < 0:
+                        k = len(coset_masks)
+                        row = table[g]
+                        coset = [row[s] for s in s_list]
+                        for a in coset:
+                            coset_of[a] = k
+                        coset_masks.append(sum(1 << a for a in coset))
+                        reps.append(g)
+                for g in reps[1:]:  # reps[0] = 0 stands for S itself
+                    mask, cur = s_mask, g
+                    while coset_of[cur]:
+                        mask |= coset_masks[coset_of[cur]]
+                        cur = table[cur][g]
+                    if mask not in found:
+                        found[mask] = [a for a in range(n) if mask >> a & 1]
+                        grown.append(mask)
+            frontier = grown
+        sets = sorted(found.values(), key=lambda s: (len(s), s))
+        self.subs = [Subgroup(group, frozenset(s)) for s in sets]
         self.masks = [h.mask for h in self.subs]
-        self._member_lists = [sorted(s) for s in sets]
+        self._member_lists = sets
         self.index_of = {m: i for i, m in enumerate(self.masks)}
         self.trivial_index = self.index_of[1]
         self.full_index = self.index_of[(1 << group.order) - 1]

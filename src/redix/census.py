@@ -17,7 +17,16 @@ running node, so the counting pass memoizes on (node, last index).
 One depth-first walk then takes the first `sample_cap` minimum covers
 and, only when deeper covers exist, checks that each is redundant.  It
 carries, for each prefix member, the combination of the other members,
-so redundancy costs one lookup per member.
+and decides redundancy once per node, for all children at once: with
+same(o, j) the bitmask of atoms i on which rows[o][i] == rows[j][i]
+(memoized per pair), the children of node j that make the family
+redundant are red = OR of same(o, j) over those others o.  That is the
+per-child test "child in [rows[o][i] for o in others]" unchanged,
+because the child is rows[j][i].  Children that reach the top are
+settled in bulk from a per-node mask tops[j]: deeper than the minimum,
+each is one deep cover, counted by a popcount, and it is irredundant
+exactly when its bit is outside red; at the minimum depth they are the
+samples, taken in index order until `sample_cap` are held.
 
 Lemma (monotone redundancy): if F - s combines to the same node as F,
 and F lies in G, then G - s combines to that of F - s with G - F, which
@@ -28,11 +37,13 @@ Every prefix of a minimum cover is irredundant: dropping a redundant
 member would leave a shorter cover, holding an irredundant, hence
 progressive, one below the minimum.  So pruning drops no sample, every
 deep cover is counted once, as a leaf or under its shortest redundant
-prefix, and the count must match the counting pass.  A deep leaf has an
-irredundant prefix, so its own redundancy is the check.  No irredundant
-deep cover is the executable form of the claim that every irredundant
-cover has the same length (the bookkeeping is the "crit/uncov" idea of
-Murakami-Uno, Discrete Appl. Math. 170, 2014).
+prefix, and the count must match the counting pass.  Every cover under
+a redundant prefix is itself redundant, hence deeper than the minimum,
+so the walk adds the memoized total of the prefix's counting row.  A
+deep leaf has an irredundant prefix, so its own redundancy is the
+check.  No irredundant deep cover is the executable form of the claim
+that every irredundant cover has the same length (the bookkeeping is
+the "crit/uncov" idea of Murakami-Uno, Discrete Appl. Math. 170, 2014).
 """
 
 from __future__ import annotations
@@ -59,11 +70,18 @@ def census(
     """
     rows: dict[int, list[int]] = {}
     avails: dict[int, int] = {}
+    tops: dict[int, int] = {}
 
     def ensure(j: int) -> None:
         if j not in rows:
             rows[j] = row = [step(j, i) for i in range(m)]
-            avails[j] = sum(1 << i for i, child in enumerate(row) if child != j)
+            avail = ends = 0
+            for i, child in enumerate(row):
+                if child != j:
+                    avail |= 1 << i
+                    if child == top:
+                        ends |= 1 << i
+            avails[j], tops[j] = avail, ends
 
     memo: dict[int, tuple[int, ...]] = {}
 
@@ -75,20 +93,20 @@ def census(
             return got
         counts = [0] * (max_depth + 1)
         row = rows[j]
-        av = avails[j] >> (last + 1)
+        ends = tops[j] >> (last + 1)
+        if ends:
+            counts[1] = ends.bit_count()
+        av = (avails[j] >> (last + 1)) ^ ends
         base = last + 1
         while av:
             lsb = av & -av
             av ^= lsb
             i = base + lsb.bit_length() - 1
             child = row[i]
-            if child == top:
-                counts[1] += 1
-            else:
-                ensure(child)
-                for d, c in enumerate(counts_below(child, i)):
-                    if c:
-                        counts[d + 1] += c
+            ensure(child)
+            for d, c in enumerate(counts_below(child, i)):
+                if c:
+                    counts[d + 1] += c
         out = tuple(counts)
         memo[key] = out
         return out
@@ -102,43 +120,68 @@ def census(
     samples: list[tuple[int, ...]] = []
     deferred = 0
     irredundant_deep: set[int] = set()
+    same: dict[int, dict[int, int]] = {}
+    totals: dict[int, int] = {}
 
     def walk(j: int, last: int, chain: tuple[int, ...], others: tuple[int, ...]) -> None:
         """Sample minimum covers in DFS order; check deep covers if any exist.
 
         others[k] is the combination of every chain member but the k-th;
         adding atom i maps it to rows[others[k]][i], and the new member's
-        own entry is j.  The family is redundant exactly when the child is
-        among those nodes.  counts_below has built every row read here:
-        dropping a member from a progressive chain leaves one, since an
-        atom escaping a family's combination escapes any subfamily's.
+        own entry is j.  The atoms making the family redundant are the OR
+        over others o of same[j][o], the atoms on which rows o and j agree.
+        counts_below has built every row read here: dropping a member from
+        a progressive chain leaves one, since an atom escaping a family's
+        combination escapes any subfamily's.
         """
         nonlocal deferred
+        if not deep and len(samples) >= sample_cap:
+            return
         row = rows[j]
-        av = avails[j] >> (last + 1)
-        base = last + 1
+        av = avails[j] >> (last + 1) << (last + 1)
         depth = len(chain) + 1
+        red = 0
+        agree = same.get(j)
+        if agree is None:
+            agree = same[j] = {}
+        for o in others:
+            got = agree.get(o)
+            if got is None:
+                ro = rows[o]
+                got = agree[o] = sum(1 << i for i, child in enumerate(row) if ro[i] == child)
+            red |= got
+        ends = av & tops[j]
+        if ends:
+            av ^= ends
+            if depth > r0:
+                deferred += ends.bit_count()
+                if ends & ~red:
+                    irredundant_deep.add(depth)
+            else:  # depth == r0: none is shallower
+                while ends and len(samples) < sample_cap:
+                    lsb = ends & -ends
+                    ends ^= lsb
+                    samples.append(chain + (lsb.bit_length() - 1,))
+        pruned = av & red
+        av ^= pruned
+        while pruned:
+            lsb = pruned & -pruned
+            pruned ^= lsb
+            i = lsb.bit_length() - 1
+            key = row[i] * (m + 1) + i + 1  # counts_below(row[i], i), built by the counting pass
+            total = totals.get(key)
+            if total is None:
+                total = totals[key] = sum(memo[key])
+            deferred += total
+        if not deep and depth >= r0:
+            return
         while av:
             if not deep and len(samples) >= sample_cap:
                 return
             lsb = av & -av
             av ^= lsb
-            i = base + lsb.bit_length() - 1
-            child = row[i]
-            without = [rows[o][i] for o in others]
-            if child == top:
-                if depth > r0:
-                    deferred += 1
-                    if child not in without:
-                        irredundant_deep.add(depth)
-                elif len(samples) < sample_cap:  # depth == r0: none is shallower
-                    samples.append(chain + (i,))
-            elif child in without:
-                below = counts_below(child, i)
-                deferred += sum(c for d, c in enumerate(below) if depth + d > r0)
-            elif deep or depth < r0:
-                without.append(j)
-                walk(child, i, chain + (i,), tuple(without))
+            i = lsb.bit_length() - 1
+            walk(row[i], i, chain + (i,), tuple([rows[o][i] for o in others] + [j]))
 
     walk(start, -1, (), ())
     expected = sum(c for d, c in hist.items() if d > r0)

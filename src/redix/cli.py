@@ -232,10 +232,6 @@ def cmd_abelian(args) -> dict:
     if args.max_order < 0:
         raise ParseError(f"--max-order {args.max_order} is negative")
     group = parse_group_text(_read_input(args))
-    if group.order > MAX_ORDER:
-        raise SizeCapError(
-            f"group order {group.order} exceeds the hard ceiling {MAX_ORDER}"
-        )
     formula = sum_index_formula(group)
     sec = secondary_representation(group) if not group.is_trivial else None
     att = sec.attached if sec is not None else ()

@@ -27,9 +27,8 @@ parsing an echo reproduces the parsed object exactly.
 from __future__ import annotations
 
 import re
-from math import prod
 
-from .abelian import MAX_ORDER, FiniteAbelianGroup, _prime_power_split
+from .abelian import FiniteAbelianGroup, _prime_power_split
 from .errors import ParseError, SizeCapError
 from .gfpoly import (
     _SMALL_PRIMES,
@@ -210,7 +209,11 @@ def render_ideal_text(ideal: MonomialIdeal) -> str:
 
 
 def parse_group_text(text: str) -> FiniteAbelianGroup:
-    """Finite abelian group from `group: Z/4 + Z/2` style text."""
+    """Finite abelian group from `group: Z/4 + Z/2` style text.
+
+    A group above the order ceiling is refused by its constructor, which
+    checks the product of the orders before splitting any of them.
+    """
     payload = None
     for line_no, content in _logical_lines(text):
         ts = _Tokens(content, line_no)
@@ -236,8 +239,6 @@ def parse_group_text(text: str) -> FiniteAbelianGroup:
         if payload.done:
             break
         payload.take("+", "a plus sign")
-    if max(orders) > MAX_ORDER:  # refuse before splitting a huge order into primes
-        raise SizeCapError(f"group order {prod(orders)} exceeds the hard ceiling {MAX_ORDER}")
     return FiniteAbelianGroup.from_orders(*orders)
 
 

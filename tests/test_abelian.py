@@ -2,10 +2,15 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import redix
 from redix import (
     FiniteAbelianGroup,
     abelian_group_classes,
@@ -20,7 +25,7 @@ from redix import (
     sum_index_formula,
     sum_reducibility_index_bruteforce,
 )
-from redix.abelian import all_subgroups
+from redix.abelian import _add_table, all_subgroups
 from redix.cli import main
 from redix.errors import SizeCapError, TrivialGroupError
 
@@ -32,9 +37,61 @@ def G(*orders):
 def test_canonical_form():
     assert G(12).factors == (4, 3)
     assert G(12).render() == "Z/4 + Z/3"
-    assert G(4, 2, 9).factors == (2, 4, 9)
+    assert G(9, 2, 3).factors == (2, 3, 9)
+    with pytest.raises(SizeCapError, match="^group order 72 exceeds the hard ceiling 64$"):
+        G(4, 2, 9)
     assert G(6, 10).factors == (2, 2, 3, 5)
     assert G(1).is_trivial and G(1).order == 1
+
+
+def _add_table_by_coords(group):
+    """Reference: each entry through coords and index, as the table was once built."""
+    table = []
+    for a in range(group.order):
+        ca = group.coords(a)
+        row = []
+        for b in range(group.order):
+            cb = group.coords(b)
+            row.append(group.index(tuple((x + y) % q for x, y, q in zip(ca, cb, group.factors))))
+        table.append(row)
+    return table
+
+
+def _subgroups_by_cyclic_closure(group):
+    """Reference: close the cyclic subgroups under elementwise sums, as frozensets."""
+    table = _add_table_by_coords(group)
+    cyclic = set()
+    for g in range(group.order):
+        orbit, cur = {0}, g
+        while cur != 0:
+            orbit.add(cur)
+            cur = table[cur][g]
+        cyclic.add(frozenset(orbit))
+    seen = {frozenset([0])}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for s in frontier:
+            for c in cyclic:
+                joined = frozenset(table[a][b] for a in s for b in c)
+                if joined not in seen:
+                    seen.add(joined)
+                    new.append(joined)
+        frontier = new
+    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+
+
+def test_add_table_matches_coordinate_reference():
+    for group in abelian_group_classes(64):
+        assert _add_table(group) == _add_table_by_coords(group), group.render()
+
+
+def test_lattice_matches_cyclic_closure_reference():
+    for group in abelian_group_classes(64):
+        lat = subgroup_lattice(group)
+        expected = _subgroups_by_cyclic_closure(group)
+        assert [sub.members for sub in lat.subs] == expected, group.render()
+        assert lat.masks == [sum(1 << a for a in s) for s in expected], group.render()
 
 
 def test_subgroup_counts():
@@ -74,6 +131,31 @@ def test_trivial_group():
 def test_order_cap():
     with pytest.raises(SizeCapError):
         sum_reducibility_index_bruteforce(G(128))
+
+
+def test_order_cap_comes_before_factoring():
+    # trial division of a 31-digit prime would run for hours; the product
+    # of the orders is checked first, by both constructors
+    script = (
+        "from redix import FiniteAbelianGroup\n"
+        "from redix.errors import SizeCapError\n"
+        "for make in (FiniteAbelianGroup.from_orders, lambda n: FiniteAbelianGroup((n,))):\n"
+        "    try:\n"
+        "        make(10**30 + 57)\n"
+        "    except SizeCapError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(redix.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    line = f"group order {10**30 + 57} exceeds the hard ceiling 64"
+    assert proc.stdout.splitlines() == [line, line]
 
 
 def test_sum_irreducibility_classification():

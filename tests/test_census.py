@@ -1,5 +1,10 @@
 """The census of progressive families, on a lattice small enough to read by hand."""
 
+from collections import Counter
+
+from hypothesis import assume, given, settings
+import hypothesis.strategies as st
+
 from redix.census import census
 
 
@@ -11,3 +16,61 @@ def test_census_reports_an_irredundant_deep_cover():
     assert found.histogram == {2: 1, 3: 1}
     assert found.samples == ((0, 1),)
     assert (found.deferred, found.irredundant_deep) == (1, {3})
+
+
+def _progressive_covers(start, top, atoms):
+    """Reference: every progressive cover in DFS order, by plain recursion."""
+    covers = []
+
+    def go(node, first, chain):
+        for i in range(first, len(atoms)):
+            child = node | atoms[i]
+            if child == node:
+                continue
+            if child == top:
+                covers.append(chain + (i,))
+            else:
+                go(child, i + 1, chain + (i,))
+
+    go(start, 0, ())
+    return covers
+
+
+def _union(start, atoms, members):
+    node = start
+    for i in members:
+        node |= atoms[i]
+    return node
+
+
+@st.composite
+def _families(draw):
+    bits = draw(st.integers(1, 7))
+    atoms = draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=1, max_size=9))
+    start = draw(st.integers(0, (1 << bits) - 1))
+    top = start
+    for a in atoms:
+        top |= a
+    return start, top, atoms
+
+
+@settings(max_examples=300, deadline=None)
+@given(_families(), st.sampled_from((0, 1, 12)))
+def test_census_matches_recursive_reference(family, sample_cap):
+    start, top, atoms = family
+    assume(start != top)
+    found = census(
+        start, top, len(atoms), bin(top).count("1"), lambda acc, i: acc | atoms[i], sample_cap
+    )
+    covers = _progressive_covers(start, top, atoms)
+    assert found.histogram == Counter(map(len, covers))
+    r0 = min(map(len, covers))
+    assert found.samples == tuple(c for c in covers if len(c) == r0)[:sample_cap]
+    deep = [c for c in covers if len(c) > r0]
+    assert found.deferred == len(deep)
+    irredundant = {
+        len(c)
+        for c in deep
+        if all(_union(start, atoms, c[:k] + c[k + 1 :]) != top for k in range(len(c)))
+    }
+    assert found.irredundant_deep == irredundant

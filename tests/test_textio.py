@@ -1,5 +1,8 @@
 """Input grammars: parsing, canonical rendering, round trips, positions."""
 
+import re
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -17,6 +20,7 @@ from redix import (
     render_ideal_text,
     render_poly_text,
 )
+from redix.abelian import MAX_ORDER
 from redix.errors import ParseError, SizeCapError
 from redix.gfpoly import UniPoly
 
@@ -73,9 +77,9 @@ def test_ideal_round_trip():
 
 
 def test_group_parse_and_canonical_order():
-    g = parse_group_text("group: Z/4 + Z/2 + Z/9")
-    assert g.factors == (2, 4, 9)
-    assert render_group_text(g) == "group: Z/2 + Z/4 + Z/9"
+    g = parse_group_text("group: Z/9 + Z/2 + Z/3")
+    assert g.factors == (2, 3, 9)
+    assert render_group_text(g) == "group: Z/2 + Z/3 + Z/9"
     assert parse_group_text(render_group_text(g)) == g
     assert parse_group_text("group: Z/6").factors == (2, 3)
     assert parse_group_text("group: Z/1").is_trivial
@@ -84,6 +88,8 @@ def test_group_parse_and_canonical_order():
 def test_group_errors():
     with pytest.raises(ParseError):
         parse_group_text("group: Z/0")
+    with pytest.raises(SizeCapError, match="^group order 72 exceeds the hard ceiling 64$"):
+        parse_group_text("group: Z/4 + Z/2 + Z/9")
     with pytest.raises(ParseError):
         parse_group_text("group: Z4")
     with pytest.raises(ParseError):
@@ -224,10 +230,16 @@ def test_ideal_text_round_trip_property(text):
     _round_trip(parse_ideal_text, render_ideal_text, text)
 
 
-@settings(max_examples=100)
+@settings(max_examples=300)
 @given(group_texts())
 def test_group_text_round_trip_property(text):
-    _round_trip(parse_group_text, render_group_text, text)
+    # a group above the order ceiling is refused, never half-built
+    order = prod(int(n) for n in re.findall(r"Z/(\d+)", text))
+    if order > MAX_ORDER:
+        with pytest.raises(SizeCapError, match=f"^group order {order} exceeds the hard ceiling"):
+            parse_group_text(text)
+    else:
+        _round_trip(parse_group_text, render_group_text, text)
 
 
 @settings(max_examples=150)
