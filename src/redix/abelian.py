@@ -18,7 +18,9 @@ Sum-irreducibility is read off the lattice of subgroups as bitmasks
 over the elements: a subgroup is a sum of two strictly smaller ones
 unless it has exactly one lower cover, which one OR over the masks of
 its proper subgroups decides (Davey-Priestley, Introduction to
-Lattices and Order, ch. 2).
+Lattices and Order, ch. 2).  That union is also the union of the proper
+cyclic subgroups <a> for a in the subgroup, so the OR runs over the
+subgroup's members, not over the lattice.
 
 Each of these facts is computed once per isomorphism class: groups are
 hashable by their factors, and the addition table, the subgroup lattice
@@ -148,8 +150,22 @@ class FiniteAbelianGroup:
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
 
+    @cached_property
+    def _multiples(self) -> list[list[int]]:
+        """[0, a, 2a, ...] up to the first return to 0, for each element a."""
+        table = self.add_table
+        out = []
+        for a in range(self.order):
+            row, mults, cur = table[a], [0], a
+            while cur:
+                mults.append(cur)
+                cur = row[cur]
+            out.append(mults)
+        return out
+
     def scalar(self, n: int, a: int) -> int:
-        return self.index(tuple((n * x) % q for x, q in zip(self.coords(a), self.factors)))
+        mults = self._multiples[a]
+        return mults[n % len(mults)]
 
     def element_order(self, a: int) -> int:
         k, cur = 1, a
@@ -328,16 +344,33 @@ class SubgroupLattice:
         inside M, while two distinct maximal ones A, B join to subs[h],
         since A < A + B.  And a greatest M exists exactly when the union
         of the proper subgroups is itself a proper subgroup (it is M).
-        Subgroups are sorted by size, so every proper one has index < h.
+        Every element a of a proper subgroup K has <a> inside K, so <a> is
+        not subs[h]; and each such <a> is itself a proper subgroup.  So
+        the union is that of the cyclic <a> != subs[h] over a in subs[h],
+        one OR per member.
         """
         if h == self.trivial_index:
             raise TrivialGroupError("the zero subgroup is excluded by convention")
         mh = self.masks[h]
+        cyclic = self._cyclic_masks
         union = 0
-        for mk in self.masks[:h]:
-            if not mk & ~mh:
-                union |= mk
+        for a in self._member_lists[h]:
+            if cyclic[a] != mh:
+                union |= cyclic[a]
         return union != mh and union in self.index_of
+
+    @cached_property
+    def _cyclic_masks(self) -> list[int]:
+        """Mask of <a> for each element a, from a's orbit in the addition table."""
+        table = self.group.add_table
+        out = []
+        for a in range(self.group.order):
+            row, mask, cur = table[a], 1, a
+            while cur:
+                mask |= 1 << cur
+                cur = row[cur]
+            out.append(mask)
+        return out
 
     @cached_property
     def sum_irreducible_indices(self) -> tuple[int, ...]:

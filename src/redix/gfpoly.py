@@ -14,21 +14,24 @@ of minimal degree is automatically irreducible, so the factor list is
 correct without a separate irreducibility pass.
 
 The module also carries an exhaustive oracle for the index of k[x]/(f):
-it enumerates every submodule (each is generated by one element) as a
-bitmask over the quotient's elements, keeps the meet-irreducible ones
-(those with one upper cover, decided by one AND over the submodules
-above), and counts every irredundant family meeting in zero with the
-census of progressive families shared by the exhaustive oracles.  That
-route never factors anything and multiplies by x with its own
-companion shift, sharing no polynomial arithmetic with `factor`, so it
-can sit on the other side of a cross-check from the factor-counting
-route.
+it finds every submodule (each is generated by one element) as a
+subspace of GF(p)^d, by row-reducing each element's x-orbit to a
+canonical echelon basis, lists the points of each distinct submodule
+once as a bitmask over the quotient's elements, keeps the
+meet-irreducible ones (those with one upper cover, decided by one AND
+over the submodules above), and counts every irredundant family meeting
+in zero with the census of progressive families shared by the
+exhaustive oracles.  That route never factors anything: it works on
+element indices with its own addition and scaling tables and companion
+shift, sharing no polynomial arithmetic with `factor`, so it can sit on
+the other side of a cross-check from the factor-counting route.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 
 from .census import census
 from .errors import DimensionMismatchError, SizeCapError, VerificationError
@@ -477,13 +480,14 @@ def field_extension_report(f: UniPoly, ext: ExtField):
 def hypersurface_index_bruteforce(f: UniPoly) -> int:
     """Index of k[x]/(f) from the full submodule lattice; never factors.
 
-    Enumerates the quotient's elements, generates every cyclic submodule
-    as a bitmask over them (each submodule is one, the ring being a
-    principal ideal ring), keeps the meet-irreducible ones, and runs a
-    census (`census`) of their meets, each strict one dropping the
-    dimension.  All irredundant families meeting in zero must share one
-    cardinality; that shared size is returned.  Multiplication by x is
-    the companion shift, done here on coefficient tuples, so no
+    Finds every submodule (each is cyclic, the ring being a principal
+    ideal ring) as the span of one element's x-orbit, deduplicated by
+    its reduced echelon basis (`_submodules`), writes each distinct one
+    as a bitmask over the quotient's elements, keeps the meet-irreducible
+    ones, and runs a census (`census`) of their meets, each strict one
+    dropping the dimension.  All irredundant families meeting in zero
+    must share one cardinality; that shared size is returned.
+    Multiplication by x is the companion shift on element indices, so no
     polynomial division is shared with `factor`.
     """
     if not isinstance(f.field, PrimeField):
@@ -507,41 +511,110 @@ def hypersurface_index_bruteforce(f: UniPoly) -> int:
     return sizes.pop()
 
 
-def _meet_irreducible_submodules(f: UniPoly) -> tuple[list[int], int]:
-    """Meet-irreducible submodules of k[x]/(f) as bitmasks over its elements, and the top."""
+@cache
+def _vector_tables(p: int, d: int):
+    """Addition, scaling and leading-digit tables of GF(p)^d on element indices.
+
+    Index i is the vector whose coefficient of x^j is digit d-1-j of i
+    in base p, the order of itertools.product(range(p), repeat=d).
+    add[a][b] and scale[c][a] are a + b and c*a; place[a] is the place
+    value p^k of the leading (most significant nonzero) digit of a > 0,
+    and monic[a] is a scaled so that digit is 1.  Digits add without
+    carry, so the table for d digits is built from the one for d - 1:
+    with a = ah*p + al, a + b = (ah + bh)*p + (al + bl) % p.
+    """
+    digit_sums = [[(al + bl) % p for bl in range(p)] for al in range(p)]
+    add = [[0]]
+    for _ in range(d):
+        add = [[h * p + s for h in row for s in sums] for row in add for sums in digit_sums]
+    n = p**d
+    scale = [[0] * n]
+    for _ in range(1, p):
+        scale.append([add[a][b] for a, b in zip(scale[-1], range(n))])
+    inv = [0] + [pow(c, p - 2, p) for c in range(1, p)]
+    place = [0] * n
+    monic = [0] * n
+    q = 1
+    while q < n:
+        for a in range(q, q * p):
+            place[a] = q
+            monic[a] = scale[inv[a // q]][a]
+        q *= p
+    return add, scale, place, monic
+
+
+def _submodules(f: UniPoly) -> tuple[list[int], int]:
+    """Every submodule of k[x]/(f) as a bitmask over its elements, and the top.
+
+    Each submodule is cyclic (the ring is a principal ideal ring), so it
+    is the submodule generated by some element v, and that is a subspace
+    found by linear algebra alone: span(v, xv, ..., x^(k-1) v) grows
+    until the first k with x^k v inside it.  Then x maps every spanning
+    vector into the span, so the span is x-stable, i.e. a submodule; it
+    contains v and lies in every submodule that does, so it is the one v
+    generates.  Its reduced row echelon basis (leading digit 1, zero in
+    every other row's leading place) is unique to the subspace: the
+    leading places are those of the subspace's nonzero vectors, a vector
+    of the subspace is fixed by its digits there, so each row is the one
+    vector with digit 1 at its own leading place and 0 at the others.
+    That basis is the key that deduplicates elements generating the same
+    submodule, and the points of each distinct submodule are listed once.  Scalar
+    multiples c*v (c != 0) generate the same submodule, so only monic
+    elements are row-reduced.  Multiplication by x is the companion
+    shift on element indices; nothing here is polynomial arithmetic.
+    """
     p = f.field.p
     d = f.degree
+    n = p**d
+    add, scale, place, monic = _vector_tables(p, d)
     inv_lead = f.field.inv(f.coeffs[-1])
-    # x^d = -(tail[0] + tail[1]*x + ... + tail[d-1]*x^(d-1)) in k[x]/(f)
-    tail = [(c * inv_lead) % p for c in f.coeffs[:-1]]
-    elems = [tuple(e) for e in itertools.product(range(p), repeat=d)]
-    index = {e: i for i, e in enumerate(elems)}
-    xmap = [
-        index[tuple((s - v[-1] * m) % p for s, m in zip((0,) + v[:-1], tail))]
-        for v in elems
-    ]
+    # x^d = -(tail[0] + tail[1]*x + ... + tail[d-1]*x^(d-1)) in k[x]/(f);
+    # x * a shifts a's digits one place down (coefficient of x^(d-1),
+    # the last digit, falls off) and subtracts that digit times tail
+    tail = 0
+    for c in f.coeffs[:-1]:
+        tail = tail * p + c * inv_lead % p
+    minus_tail = [scale[-c % p][tail] for c in range(p)]
+    xmap = [add[a // p][minus_tail[a % p]] for a in range(n)]
 
-    def span(v: int) -> int:
-        members = [0]
-        mask = 1
+    bases = {(): None}
+    for v in range(1, n):
+        if monic[v] != v:
+            continue
+        basis: dict[int, int] = {}  # leading place -> row
         cur = v
-        # once the next orbit vector x^k v lies in span(v, ..., x^(k-1) v),
-        # that span is x-stable, hence the submodule generated by v
-        while not mask >> cur & 1:
-            gvec = elems[cur]
-            grown = []
-            for k in range(1, p):
-                kg = [(k * b) % p for b in gvec]
-                for s in members:
-                    i = index[tuple((a + c) % p for a, c in zip(elems[s], kg))]
-                    grown.append(i)
-                    mask |= 1 << i
-            members += grown
+        while True:
+            w = cur
+            for q, row in basis.items():
+                c = w // q % p
+                if c:
+                    w = add[w][scale[p - c][row]]
+            if not w:
+                break
+            q, w = place[w], monic[w]
+            for q2, row in basis.items():
+                c = row // q % p
+                if c:
+                    basis[q2] = add[row][scale[p - c][w]]
+            basis[q] = w
             cur = xmap[cur]
-        return mask
+        bases[tuple(sorted(basis.values()))] = None
 
-    submodules = {span(i) for i in range(len(elems))}
-    full = (1 << len(elems)) - 1
+    submodules = []
+    for rows in bases:
+        points = [0]
+        for row in rows:
+            points = [add[a][s[row]] for s in scale for a in points]
+        mask = 0
+        for a in points:
+            mask |= 1 << a
+        submodules.append(mask)
+    return submodules, (1 << n) - 1
+
+
+def _meet_irreducible_submodules(f: UniPoly) -> tuple[list[int], int]:
+    """Meet-irreducible submodules of k[x]/(f) as bitmasks over its elements, and the top."""
+    submodules, full = _submodules(f)
     # N is meet-irreducible iff it has one upper cover M (then every
     # submodule strictly above N contains M), i.e. iff the meet of those
     # submodules is not N (two distinct covers already meet in N).  The

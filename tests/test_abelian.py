@@ -385,6 +385,15 @@ def test_class_enumeration():
     assert len(set(factors)) == len(factors)
 
 
+def test_scalar_matches_coordinate_formula():
+    for group in abelian_group_classes(64):
+        for a in range(group.order):
+            coords = group.coords(a)
+            for n in range(group.order + 2):
+                expected = group.index(tuple((n * x) % q for x, q in zip(coords, group.factors)))
+                assert group.scalar(n, a) == expected, (group.render(), n, a)
+
+
 def test_element_arithmetic():
     g = G(4, 3)
     a = g.index((1, 0))

@@ -18,7 +18,7 @@ from redix import (
     is_irreducible,
     monic_polys,
 )
-from redix.gfpoly import _meet_irreducible_submodules
+from redix.gfpoly import _meet_irreducible_submodules, _submodules
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -158,6 +158,70 @@ def test_lattice_oracle_matches_subset_reference():
         for d in range(1, dmax + 1):
             for f in monic_polys(field, d):
                 assert {hypersurface_index_bruteforce(f)} == _lattice_sizes_by_subsets(f), f.render()
+
+
+def _submodules_point_by_point(f):
+    """Reference: each element's cyclic submodule enumerated point by point."""
+    p = f.field.p
+    inv_lead = f.field.inv(f.coeffs[-1])
+    tail = [(c * inv_lead) % p for c in f.coeffs[:-1]]
+    elems = list(itertools.product(range(p), repeat=f.degree))
+    index = {e: i for i, e in enumerate(elems)}
+    xmap = [
+        index[tuple((s - v[-1] * m) % p for s, m in zip((0,) + v[:-1], tail))]
+        for v in elems
+    ]
+
+    def span(v):
+        members, mask, cur = [0], 1, v
+        while not mask >> cur & 1:
+            grown = []
+            for k in range(1, p):
+                kg = [(k * b) % p for b in elems[cur]]
+                for s in members:
+                    i = index[tuple((a + c) % p for a, c in zip(elems[s], kg))]
+                    grown.append(i)
+                    mask |= 1 << i
+            members += grown
+            cur = xmap[cur]
+        return mask
+
+    return {span(v) for v in range(len(elems))}
+
+
+def _meet_irreducible_reference(submodules):
+    full = max(submodules)
+    irreducible = set()
+    for N in submodules:
+        above = full
+        for A in submodules:
+            if A != N and not N & ~A:
+                above &= A
+        if above != N:
+            irreducible.add(N)
+    return irreducible
+
+
+def _assert_submodules_match_points(f):
+    expected = _submodules_point_by_point(f)
+    submodules, full = _submodules(f)
+    assert len(submodules) == len(expected) and set(submodules) == expected, f.render()
+    assert full == (1 << f.field.p**f.degree) - 1
+    irreducible, _ = _meet_irreducible_submodules(f)
+    assert set(irreducible) == _meet_irreducible_reference(expected), f.render()
+
+
+def test_submodule_bases_match_point_enumeration():
+    for field, dmax in ((F2, 6), (F3, 4)):
+        for d in range(1, dmax + 1):
+            for f in monic_polys(field, d):
+                _assert_submodules_match_points(f)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_non_monic_small_quotients())
+def test_submodule_bases_match_point_enumeration_non_monic(f):
+    _assert_submodules_match_points(f)
 
 
 def test_lattice_oracle_does_no_polynomial_arithmetic(monkeypatch):

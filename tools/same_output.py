@@ -1,0 +1,58 @@
+"""Check that two redix source trees give byte-identical JSON output.
+
+    python3 tools/same_output.py OLD_SRC NEW_SRC
+
+Runs every CLI row of perfbench/corpus.json at seeds 42 and 7, and
+`selftest --scope all --seed 42`, each as `python -m redix.cli ...
+--format json` in a fresh process with PYTHONHASHSEED=0 and PYTHONPATH
+set to one of the two directories.  Compares stdout, stderr and exit
+code of each request and exits 1 if any differ, 0 if none do.  Only
+the standard library is used, and the corpus is read, never written.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.json"
+SEEDS = (42, 7)
+
+
+def requests() -> list[list[str]]:
+    rows = json.loads(CORPUS.read_text())["cli"]
+    out = [[*row["argv"], "--format", "json", "--seed", str(seed)] for seed in SEEDS for row in rows]
+    out.append(["selftest", "--scope", "all", "--seed", "42", "--format", "json"])
+    return out
+
+
+def run(src: Path, argv: list[str]) -> tuple[bytes, bytes, int]:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "redix.cli", *argv], capture_output=True, env=env, check=False
+    )
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tools/same_output.py OLD_SRC NEW_SRC", file=sys.stderr)
+        return 2
+    old, new = (Path(a).resolve() for a in argv)
+    differ = 0
+    todo = requests()
+    for argv_i in todo:
+        a, b = run(old, argv_i), run(new, argv_i)
+        diff = [name for name, x, y in zip(("stdout", "stderr", "exit"), a, b) if x != y]
+        status = "DIFFERENT " + ",".join(diff) if diff else "same"
+        print(f"{status:<12} exit {a[2]}/{b[2]}  {' '.join(argv_i)}")
+        differ += bool(diff)
+    print(f"{len(todo) - differ} of {len(todo)} requests byte-identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
