@@ -90,10 +90,8 @@ from .abelian import (
     SumIndexReport,
     abelian_group_classes,
     additivity_report,
-    all_subgroups,
     attached_primes,
     characterization_report,
-    is_sum_irreducible,
     quotient_group,
     quotient_monotonicity_report,
     secondary_representation,

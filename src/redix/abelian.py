@@ -13,6 +13,10 @@ families of sum-irreducible subgroups under join.  Its counting pass
 memoizes on (join, last index), so the rank-six elementary 2-group,
 with twenty-eight million minimum representations, counts in seconds;
 the report says whether every irredundant representation had one length.
+Its only primitive is the join, read off the table the lattice build
+already fills: the index of S + <a> for every subgroup S and element a.
+Each subgroup is the sum of the cyclic subgroups of the elements that
+first reached it, so a join is that table folded over those elements.
 
 Sum-irreducibility is read off the lattice of subgroups as bitmasks
 over the elements: a subgroup is a sum of two strictly smaller ones
@@ -20,7 +24,8 @@ unless it has exactly one lower cover, which one OR over the masks of
 its proper subgroups decides (Davey-Priestley, Introduction to
 Lattices and Order, ch. 2).  That union is also the union of the proper
 cyclic subgroups <a> for a in the subgroup, so the OR runs over the
-subgroup's members, not over the lattice.
+subgroup's members, not over the lattice, and <a> is the zero
+subgroup's row of the closure table.
 
 Each of these facts is computed once per isomorphism class: groups are
 hashable by their factors, and the addition table, the subgroup lattice
@@ -58,6 +63,11 @@ def _prime_power_split(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def prime_divisors(n: int) -> tuple[int, ...]:
+    """Primes dividing n, ascending."""
+    return tuple(p for p, _ in _prime_power_split(n))
 
 
 def _check_order(order: int) -> None:
@@ -168,11 +178,7 @@ class FiniteAbelianGroup:
         return mults[n % len(mults)]
 
     def element_order(self, a: int) -> int:
-        k, cur = 1, a
-        while cur != 0:
-            cur = self.add(cur, a)
-            k += 1
-        return k
+        return len(self._multiples[a])
 
     @cached_property
     def primes(self) -> tuple[int, ...]:
@@ -263,7 +269,7 @@ class Subgroup:
 
 
 class SubgroupLattice:
-    """Every subgroup, canonically ordered, with joins memoized.
+    """Every subgroup, canonically ordered, with its coset-closure table.
 
     Built by coset closure from the zero subgroup: each subgroup S found
     is grown by one element g at a time.  S + <g> is the union of the
@@ -271,8 +277,14 @@ class SubgroupLattice:
     depends only on g mod S, so S is grown once per coset, the union is
     an OR of coset masks, and results are deduplicated by mask.  Every
     subgroup is a join of cyclic ones, hence reached from zero by such
-    steps, so nothing is missed.  Joins of two subgroups are computed as
-    elementwise sum sets, which are already subgroups in the abelian case.
+    steps, so nothing is missed.
+
+    The closure is kept: _closure[i][a] is the index of subs[i] + <a>,
+    and _gens[j] lists the elements g1, ..., gk added along the path
+    that first reached subs[j], so subs[j] = <g1> + ... + <gk>.  Sums of
+    subgroups are associative, so subs[i] + subs[j] is subs[i] + <g1>,
+    then + <g2>, and so on: join(i, j) folds row i over _gens[j], for
+    any j, cyclic or not.
     """
 
     def __init__(self, group: FiniteAbelianGroup):
@@ -280,6 +292,8 @@ class SubgroupLattice:
         table = group.add_table
         n = group.order
         found = {1: [0]}  # mask -> sorted member list
+        gens: dict[int, tuple[int, ...]] = {1: ()}
+        rows: dict[int, list[int]] = {}  # mask of S -> mask of S + <a>, per element a
         frontier = [1]
         while frontier:
             grown = []
@@ -297,44 +311,37 @@ class SubgroupLattice:
                             coset_of[a] = k
                         coset_masks.append(sum(1 << a for a in coset))
                         reps.append(g)
-                for g in reps[1:]:  # reps[0] = 0 stands for S itself
+                out = [s_mask]  # reps[0] = 0 stands for S itself
+                for g in reps[1:]:
                     mask, cur = s_mask, g
                     while coset_of[cur]:
                         mask |= coset_masks[coset_of[cur]]
                         cur = table[cur][g]
+                    out.append(mask)
                     if mask not in found:
                         found[mask] = [a for a in range(n) if mask >> a & 1]
+                        gens[mask] = gens[s_mask] + (g,)
                         grown.append(mask)
+                rows[s_mask] = [out[k] for k in coset_of]
             frontier = grown
         sets = sorted(found.values(), key=lambda s: (len(s), s))
         self.subs = [Subgroup(group, frozenset(s)) for s in sets]
         self.masks = [h.mask for h in self.subs]
-        self._member_lists = sets
-        self.index_of = {m: i for i, m in enumerate(self.masks)}
-        self.trivial_index = self.index_of[1]
-        self.full_index = self.index_of[(1 << group.order) - 1]
-        self._join_memo: dict[tuple[int, int], int] = {}
+        self.index_of = index_of = {m: i for i, m in enumerate(self.masks)}
+        self._closure = [[index_of[m] for m in rows[mask]] for mask in self.masks]
+        self._gens = [gens[mask] for mask in self.masks]
+        self.trivial_index = index_of[1]
+        self.full_index = index_of[(1 << group.order) - 1]
 
     def __len__(self) -> int:
         return len(self.subs)
 
     def join(self, i: int, j: int) -> int:
-        if i == j:
-            return i
-        key = (i, j) if i < j else (j, i)
-        got = self._join_memo.get(key)
-        if got is not None:
-            return got
-        table = self.group.add_table
-        a_list, b_list = self._member_lists[key[0]], self._member_lists[key[1]]
-        mask = 0
-        for a in a_list:
-            row = table[a]
-            for b in b_list:
-                mask |= 1 << row[b]
-        out = self.index_of[mask]
-        self._join_memo[key] = out
-        return out
+        """Index of subs[i] + subs[j]: row i folded over the generators of subs[j]."""
+        closure = self._closure
+        for g in self._gens[j]:
+            i = closure[i][g]
+        return i
 
     def is_sum_irreducible_index(self, h: int) -> bool:
         """No two strictly smaller subgroups join to subs[h].
@@ -347,30 +354,17 @@ class SubgroupLattice:
         Every element a of a proper subgroup K has <a> inside K, so <a> is
         not subs[h]; and each such <a> is itself a proper subgroup.  So
         the union is that of the cyclic <a> != subs[h] over a in subs[h],
-        one OR per member.
+        one OR per member; <a> is the zero subgroup's closure row at a.
         """
         if h == self.trivial_index:
             raise TrivialGroupError("the zero subgroup is excluded by convention")
-        mh = self.masks[h]
-        cyclic = self._cyclic_masks
+        masks = self.masks
+        cyclic = self._closure[self.trivial_index]
         union = 0
-        for a in self._member_lists[h]:
-            if cyclic[a] != mh:
-                union |= cyclic[a]
-        return union != mh and union in self.index_of
-
-    @cached_property
-    def _cyclic_masks(self) -> list[int]:
-        """Mask of <a> for each element a, from a's orbit in the addition table."""
-        table = self.group.add_table
-        out = []
-        for a in range(self.group.order):
-            row, mask, cur = table[a], 1, a
-            while cur:
-                mask |= 1 << cur
-                cur = row[cur]
-            out.append(mask)
-        return out
+        for a in self.subs[h].members:
+            if cyclic[a] != h:
+                union |= masks[cyclic[a]]
+        return union != masks[h] and union in self.index_of
 
     @cached_property
     def sum_irreducible_indices(self) -> tuple[int, ...]:
@@ -384,18 +378,6 @@ class SubgroupLattice:
 @cache
 def subgroup_lattice(group: FiniteAbelianGroup) -> SubgroupLattice:
     return SubgroupLattice(group)
-
-
-def all_subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
-    return list(subgroup_lattice(group).subs)
-
-
-def is_sum_irreducible(sub: Subgroup) -> bool:
-    """Whether the subgroup is not a sum of two strictly smaller ones."""
-    if sub.is_trivial:
-        raise TrivialGroupError("the zero subgroup is excluded by convention")
-    lat = subgroup_lattice(sub.group)
-    return lat.is_sum_irreducible_index(lat.index_of[sub.mask])
 
 
 def sum_index_formula(group: FiniteAbelianGroup) -> int:
@@ -423,13 +405,13 @@ def sum_reducibility_index_bruteforce(group: FiniteAbelianGroup) -> SumIndexRepo
         return SumIndexReport(group, 0, 1, ((),), {0: 1}, 0, True)
 
     lat = subgroup_lattice(group)
-    irr, masks = lat.sum_irreducible_indices, lat.masks
+    irr = lat.sum_irreducible_indices
     hist, samples, deferred, irredundant_deep = census(
         lat.trivial_index,
         lat.full_index,
         len(irr),
         group.order.bit_length() - 1,
-        lambda j, i: lat.join(j, irr[i]) if masks[irr[i]] & ~masks[j] else j,
+        lambda j, i: lat.join(j, irr[i]),
         SAMPLE_CAP,
     )
     if not hist:
@@ -623,7 +605,7 @@ def quotient_monotonicity_report(group: FiniteAbelianGroup) -> QuotientMonotonic
     agree = True
     inherited = True
     count = 0
-    for sub in all_subgroups(group):
+    for sub in subgroup_lattice(group).subs:
         q = quotient_group(group, sub)
         brute = sum_reducibility_index_bruteforce(q).index
         if brute != sum_index_formula(q):

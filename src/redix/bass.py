@@ -149,6 +149,11 @@ class BassReport:
     entries: tuple[tuple[MonomialPrime, int, tuple[Monomial, ...]], ...]
     index: int
 
+    @property
+    def socle_counts(self) -> dict[frozenset[int], int]:
+        """Socle dimension by prime support."""
+        return {prime.support: count for prime, count, _ in self.entries}
+
 
 def reducibility_index_by_bass(ideal: MonomialIdeal) -> BassReport:
     """Sum of socle dimensions over all primes, found by subset scan.

@@ -30,8 +30,8 @@ from . import __version__ as VERSION
 from .abelian import (
     MAX_ORDER,
     QUOTIENT_SCAN_CAP,
-    _prime_power_split,
     characterization_report,
+    prime_divisors,
     quotient_monotonicity_report,
     secondary_representation,
     sum_index_formula,
@@ -92,18 +92,13 @@ def cmd_decompose(args) -> dict:
     ideal = parse_ideal_text(_read_input(args))
     dec = decompose(ideal, strategy="random", seed=args.seed)
     bass = reducibility_index_by_bass(ideal)
-    by_support: dict[frozenset, int] = {}
-    for comp in dec.components:
-        sup = comp.support()
-        by_support[sup] = by_support.get(sup, 0) + 1
-    socle_counts = {prime.support: count for prime, count, _ in bass.entries}
     ass_socle = frozenset(prime for prime, _, _ in bass.entries)
     ass_colon = ass_by_colon_scan(ideal)
     checks = [
         ["splitting count equals socle sum", dec.count == bass.index],
         [
             "per-prime component multiplicities match socle dimensions",
-            by_support == socle_counts,
+            dec.counts_by_support() == bass.socle_counts,
         ],
         [
             "associated primes agree across socle scan and colon scan",
@@ -291,7 +286,7 @@ def cmd_abelian(args) -> dict:
         checks.append(
             [
                 "attached primes are the primes dividing the order",
-                att == tuple(p for p, _ in _prime_power_split(group.order)),
+                att == prime_divisors(group.order),
             ]
         )
     else:

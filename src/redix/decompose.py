@@ -70,6 +70,14 @@ class Decomposition:
     def count(self) -> int:
         return len(self.components)
 
+    def counts_by_support(self) -> dict[frozenset[int], int]:
+        """Number of components on each variable support, in component order."""
+        out: dict[frozenset[int], int] = {}
+        for comp in self.components:
+            sup = comp.support()
+            out[sup] = out.get(sup, 0) + 1
+        return out
+
 
 def normalize_strategy(strategy, seed: int | None = None):
     """Return a function picking the split variable from a sorted support list."""
@@ -116,11 +124,7 @@ def split_decompose(
             rest = split_gen[:i] + (0,) + split_gen[i + 1 :]
             left = go(minimal_exponents(gens + (pure,)))
             right = go(minimal_exponents(gens + (rest,)))
-            seen = []
-            for b in left + right:
-                if b not in seen:
-                    seen.append(b)
-            result = tuple(seen)
+            result = tuple(dict.fromkeys(left + right))
         memo[gens] = result
         return result
 
@@ -152,10 +156,7 @@ def irredundant(candidates, ideal: MonomialIdeal) -> Decomposition:
     ideal.  Pruning never changes the intersection, so validity is
     checked once on the pruned set.
     """
-    comps = []
-    for c in candidates:
-        if c not in comps:
-            comps.append(c)
+    comps = list(dict.fromkeys(candidates))
     # One pass suffices: dropping a component only enlarges the
     # intersection of the rest, so a component kept once (it does not
     # contain the intersection of the others) is never redundant later.

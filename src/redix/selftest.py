@@ -19,11 +19,11 @@ import random
 from dataclasses import dataclass
 
 from .abelian import (
-    _prime_power_split,
     abelian_group_classes,
     additivity_report,
     attached_primes,
     characterization_report,
+    prime_divisors,
     quotient_monotonicity_report,
     secondary_representation,
     sum_index_formula,
@@ -278,13 +278,8 @@ def _suite_decomposition_uniqueness(seed: int, rec: _Recorder) -> None:
             all(o == outcomes[0] for o in outcomes),
             f"{ideal.render()}: components differ across strategies",
         )
-        by_support: dict[frozenset, int] = {}
-        for comp in decs[0].components:
-            sup = comp.support()
-            by_support[sup] = by_support.get(sup, 0) + 1
-        socle_counts = {
-            prime.support: cnt for prime, cnt, _ in reducibility_index_by_bass(ideal).entries
-        }
+        by_support = decs[0].counts_by_support()
+        socle_counts = reducibility_index_by_bass(ideal).socle_counts
         rec.check(
             by_support == socle_counts,
             f"{ideal.render()}: per-prime counts {by_support} vs socle {socle_counts}",
@@ -514,7 +509,7 @@ def _suite_abelian_secondary(seed: int, rec: _Recorder) -> None:
         if group.is_trivial:
             continue
         report = secondary_representation(group)
-        divisors = tuple(p for p, _ in _prime_power_split(group.order))
+        divisors = prime_divisors(group.order)
         rec.check(
             report.passed and report.attached == divisors,
             f"{group.render()}: secondary split failed",

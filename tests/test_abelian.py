@@ -17,7 +17,6 @@ from redix import (
     additivity_report,
     attached_primes,
     characterization_report,
-    is_sum_irreducible,
     quotient_group,
     quotient_monotonicity_report,
     secondary_representation,
@@ -25,7 +24,7 @@ from redix import (
     sum_index_formula,
     sum_reducibility_index_bruteforce,
 )
-from redix.abelian import _add_table, all_subgroups
+from redix.abelian import _add_table
 from redix.cli import main
 from redix.errors import SizeCapError, TrivialGroupError
 
@@ -95,10 +94,45 @@ def test_lattice_matches_cyclic_closure_reference():
 
 
 def test_subgroup_counts():
-    assert len(all_subgroups(G(4))) == 3
-    assert len(all_subgroups(G(2, 2))) == 5
-    assert len(all_subgroups(G(6))) == 4
-    assert len(all_subgroups(G(8))) == 4
+    assert len(subgroup_lattice(G(4))) == 3
+    assert len(subgroup_lattice(G(2, 2))) == 5
+    assert len(subgroup_lattice(G(6))) == 4
+    assert len(subgroup_lattice(G(8))) == 4
+
+
+def _sum_set_join(lat, i, j):
+    """Reference: the join as the elementwise sum set, a subgroup in the abelian case."""
+    table = lat.group.add_table
+    mask = 0
+    for a in lat.subs[i].members:
+        row = table[a]
+        for b in lat.subs[j].members:
+            mask |= 1 << row[b]
+    return lat.index_of[mask]
+
+
+def _orbit_mask(group, a):
+    """Reference: mask of <a>, from a's orbit under repeated addition."""
+    table = group.add_table
+    mask, cur = 1, a
+    while cur:
+        mask |= 1 << cur
+        cur = table[cur][a]
+    return mask
+
+
+def test_closure_table_matches_sum_sets():
+    for group in abelian_group_classes(32):
+        lat = subgroup_lattice(group)
+        for i in range(len(lat)):
+            for j in range(i, len(lat)):
+                expected = _sum_set_join(lat, i, j)
+                assert lat.join(i, j) == lat.join(j, i) == expected, (group.render(), i, j)
+        cyclic = lat._closure[lat.trivial_index]
+        for a in range(group.order):
+            orbit = _orbit_mask(group, a)
+            assert lat.masks[cyclic[a]] == orbit, (group.render(), a)
+            assert group.element_order(a) == orbit.bit_count(), (group.render(), a)
 
 
 def test_frozen_indices():
@@ -160,14 +194,13 @@ def test_order_cap_comes_before_factoring():
 
 def test_sum_irreducibility_classification():
     lat = subgroup_lattice(G(2, 2))
-    full = max(all_subgroups(G(2, 2)), key=lambda s: len(s.members))
-    assert not is_sum_irreducible(full)  # Klein group is a sum of two lines
-    lat6 = all_subgroups(G(6))
-    for sub in lat6:
+    assert not lat.is_sum_irreducible_index(lat.full_index)  # Klein group is a sum of two lines
+    lat6 = subgroup_lattice(G(6))
+    for h, sub in enumerate(lat6.subs):
         if len(sub.members) == 6:
-            assert not is_sum_irreducible(sub)
+            assert not lat6.is_sum_irreducible_index(h)
         elif len(sub.members) in (2, 3):
-            assert is_sum_irreducible(sub)
+            assert lat6.is_sum_irreducible_index(h)
     report = characterization_report(G(2, 4))
     assert report.passed
 
@@ -216,7 +249,7 @@ def test_bruteforce_reports_pinned():
 
 
 def _progressive_covers(lat):
-    """Reference: every progressive cover, by plain recursion over lat.join."""
+    """Reference: every progressive cover, by plain recursion over sum-set joins."""
     irr = lat.sum_irreducible_indices
     covers = []
 
@@ -224,7 +257,7 @@ def _progressive_covers(lat):
         for i in range(start, len(irr)):
             h = irr[i]
             if lat.masks[h] & ~lat.masks[j]:
-                child = lat.join(j, h)
+                child = _sum_set_join(lat, j, h)
                 if child == lat.full_index:
                     covers.append(chain + (h,))
                 else:
@@ -237,7 +270,7 @@ def _progressive_covers(lat):
 def _join_all(lat, members):
     j = lat.trivial_index
     for h in members:
-        j = lat.join(j, h)
+        j = _sum_set_join(lat, j, h)
     return j
 
 
@@ -318,7 +351,7 @@ def test_irreducibility_decided_once_per_subgroup(monkeypatch):
 def _joins_from_two_smaller(lat, h):
     """Reference: some two subgroups strictly inside subs[h] join to it."""
     inside = [k for k in range(len(lat)) if k != h and not lat.masks[k] & ~lat.masks[h]]
-    return any(lat.join(a, b) == h for a, b in itertools.combinations(inside, 2))
+    return any(_sum_set_join(lat, a, b) == h for a, b in itertools.combinations(inside, 2))
 
 
 def test_irreducibility_matches_pairwise_reference():
@@ -348,12 +381,12 @@ def test_secondary_representation_once_per_group():
 
 def test_quotients():
     g = G(4)
-    subs = sorted(all_subgroups(g), key=lambda s: len(s.members))
+    subs = sorted(subgroup_lattice(g).subs, key=lambda s: len(s.members))
     q = quotient_group(g, subs[1])  # mod the order-2 subgroup
     assert q.factors == (2,)
     klein = G(2, 2)
     diag = next(
-        s for s in all_subgroups(klein) if len(s.members) == 2 and 3 in s.members
+        s for s in subgroup_lattice(klein).subs if len(s.members) == 2 and 3 in s.members
     )
     assert quotient_group(klein, diag).factors == (2,)
 
