@@ -44,8 +44,6 @@ from .bass import (
     BassReport,
     MonomialPrime,
     ass_by_colon_scan,
-    associated_primes,
-    associated_primes_by_socle,
     bass0,
     reducibility_index_by_bass,
 )

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .decompose import decompose
 from .errors import UnitIdealError
 from .monomial import Monomial, MonomialIdeal, RingContext, minimal_exponents
 
@@ -94,24 +93,6 @@ def bass0(ideal: MonomialIdeal, support) -> tuple[int, tuple[Monomial, ...]]:
     ]
     sub = ideal.ring.subring(keep)
     return len(witnesses), tuple(Monomial(u, sub) for u in witnesses)
-
-
-def associated_primes(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
-    """Supports of the irredundant decomposition components."""
-    if ideal.is_unit:
-        raise UnitIdealError("the unit ideal has no associated primes")
-    dec = decompose(ideal)
-    return frozenset(MonomialPrime(c.support(), ideal.ring) for c in dec.components)
-
-
-def associated_primes_by_socle(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
-    """Primes with positive socle dimension, read off the subset scan.
-
-    Independent of the decomposition route.
-    """
-    if ideal.is_unit:
-        raise UnitIdealError("the unit ideal has no associated primes")
-    return frozenset(prime for prime, _, _ in reducibility_index_by_bass(ideal).entries)
 
 
 def ass_by_colon_scan(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:

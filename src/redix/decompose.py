@@ -1,16 +1,24 @@
-"""Irreducible decomposition of monomial ideals by generator splitting.
+"""Irreducible decomposition of monomial ideals by splitting one generator at a time.
 
 An irreducible monomial ideal is generated by pure powers of a subset of
 the variables; it is recorded as a bounds vector, entry 0 meaning the
 variable is absent.  A monomial lies in the component when some bound is
 met: u is inside exactly when u_i >= bounds_i for some i with bounds_i >= 1.
 
-The decomposition recursion: choose a generator whose support has at
-least two variables, write it as  x_i^a * w  with w coprime to x_i, and
-use  I + (m) = (I + (x_i^a)) /\\ (I + (w))  for coprime splits.  The base
-case (all generators pure powers) is a single component.  Which variable
-is split first is a strategy choice; every strategy must reach the same
-irredundant decomposition, and the test suites drive several.
+The splitter starts from the zero ideal and adds the generators one at a
+time, keeping the irredundant components of the ideal generated so far.
+Two facts (Miller-Sturmfels, GTM 227, ch. 5), proved where they are used,
+make this work:
+
+- monomial ideals form a distributive lattice, so I + (m) is the
+  intersection of the C + (m) over the components C of I
+  (split_decompose);
+- an irreducible monomial ideal that contains an intersection contains
+  one of its members, so a component is redundant exactly when it
+  contains another one (_containing_none).
+
+The strategy only orders the generators; every strategy must reach the
+same irredundant decomposition, and the test suites drive several.
 """
 
 from __future__ import annotations
@@ -79,74 +87,65 @@ class Decomposition:
         return out
 
 
-def normalize_strategy(strategy, seed: int | None = None):
-    """Return a function picking the split variable from a sorted support list."""
-    if strategy == "first":
-        return lambda supp: supp[0]
-    if strategy == "last":
-        return lambda supp: supp[-1]
-    if strategy == "random":
-        rng = random.Random(0 if seed is None else seed)
-        return lambda supp: rng.choice(supp)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
 def split_decompose(
     ideal: MonomialIdeal, strategy: str = "first", seed: int | None = None
 ) -> tuple[IrreducibleComponent, ...]:
-    """All irreducible components reached by splitting; may contain redundant ones.
+    """Irreducible components reached by adding the generators one at a time.
 
-    Deterministic for a fixed strategy and seed.  Sub-ideals repeat across
-    branches, so results are memoized per call on the canonical generator
-    exponents, which are also what the recursion carries.
+    Starts from the zero ideal, whose one component has all bounds 0.
+    For each generator m, a component containing m is kept, and any
+    other C is replaced by C + (x_i^m_i) for each i in the support of m,
+    which sets bound i to m_i (m lies outside C, so m_i is below each
+    bound of C).  This is right because I + (m) is the intersection of
+    the C + (m) by distributivity, and each C + (m) is the intersection
+    of the C + (x_i^m_i), since (m) is the intersection of the (x_i^m_i).
+    Only the candidates containing no other one are kept after each step
+    (see _containing_none), so every component returned is irredundant.
+
+    The strategy orders the generators: "first" keeps the canonical
+    order, "last" reverses it and "random" shuffles it with the seed.
     """
     if ideal.is_unit:
         raise UnitIdealError("cannot decompose the unit ideal")
-    pick = normalize_strategy(strategy, seed)
-    ring = ideal.ring
-    memo: dict[tuple, tuple] = {}
-
-    def go(gens: tuple) -> tuple:
-        got = memo.get(gens)
-        if got is not None:
-            return got
-        split_gen = next((g for g in gens if sum(1 for e in g if e) >= 2), None)
-        if split_gen is None:
-            bounds = [0] * ring.n
-            for g in gens:
-                for i, e in enumerate(g):
-                    if e:
-                        bounds[i] = e
-            result = (tuple(bounds),)
-        else:
-            i = pick([j for j, e in enumerate(split_gen) if e])
-            pure = tuple(e if j == i else 0 for j, e in enumerate(split_gen))
-            rest = split_gen[:i] + (0,) + split_gen[i + 1 :]
-            left = go(minimal_exponents(gens + (pure,)))
-            right = go(minimal_exponents(gens + (rest,)))
-            result = tuple(dict.fromkeys(left + right))
-        memo[gens] = result
-        return result
-
-    return tuple(IrreducibleComponent(b, ring) for b in go(tuple(g.exponents for g in ideal.gens)))
+    gens = [g.exponents for g in ideal.gens]
+    if strategy == "last":
+        gens.reverse()
+    elif strategy == "random":
+        random.Random(seed or 0).shuffle(gens)
+    elif strategy != "first":
+        raise ValueError(f"unknown strategy {strategy!r}")
+    comps = [(0,) * ideal.ring.n]
+    for m in gens:
+        grown = []
+        for c in comps:
+            if any(b and e >= b for b, e in zip(c, m)):
+                grown.append(c)
+            else:
+                grown.extend(c[:i] + (e,) + c[i + 1 :] for i, e in enumerate(m) if e)
+        comps = _containing_none(grown)
+    return tuple(IrreducibleComponent(b, ideal.ring) for b in comps)
 
 
-def _contains_intersection(c: IrreducibleComponent, others) -> bool:
-    """Does m^c contain the intersection of the other components?
+def _containing_none(bounds) -> list[tuple[int, ...]]:
+    """The distinct bounds vectors whose components contain no other one.
 
-    The largest monomial outside m^c has exponent bounds_i - 1 on the
-    support of c and is unbounded elsewhere; membership of any monomial
-    in a pure-power ideal is monotone in the exponents, so the
-    intersection escapes m^c iff that single extremal monomial lies in
-    every other component.  Unbounded coordinates are None here.
+    An irreducible Q that contains J_1 /\\ J_2 contains J_1 or J_2:
+    otherwise take monomials u in J_1 and v in J_2 outside Q; each misses
+    every bound of Q, so lcm(u, v) does too, and it lies in J_1 /\\ J_2
+    but outside Q.  So a component contains the intersection of the
+    others exactly when it contains one of them, and the components kept
+    here, the containment-minimal ones, are irredundant and intersect to
+    the same ideal as all of them.  C contains D when C holds each
+    generator x_i^d_i of D: for each i with d_i >= 1, 1 <= c_i <= d_i.
     """
-    probe = [b - 1 if b else None for b in c.bounds]
-    for o in others:
+    cands = list(dict.fromkeys(bounds))
+    return [
+        c
+        for c in cands
         if not any(
-            b and (e is None or e >= b) for b, e in zip(o.bounds, probe)
-        ):
-            return True  # probe escapes o, so the intersection stays inside m^c
-    return False
+            d != c and all(not e or 0 < b <= e for b, e in zip(c, d)) for d in cands
+        )
+    ]
 
 
 def irredundant(candidates, ideal: MonomialIdeal) -> Decomposition:
@@ -156,17 +155,8 @@ def irredundant(candidates, ideal: MonomialIdeal) -> Decomposition:
     ideal.  Pruning never changes the intersection, so validity is
     checked once on the pruned set.
     """
-    comps = list(dict.fromkeys(candidates))
-    # One pass suffices: dropping a component only enlarges the
-    # intersection of the rest, so a component kept once (it does not
-    # contain the intersection of the others) is never redundant later.
-    k = 0
-    while k < len(comps):
-        others = comps[:k] + comps[k + 1 :]
-        if others and _contains_intersection(comps[k], others):
-            comps = others
-        else:
-            k += 1
+    by_bounds = {c.bounds: c for c in candidates}
+    comps = [by_bounds[b] for b in _containing_none(by_bounds)]
     ring = ideal.ring
     inter = _intersect_components(comps, ring.n)
     if inter != tuple(g.exponents for g in ideal.gens):

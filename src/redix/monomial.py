@@ -86,12 +86,6 @@ class Monomial:
     def lcm(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(map(max, self.exponents, other.exponents)), self.ring)
 
-    def gcd(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(map(min, self.exponents, other.exponents)), self.ring)
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)), self.ring)
-
     def colon_by(self, u: "Monomial") -> "Monomial":
         """self / gcd(self, u), the generator image under the colon by u."""
         return Monomial(
@@ -161,9 +155,6 @@ class MonomialIdeal:
     def contains(self, u: Monomial) -> bool:
         """Monomial membership: some generator divides u."""
         return any(g.divides(u) for g in self.gens)
-
-    def plus(self, extra) -> "MonomialIdeal":
-        return MonomialIdeal.from_gens(self.ring, list(self.gens) + list(extra))
 
     def colon(self, u: Monomial) -> "MonomialIdeal":
         """(I : u) = (g / gcd(g, u) for g in gens)."""

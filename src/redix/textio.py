@@ -132,6 +132,8 @@ def parse_ideal_text(text: str) -> MonomialIdeal:
     if ring_names is None:
         seen = {name for gen in sym_gens for name, _, _, _ in gen}
         ring_names = tuple(sorted(seen))
+        if not ring_names:
+            raise ParseError("the ideal names no variable and there is no ring line", 1, 1)
     try:
         ring = RingContext(ring_names)
     except ValueError as exc:

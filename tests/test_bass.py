@@ -9,8 +9,6 @@ from redix import (
     MonomialIdeal,
     RingContext,
     ass_by_colon_scan,
-    associated_primes,
-    associated_primes_by_socle,
     bass0,
     decompose,
     reducibility_index_by_bass,
@@ -42,16 +40,17 @@ def test_embedded_prime_split():
 
 def test_zero_ideal_prime():
     I = MonomialIdeal.zero(R2)
-    primes = associated_primes(I)
-    assert {p.support for p in primes} == {frozenset()}
+    assert {p.support for p in ass_by_colon_scan(I)} == {frozenset()}
+    assert [c.support() for c in decompose(I).components] == [frozenset()]
     assert reducibility_index_by_bass(I).index == 1
 
 
 def test_ass_routes_agree_frozen():
     I = ideal((2, 0), (1, 1), (0, 3))
-    assert associated_primes(I) == ass_by_colon_scan(I)
-    assert associated_primes(I) == associated_primes_by_socle(I)
-    assert {p.support for p in associated_primes(I)} == {frozenset({0, 1})}
+    by_socle = {p.support for p, _, _ in reducibility_index_by_bass(I).entries}
+    by_colon = {p.support for p in ass_by_colon_scan(I)}
+    by_splitting = {c.support() for c in decompose(I).components}
+    assert by_socle == by_colon == by_splitting == {frozenset({0, 1})}
 
 
 @st.composite

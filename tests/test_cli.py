@@ -141,6 +141,14 @@ def test_unit_ideal_is_input_error(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("command", ["decompose", "dual"])
+def test_ideal_with_no_variables_is_input_error(capsys, command):
+    code, out, err = run(capsys, command, "")
+    assert code == 2 and out == ""
+    assert err.startswith("input error: the ideal names no variable")
+    assert "(line 1, column 1)" in err
+
+
 def test_parse_error_position(capsys):
     code, _, err = run(capsys, "decompose", "ideal: x^^2")
     assert code == 2

@@ -1,5 +1,7 @@
 """Splitting decomposition: frozen answers, uniqueness, candidate pruning."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -9,9 +11,9 @@ from redix import (
     MonomialIdeal,
     RingContext,
     ass_by_colon_scan,
-    associated_primes_by_socle,
     decompose,
     irredundant,
+    parse_ideal_text,
     reducibility_index_by_bass,
     reducibility_index_by_decomposition,
     split_decompose,
@@ -73,15 +75,6 @@ def test_strategies_agree_on_frozen_examples():
 
 def gen_exponents(ideal):
     return sorted(g.exponents for g in ideal.gens)
-
-
-def test_split_decompose_may_be_redundant_but_intersects_right():
-    I = ideal((2, 0), (1, 1))
-    raw = split_decompose(I, strategy="first")
-    meet = raw[0].as_ideal()
-    for comp in raw[1:]:
-        meet = meet.intersect(comp.as_ideal())
-    assert gen_exponents(meet) == gen_exponents(I)
 
 
 def test_irredundant_prunes_and_validates():
@@ -169,7 +162,132 @@ def test_routes_agree_on_random_ideals(ideal):
     dec = decompose(ideal)
     assert dec.count == reducibility_index_by_bass(ideal).index
     supports = {c.support() for c in dec.components}
-    assert supports == {p.support for p in associated_primes_by_socle(ideal)}
+    assert supports == {p.support for p, _, _ in reducibility_index_by_bass(ideal).entries}
     assert supports == {p.support for p in ass_by_colon_scan(ideal)}
     for strategy, seed in (("last", None), ("random", 0), ("random", 1)):
         assert bounds(decompose(ideal, strategy=strategy, seed=seed)) == bounds(dec)
+
+
+STRATEGIES = (("first", None), ("last", None), ("random", 0), ("random", 1))
+
+
+def split_reference(ideal, strategy, seed):
+    """Reference: the binary splitting recursion, pruned by an extremal probe.
+
+    A generator x_i^a * w with w coprime to x_i splits the ideal as
+    I + (m) = (I + (x_i^a)) /\\ (I + (w)); when every generator is a pure
+    power the ideal is one component.  The strategy picks the variable i.
+    A candidate is dropped when the largest monomial outside it escapes
+    some other kept candidate, i.e. it contains their intersection.
+    """
+    if strategy == "first":
+        pick = lambda supp: supp[0]
+    elif strategy == "last":
+        pick = lambda supp: supp[-1]
+    else:
+        pick = random.Random(seed or 0).choice
+    n = ideal.ring.n
+    memo = {}
+
+    def go(gens):
+        if gens not in memo:
+            split_gen = next((g for g in gens if sum(1 for e in g if e) >= 2), None)
+            if split_gen is None:
+                bounds = [0] * n
+                for g in gens:
+                    for i, e in enumerate(g):
+                        if e:
+                            bounds[i] = e
+                memo[gens] = (tuple(bounds),)
+            else:
+                i = pick([j for j, e in enumerate(split_gen) if e])
+                pure = tuple(e if j == i else 0 for j, e in enumerate(split_gen))
+                rest = split_gen[:i] + (0,) + split_gen[i + 1 :]
+                left = go(minimal_exponents(gens + (pure,)))
+                right = go(minimal_exponents(gens + (rest,)))
+                memo[gens] = tuple(dict.fromkeys(left + right))
+        return memo[gens]
+
+    comps = list(go(tuple(g.exponents for g in ideal.gens)))
+    k = 0
+    while k < len(comps):
+        others = comps[:k] + comps[k + 1 :]
+        probe = [b - 1 if b else None for b in comps[k]]
+        if any(
+            not any(b and (e is None or e >= b) for b, e in zip(o, probe)) for o in others
+        ):
+            comps = others
+        else:
+            k += 1
+    return set(comps)
+
+
+@st.composite
+def ideals_up_to_five_variables(draw):
+    n = draw(st.integers(1, 5))
+    R = RingContext.default(n)
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n).filter(any), max_size=6))
+    return MonomialIdeal.from_gens(R, [R.monomial(*e) for e in gens])
+
+
+@given(ideals_up_to_five_variables())
+@settings(max_examples=150, deadline=None)
+def test_split_matches_recursive_reference(ideal):
+    for strategy, seed in STRATEGIES:
+        got = {c.bounds for c in split_decompose(ideal, strategy, seed)}
+        assert got == split_reference(ideal, strategy, seed)
+
+
+@given(ideals_up_to_five_variables())
+@settings(max_examples=150, deadline=None)
+def test_irredundant_keeps_every_split_candidate(ideal):
+    for strategy, seed in STRATEGIES:
+        raw = split_decompose(ideal, strategy, seed)
+        assert sorted(c.bounds for c in raw) == bounds(irredundant(raw, ideal))
+
+
+@st.composite
+def irreducible_and_two_ideals(draw):
+    n = draw(st.integers(1, 3))
+    R = RingContext.default(n)
+    q = IrreducibleComponent(draw(st.tuples(*[st.integers(0, 4)] * n)), R).as_ideal()
+
+    def some_ideal():
+        gens = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=4))
+        return MonomialIdeal.from_gens(R, [R.monomial(*e) for e in gens])
+
+    return q, some_ideal(), some_ideal()
+
+
+@given(irreducible_and_two_ideals())
+@settings(max_examples=300, deadline=None)
+def test_irreducible_containing_an_intersection_contains_a_member(case):
+    q, j1, j2 = case
+
+    def inside(j):
+        return all(q.contains(g) for g in j.gens)
+
+    assert inside(j1.intersect(j2)) == (inside(j1) or inside(j2))
+
+
+SEVEN_VARIABLES = (
+    "ideal: a^3*b*c^9*d*f^2*g^2, a^9*b^2*e*f^7*g^4, a^3*b^3*c^5*d^3*e^4*f^9,"
+    " a^4*b^9*c^6*d^8*e^4, a^5*b^6*d^2*e^7*f^6*g^8, a^2*c^6*d^6*e^8*f^2,"
+    " a^2*b^5*f^7, a^8*b^2*c^4*e^4*f^8*g^8, a^5*e^7, a^4*b^3*c^4*d^3*e*f^9*g^6,"
+    " c*d^9*e^7*f^8, a^2*c^2*d*e^3*f^6, a^4*c^5*f^2, b^8*c^3*d^6*f^3*g^4"
+)
+
+
+def test_seven_variable_row_has_88_components_under_every_strategy():
+    I = parse_ideal_text(SEVEN_VARIABLES)
+    outcomes = set()
+    for strategy, seed in STRATEGIES:
+        raw = split_decompose(I, strategy, seed)
+        assert len(raw) == 88
+        outcomes.add(frozenset(c.bounds for c in decompose(I, strategy, seed).components))
+    assert len(outcomes) == 1 and len(next(iter(outcomes))) == 88
+
+
+def test_unknown_strategy_rejected():
+    with pytest.raises(ValueError, match="unknown strategy 'middle'"):
+        split_decompose(ideal((1, 1)), strategy="middle")

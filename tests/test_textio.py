@@ -63,6 +63,14 @@ def test_ideal_errors_carry_positions():
         parse_ideal_text("ideal: x^^2")
 
 
+@pytest.mark.parametrize("text", ["", "ideal:", "ideal: 1", "# nothing\nideal: 1*1"])
+def test_ideal_with_no_variables_refused(text):
+    # no zero-variable ring comes out of the grammar, so every echo parses back
+    with pytest.raises(ParseError) as err:
+        parse_ideal_text(text)
+    assert (err.value.line, err.value.column) == (1, 1)
+
+
 def test_ideal_round_trip():
     for text in (
         "ring: x, y\nideal: x^2, x*y, y^3",

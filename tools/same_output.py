@@ -1,13 +1,14 @@
-"""Check that two redix source trees give byte-identical JSON output.
+"""Check that two redix source trees give byte-identical output.
 
     python3 tools/same_output.py OLD_SRC NEW_SRC
 
 Runs every CLI row of perfbench/corpus.json at seeds 42 and 7, and
-`selftest --scope all --seed 42`, each as `python -m redix.cli ...
---format json` in a fresh process with PYTHONHASHSEED=0 and PYTHONPATH
-set to one of the two directories.  Compares stdout, stderr and exit
-code of each request and exits 1 if any differ, 0 if none do.  Only
-the standard library is used, and the corpus is read, never written.
+`selftest --scope all --seed 42`, each once with `--format json` and
+once in the default human format, as `python -m redix.cli ...` in a
+fresh process with PYTHONHASHSEED=0 and PYTHONPATH set to one of the
+two directories.  Compares stdout, stderr and exit code of each request
+and exits 1 if any differ, 0 if none do.  Only the standard library is
+used, and the corpus is read, never written.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ SEEDS = (42, 7)
 
 def requests() -> list[list[str]]:
     rows = json.loads(CORPUS.read_text())["cli"]
-    out = [[*row["argv"], "--format", "json", "--seed", str(seed)] for seed in SEEDS for row in rows]
-    out.append(["selftest", "--scope", "all", "--seed", "42", "--format", "json"])
-    return out
+    plain = [[*row["argv"], "--seed", str(seed)] for seed in SEEDS for row in rows]
+    plain.append(["selftest", "--scope", "all", "--seed", "42"])
+    return [argv + fmt for fmt in (["--format", "json"], []) for argv in plain]
 
 
 def run(src: Path, argv: list[str]) -> tuple[bytes, bytes, int]:
