@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bass import MonomialPrime, bass0, localized_ideal, reducibility_index_by_bass
-from .decompose import decompose, reducibility_index_by_decomposition
+from .bass import MonomialPrime, localized_ideal, reducibility_index_by_bass
+from .decompose import reducibility_index_by_decomposition
 from .errors import UnitIdealError
 from .monomial import Monomial, MonomialIdeal, RingContext
 
@@ -53,39 +53,26 @@ class BaseChangeReport:
         return all(ok for _, ok in self.checks)
 
 
-def fresh_names(ring: RingContext, extra: int) -> tuple[str, ...]:
-    taken = set(ring.names)
-    out = []
-    i = 1
-    while len(out) < extra:
-        cand = f"t{i}"
-        if cand not in taken:
-            out.append(cand)
-            taken.add(cand)
-        i += 1
-    return tuple(out)
-
-
-def extend_polynomial(ideal: MonomialIdeal, extra: int, names=None) -> MonomialIdeal:
-    """The same generators read in a ring with `extra` new variables."""
+def extend_polynomial(ideal: MonomialIdeal, extra: int) -> MonomialIdeal:
+    """The same generators in a ring with `extra` new variables t1, t2, ... appended last."""
     if extra < 0:
         raise ValueError("extra must be nonnegative")
-    new_names = tuple(names) if names is not None else fresh_names(ideal.ring, extra)
-    if len(new_names) != extra:
-        raise ValueError("need exactly `extra` new names")
-    big = RingContext(ideal.ring.names + new_names)
+    names, i = list(ideal.ring.names), 0
+    while len(names) < ideal.ring.n + extra:
+        i += 1
+        if f"t{i}" not in names:
+            names.append(f"t{i}")
+    big = RingContext(tuple(names))
     gens = [Monomial(g.exponents + (0,) * extra, big) for g in ideal.gens]
     return MonomialIdeal.from_gens(big, gens)
 
 
-def _fiber_index_extension(prime: MonomialPrime, big: RingContext, extra: int) -> int:
-    """Index of the extended prime in the bigger ring, by decomposition."""
-    ext = extend_polynomial(prime.as_ideal(), extra, names=big.names[prime.ring.n :])
-    return reducibility_index_by_decomposition(ext)
-
-
 def extension_report(ideal: MonomialIdeal, extra: int) -> BaseChangeReport:
-    """Index before vs after adjoining `extra` polynomial variables."""
+    """Index before vs after adjoining `extra` polynomial variables.
+
+    The fiber at p is p's own variables read as a prime of the extended
+    ring, indexed by the splitting decomposition.
+    """
     if ideal.is_unit:
         raise UnitIdealError("base change reports need a proper ideal")
     before = reducibility_index_by_bass(ideal)
@@ -93,7 +80,8 @@ def extension_report(ideal: MonomialIdeal, extra: int) -> BaseChangeReport:
     fibers = []
     formula = 0
     for prime, mu0, _ in before.entries:
-        fib = _fiber_index_extension(prime, extended.ring, extra)
+        extended_prime = MonomialPrime(prime.support, extended.ring).as_ideal()
+        fib = reducibility_index_by_decomposition(extended_prime)
         fibers.append(PrimeFiber(prime.render(), mu0, fib))
         formula += mu0 * fib
     direct = reducibility_index_by_decomposition(extended)

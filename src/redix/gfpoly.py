@@ -4,14 +4,19 @@ Coefficient lists are dense, lowest degree first, with no trailing
 zeros; the zero polynomial is the empty tuple.  Prime fields store
 elements as ints mod p; extension fields store them as coefficient
 tuples mod a monic irreducible modulus over the prime field.  Bounds
-are hard errors: factoring refuses degree above 8 or field size above
-13^3, and extension fields (and the search for their modulus) refuse
-p > 13 or size above 13^3.
+are hard errors: fields refuse p > 13 or size above 13^3, and factoring
+and the irreducibility test refuse, before dividing, a degree-n
+polynomial over GF(q) whose q + q^2 + ... + q^(n//2) trial divisors
+exceed MAX_TRIAL_DIVISORS.
 
 Factoring is trial division by monic candidates of increasing degree,
-which is deterministic and adequate at the enforced sizes.  A divisor
-of minimal degree is automatically irreducible, so the factor list is
-correct without a separate irreducibility pass.
+each tried once, which is deterministic and adequate within the cap.  A
+divisor of minimal degree is automatically irreducible, so the factor
+list is correct without a separate irreducibility pass.
+
+Field fibers need no factoring upstairs: an irreducible g of degree d
+over GF(q) splits over GF(q^k) into gcd(d, k) distinct irreducibles of
+degree d / gcd(d, k) (Lidl-Niederreiter, Finite Fields, Thm. 3.46).
 
 The module also carries an exhaustive oracle for the index of k[x]/(f):
 it finds every submodule (each is generated by one element) as a
@@ -30,13 +35,14 @@ the other side of a cross-check from the factor-counting route.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 from .census import census
 from .errors import DimensionMismatchError, SizeCapError, VerificationError
 
-MAX_FACTOR_DEGREE = 8
+MAX_TRIAL_DIVISORS = 50_000
 MAX_FIELD_SIZE = 13**3
 MAX_PRIME = 13
 MAX_LATTICE_SIZE = 512
@@ -119,7 +125,8 @@ class ExtField:
 
     Elements are coefficient tuples of length k over GF(p).  The modulus
     is given low-first including the leading 1, and is verified
-    irreducible on construction.
+    irreducible on construction.  Products and inverses are read off
+    log tables, built once by multiplying polynomials mod the modulus.
     """
 
     base: PrimeField
@@ -167,38 +174,40 @@ class ExtField:
             yield tuple(reversed(rev))
 
     def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        p = self.base.p
+        return tuple([(x + y) % p for x, y in zip(a, b)])
 
     def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+        p = self.base.p
+        return tuple([(x - y) % p for x, y in zip(a, b)])
 
     def neg(self, a):
         return tuple((-x) % self.p for x in a)
 
+    @cached_property
+    def _logs(self):
+        """Log and antilog tables along the first element of order q - 1."""
+        mod, pad = UniPoly(self.base, self.modulus), (0,) * self.k
+        for g in itertools.islice(self.elements(), 1, None):  # skip zero
+            step = cur = UniPoly.make(self.base, g)
+            exp = [self.one]
+            while cur.coeffs != (1,):
+                exp.append((cur.coeffs + pad)[: self.k])
+                cur = cur.mul(step).mod(mod)
+            if len(exp) == self.size - 1:
+                return {e: i for i, e in enumerate(exp)}, exp
+
     def mul(self, a, b):
-        p, k = self.p, self.k
-        conv = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] = (conv[i + j] + x * y) % p
-        # reduce degrees k..2k-2 using the monic modulus
-        for d in range(2 * k - 2, k - 1, -1):
-            c = conv[d]
-            if c:
-                conv[d] = 0
-                for j in range(k):
-                    conv[d - k + j] = (conv[d - k + j] - c * self.modulus[j]) % p
-        return tuple(conv[:k])
+        if not (any(a) and any(b)):
+            return self.zero
+        log, exp = self._logs
+        return exp[(log[a] + log[b]) % len(exp)]
 
     def inv(self, a):
         if not any(a):
             raise ZeroDivisionError("inverse of zero")
-        # brute scan is fine at these sizes
-        for b in self.elements():
-            if self.mul(a, b) == self.one:
-                return b
-        raise ArithmeticError("no inverse found; modulus not irreducible?")
+        log, exp = self._logs
+        return exp[-log[a] % len(exp)]
 
     def render_element(self, a) -> str:
         return _poly_str(a, self.gen_name, str, 1)
@@ -272,16 +281,16 @@ class UniPoly:
         if other.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         F = self.field
-        inv_lead = F.inv(other.lead())
+        mul, sub, inv_lead = F.mul, F.sub, F.inv(other.lead())
         rem = list(self.coeffs)
         q = [F.zero] * max(len(rem) - len(other.coeffs) + 1, 0)
         d = other.degree
         while len(rem) - 1 >= d and rem:
-            c = F.mul(rem[-1], inv_lead)
-            shift = len(rem) - 1 - d
+            c = mul(rem.pop(), inv_lead)  # the leading terms cancel
+            shift = len(rem) - d
             q[shift] = c
-            for j, b in enumerate(other.coeffs):
-                rem[shift + j] = F.sub(rem[shift + j], F.mul(c, b))
+            for j, b in enumerate(other.coeffs[:-1]):
+                rem[shift + j] = sub(rem[shift + j], mul(c, b))
             while rem and _is_zero_like(rem[-1]):
                 rem.pop()
         return UniPoly.make(F, q), UniPoly.make(F, rem)
@@ -327,10 +336,21 @@ def monic_polys(field, degree: int):
         yield UniPoly(field, tuple(low) + (field.one,))
 
 
+def _cap_trial_divisors(f: UniPoly) -> None:
+    """Refuse f if trial division could try more than MAX_TRIAL_DIVISORS candidates."""
+    total = 0
+    for d in range(1, f.degree // 2 + 1):
+        total += f.field.size**d
+        if total > MAX_TRIAL_DIVISORS:
+            cause = f"degree {f.degree} over {f.field.render()}"
+            raise SizeCapError(f"{cause} needs over {MAX_TRIAL_DIVISORS} trial divisors")
+
+
 def is_irreducible(f: UniPoly) -> bool:
     """Trial division test; constants and the zero polynomial are not irreducible."""
     if f.degree < 1:
         return False
+    _cap_trial_divisors(f)
     for d in range(1, f.degree // 2 + 1):
         for cand in monic_polys(f.field, d):
             if cand.divides(f):
@@ -361,29 +381,20 @@ def factor(f: UniPoly) -> Factorization:
     """Complete factorization into monic irreducibles by trial division."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    if f.degree > MAX_FACTOR_DEGREE:
-        raise SizeCapError(f"degree {f.degree} exceeds factoring cap {MAX_FACTOR_DEGREE}")
-    if f.field.size > MAX_FIELD_SIZE:
-        raise SizeCapError(f"field size {f.field.size} exceeds cap {MAX_FIELD_SIZE}")
+    _cap_trial_divisors(f)
     unit = f.lead()
     g = f.monic()
     found: list[tuple[UniPoly, int]] = []
-    d = 1
-    while 2 * d <= g.degree:
-        hit = None
+    for d in range(1, f.degree // 2 + 1):
         for cand in monic_polys(f.field, d):
-            if cand.divides(g):
-                hit = cand
+            if 2 * d > g.degree:  # what is left of g is irreducible
                 break
-        if hit is None:
-            d += 1
-            continue
-        mult = 0
-        while hit.divides(g):
-            g = g.divmod(hit)[0]
-            mult += 1
-        found.append((hit, mult))
-        # stay at the same degree; more factors of degree d may remain
+            mult = 0  # a candidate that missed g misses its later quotients too
+            while cand.divides(g):
+                g = g.divmod(cand)[0]
+                mult += 1
+            if mult:
+                found.append((cand, mult))
     if g.degree >= 1:
         found.append((g, 1))
     found.sort(key=lambda t: t[0].sort_key())
@@ -423,46 +434,47 @@ def embed_poly(f: UniPoly, ext: ExtField) -> UniPoly:
     return UniPoly.make(ext, [ext.embed(c) for c in f.coeffs])
 
 
-def _multiset(fact: Factorization):
-    return sorted((g.sort_key(), m) for g, m in fact.factors)
-
-
 def field_extension_report(f: UniPoly, ext: ExtField):
     """Index of k[x]/(f) before vs after extending the coefficient field.
 
-    The prediction side factors f over the base field and then factors
-    each irreducible factor over the extension; the direct side factors
-    the embedded f in one go.  Multiplicity bookkeeping ties the two
-    factorizations together as an extra consistency check.
+    Prediction: f is factored over the base field only, and a base
+    factor of degree d has fiber gcd(d, k) (the closed form in the module
+    docstring).  Direct: the embedded f is factored, first, so a size cap
+    refuses before any other work.  Check 4 gives each direct factor to
+    the base factor g whose embedding it divides, and holds when every g
+    owns gcd(d, k) factors of degree d / gcd(d, k) and multiplicity
+    mult(g) and every direct factor is owned.  Distinct base factors stay
+    coprime over any extension, so no factor is owned twice; the factors
+    g owns are distinct monic irreducibles with degrees summing to deg g,
+    so their product is embed(g).  So check 4 pins the multiset of the
+    product of the embed(g)^mult(g), and tests the closed form against
+    the direct side.
     """
     from .basechange import BaseChangeReport, PrimeFiber
 
     if f.degree < 1:
         raise ValueError("need a nonconstant polynomial")
-    base_fact = factor(f)
-    r_before = base_fact.distinct_count
-    fibers = []
-    formula = 0
-    combined: list[tuple[tuple, int]] = []
-    for g, mult in base_fact.factors:
-        up = factor(embed_poly(g, ext))
-        s = up.distinct_count
-        # each factor of g upstairs is simple: g is squarefree and separable here
-        fibers.append(PrimeFiber(g.render(), 1, s))
-        formula += s
-        for q, m in up.factors:
-            combined.append((q.sort_key(), m * mult))
     direct_fact = factor(embed_poly(f, ext))
-    direct = direct_fact.distinct_count
-    t = max((fb.fiber_index for fb in fibers), default=1)
+    base_fact = factor(f)
+    r_before, direct = base_fact.distinct_count, direct_fact.distinct_count
+    splits = [math.gcd(g.degree, ext.k) for g, _ in base_fact.factors]
+    owned = [
+        [(q, m) for q, m in direct_fact.factors if q.divides(embed_poly(g, ext))]
+        for g, _ in base_fact.factors
+    ]
+    owned_right = sum(map(len, owned)) == direct and all(
+        len(mine) == s and all(q.degree * s == g.degree and m == mult for q, m in mine)
+        for (g, mult), s, mine in zip(base_fact.factors, splits, owned)
+    )
+    formula, t = sum(splits), max(splits, default=1)
     checks = (
         ("prediction matches direct recomputation", formula == direct),
         ("index within [r, t*r]", r_before <= direct <= t * r_before),
         (
             "index preserved iff every factor stays irreducible",
-            (direct == r_before) == all(fb.fiber_index == 1 for fb in fibers),
+            (direct == r_before) == all(s == 1 for s in splits),
         ),
-        ("factor multiset matches across the two routes", sorted(combined) == _multiset(direct_fact)),
+        ("factor multiset matches across the two routes", owned_right),
     )
     return BaseChangeReport(
         kind="field",
@@ -472,7 +484,7 @@ def field_extension_report(f: UniPoly, ext: ExtField):
         ir_after_direct=direct,
         t_bound=t,
         faithfully_flat=True,
-        fibers=tuple(fibers),
+        fibers=tuple(PrimeFiber(g.render(), 1, s) for (g, _), s in zip(base_fact.factors, splits)),
         checks=checks,
     )
 

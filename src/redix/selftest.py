@@ -51,7 +51,6 @@ from .staircase import (
     dual_single_generator_check,
     irredundant_cover_sizes,
     maximal_elements,
-    min_cover_oracle,
     quotient_index,
     socle_matches_dual_generators,
     sum_covers_iff_dual_disjoint,

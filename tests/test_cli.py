@@ -66,7 +66,7 @@ def test_reports_are_byte_identical(capsys):
         assert first == second, argv
 
 
-def run_module(*argv):
+def run_module(*argv, timeout=30):
     """`python -m redix.cli ARGV` in a child process; a hang fails the test."""
     src = str(Path(redix.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
@@ -76,7 +76,7 @@ def run_module(*argv):
         capture_output=True,
         text=True,
         env=env,
-        timeout=30,
+        timeout=timeout,
     )
 
 
@@ -90,6 +90,16 @@ def test_huge_cyclic_order_is_refused_before_factoring():
     proc = run_module("abelian", "group: Z/1000000000000000000000000000057")
     assert proc.returncode == 3
     assert proc.stderr.startswith("size cap")
+
+
+@pytest.mark.parametrize("target, code", [("GF(169)", 0), ("GF(2197)", 3)])
+def test_quartic_over_gf13_answers_or_refuses_by_trial_divisors(target, code):
+    # over GF(169) trial division needs 169 + 169^2 = 28,730 divisors; over
+    # GF(2197) it would need 4,829,006, past the cap, and is refused unfactored
+    proc = run_module("basechange", "f: x^4+x^3+1 over GF(13)", f"field:->{target}", timeout=60)
+    assert proc.returncode == code, proc.stderr
+    if code == 3:
+        assert proc.stderr.startswith("size cap")
 
 
 def test_decompose_time_does_not_grow_with_exponents():

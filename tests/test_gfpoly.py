@@ -18,7 +18,16 @@ from redix import (
     is_irreducible,
     monic_polys,
 )
-from redix.gfpoly import _meet_irreducible_submodules, _submodules
+from redix import gfpoly
+from redix.errors import SizeCapError
+from redix.gfpoly import (
+    MAX_LATTICE_SIZE,
+    MAX_TRIAL_DIVISORS,
+    Factorization,
+    _meet_irreducible_submodules,
+    _submodules,
+    embed_poly,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -31,8 +40,6 @@ def poly(field, *coeffs):
 
 
 def test_prime_field_rejects_composites():
-    from redix.errors import SizeCapError
-
     with pytest.raises(SizeCapError):
         PrimeField(6)
     with pytest.raises(SizeCapError):
@@ -48,6 +55,30 @@ def test_ext_field_tables():
     for a in gf4.elements():
         if a != gf4.zero:
             assert gf4.mul(a, gf4.inv(a)) == gf4.one
+
+
+def _product_by_convolution(field, a, b):
+    """Reference: schoolbook product of coefficient tuples, reduced by the modulus."""
+    p, k = field.p, field.k
+    conv = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] = (conv[i + j] + x * y) % p
+    for d in range(2 * k - 2, k - 1, -1):
+        c, conv[d] = conv[d], 0
+        for j in range(k):
+            conv[d - k + j] = (conv[d - k + j] - c * field.modulus[j]) % p
+    return tuple(conv[:k])
+
+
+def test_ext_field_log_tables_match_convolution():
+    for p, k in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)):
+        field = ExtField(PrimeField(p), irreducible_modulus(p, k))
+        elems = list(field.elements())
+        for a, b in itertools.product(elems, repeat=2):
+            assert field.mul(a, b) == _product_by_convolution(field, a, b), (p, k, a, b)
+        for a in elems[1:]:
+            assert _product_by_convolution(field, a, field.inv(a)) == field.one, (p, k, a)
 
 
 def test_field_axioms_exhaustive_gf8_gf9():
@@ -237,8 +268,6 @@ def test_lattice_oracle_does_no_polynomial_arithmetic(monkeypatch):
 
 
 def test_irreducible_modulus_refuses_large_fields_before_searching():
-    from redix.errors import SizeCapError
-
     with pytest.raises(SizeCapError, match=r"3\^19 exceeds cap"):
         irreducible_modulus(3, 19)
 
@@ -267,3 +296,96 @@ def test_extension_bounds_sweep():
         rep = field_extension_report(f, gf4)
         assert rep.ir_before <= rep.ir_after_direct <= rep.t_bound * rep.ir_before
         assert rep.passed
+
+
+def _suite_inputs():
+    """The 124 reports of the field-extension-fibers selftest suite."""
+    for k in (2, 3):
+        ext = ExtField(F2, irreducible_modulus(2, k))
+        for d in range(1, 6):
+            for f in monic_polys(F2, d):
+                yield f, ext
+
+
+def test_field_extension_factors_one_extension_polynomial_per_report(monkeypatch):
+    real_factor = gfpoly.factor
+    upstairs = []
+
+    def counting_factor(f):
+        if isinstance(f.field, ExtField):
+            upstairs.append(f)
+        return real_factor(f)
+
+    monkeypatch.setattr(gfpoly, "factor", counting_factor)
+    reports = 0
+    for f, ext in _suite_inputs():
+        before = len(upstairs)
+        rep = field_extension_report(f, ext)
+        assert rep.passed, f.render()
+        assert upstairs[before:] == [embed_poly(f, ext)], f.render()
+        reports += 1
+    assert reports == len(upstairs) == 124
+
+
+def _raise_a_multiplicity(field, factors):
+    (g, m), *rest = factors
+    return ((g, m + 1), *rest)
+
+
+def _add_an_unowned_factor(field, factors):
+    return ((UniPoly(field, (field.zero, field.one)), 1), *factors)  # x, coprime to f
+
+
+def _merge_two_factors(field, factors):
+    (g, m), (h, n), *rest = factors
+    return ((g, m), (g.mul(h), n), *rest)  # distinct, both divide, but one is reducible
+
+
+@pytest.mark.parametrize(
+    "tamper", [_raise_a_multiplicity, _add_an_unowned_factor, _merge_two_factors]
+)
+def test_field_extension_multiset_check_can_fail(monkeypatch, tamper):
+    real_factor = gfpoly.factor
+
+    def tampered_factor(f):
+        fact = real_factor(f)
+        if isinstance(f.field, ExtField):
+            fact = Factorization(fact.field, fact.unit, tamper(f.field, fact.factors))
+        return fact
+
+    monkeypatch.setattr(gfpoly, "factor", tampered_factor)
+    gf4 = ExtField(F2, irreducible_modulus(2, 2))
+    rep = field_extension_report(poly(F2, 1, 1, 1), gf4)  # (x + t)(x + t + 1) over GF(4)
+    assert rep.checks[3] == ("factor multiset matches across the two routes", False)
+    if tamper is not _add_an_unowned_factor:  # the count still agrees, so only check 4 sees it
+        assert [ok for _, ok in rep.checks[:3]] == [True, True, True]
+    assert not rep.passed
+
+
+def test_trial_division_refused_before_dividing(monkeypatch):
+    gf2197 = ExtField(PrimeField(13), irreducible_modulus(13, 3))
+    f = embed_poly(poly(PrimeField(13), 1, 0, 0, 1, 1), gf2197)  # needs 2197 + 2197^2 divisors
+
+    def forbidden(*args):
+        raise AssertionError("divided before refusing")
+
+    monkeypatch.setattr(UniPoly, "divmod", forbidden)
+    for test in (factor, is_irreducible):
+        with pytest.raises(SizeCapError, match=f"over {MAX_TRIAL_DIVISORS} trial divisors"):
+            test(f)
+
+
+def test_lattice_oracle_matches_factor_count_at_degree_nine():
+    # GF(2) degree 9 is the lattice oracle's largest quotient, 2^9 = 512 elements
+    sample = list(monic_polys(F2, 9))[::8]
+    assert len(sample) == 64
+    for f in sample:
+        assert hypersurface_index(f) == hypersurface_index_bruteforce(f), f.render()
+
+
+def test_factor_accepts_the_lattice_cap_degree():
+    for p in (2, 3, 5, 7, 11, 13):
+        d = max(d for d in range(1, 10) if p**d <= MAX_LATTICE_SIZE)
+        f = UniPoly.make(PrimeField(p), [1] * (d + 1))
+        fac = factor(f)
+        assert fac.reconstruct() == f and all(is_irreducible(g) for g, _ in fac.factors), (p, d)

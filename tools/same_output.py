@@ -2,13 +2,15 @@
 
     python3 tools/same_output.py OLD_SRC NEW_SRC
 
-Runs every CLI row of perfbench/corpus.json at seeds 42 and 7, and
-`selftest --scope all --seed 42`, each once with `--format json` and
-once in the default human format, as `python -m redix.cli ...` in a
-fresh process with PYTHONHASHSEED=0 and PYTHONPATH set to one of the
-two directories.  Compares stdout, stderr and exit code of each request
-and exits 1 if any differ, 0 if none do.  Only the standard library is
-used, and the corpus is read, never written.
+Runs every CLI row of perfbench/corpus.json and of EXTRA at seeds 42
+and 7, and `selftest --scope all --seed 42`, each once with `--format
+json` and once in the default human format, as `python -m redix.cli
+...` in a fresh process with PYTHONHASHSEED=0 and PYTHONPATH set to one
+of the two directories.  EXTRA holds field-extension reports that the
+corpus, with its single one into GF(8), lacks.  Compares stdout, stderr
+and exit code of each request and exits 1 if any differ, 0 if none do.
+Only the standard library is used, and the corpus is read, never
+written.
 """
 
 from __future__ import annotations
@@ -21,11 +23,19 @@ from pathlib import Path
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.json"
 SEEDS = (42, 7)
+EXTRA = (
+    # 28,730 trial divisors over GF(169), the largest field-extension factoring here
+    ["basechange", "f: x^4+x^3+1 over GF(13)", "field:->GF(169)"],
+    # two irreducible cubics, each splitting into three linear factors
+    ["basechange", "f: x^6+x^5+x^4+x^3+x^2+x+1 over GF(2)", "field:GF(2)->GF(8)=s^3+s+1"],
+    # x^2 * (x^2 + 1)^2, repeated factors on both sides
+    ["basechange", "f: x^6+2*x^4+x^2 over GF(3)", "field:->GF(9)"],
+)
 
 
 def requests() -> list[list[str]]:
-    rows = json.loads(CORPUS.read_text())["cli"]
-    plain = [[*row["argv"], "--seed", str(seed)] for seed in SEEDS for row in rows]
+    rows = [row["argv"] for row in json.loads(CORPUS.read_text())["cli"]] + list(EXTRA)
+    plain = [[*argv, "--seed", str(seed)] for seed in SEEDS for argv in rows]
     plain.append(["selftest", "--scope", "all", "--seed", "42"])
     return [argv + fmt for fmt in (["--format", "json"], []) for argv in plain]
 
