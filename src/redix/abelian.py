@@ -41,9 +41,8 @@ from functools import cache, cached_property
 from math import prod
 
 from .census import census
-from .errors import SizeCapError, TrivialGroupError, VerificationError
+from .errors import MAX_ORDER, SizeCapError, TrivialGroupError, VerificationError
 
-MAX_ORDER = 64
 QUOTIENT_SCAN_CAP = 32
 SAMPLE_CAP = 12
 

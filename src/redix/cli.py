@@ -27,39 +27,12 @@ import sys
 import time
 
 from . import __version__ as VERSION
-from .abelian import (
-    MAX_ORDER,
-    QUOTIENT_SCAN_CAP,
-    characterization_report,
-    prime_divisors,
-    quotient_monotonicity_report,
-    secondary_representation,
-    sum_index_formula,
-    sum_reducibility_index_bruteforce,
-)
-from .bass import ass_by_colon_scan, reducibility_index_by_bass
-from .basechange import extension_report, localization_report
-from .decompose import decompose
 from .errors import (
+    MAX_ORDER,
     ParseError,
     RedixError,
     SizeCapError,
     VerificationError,
-)
-from .gfpoly import ExtField, field_extension_report
-from .monomial import Monomial
-from .selftest import DOCUMENTED_UNTESTED, run_selftest
-from .staircase import dual_index_report
-from .textio import (
-    parse_change_descriptor,
-    parse_field_spec,
-    parse_group_text,
-    parse_ideal_text,
-    parse_poly_text,
-    render_change_descriptor,
-    render_group_text,
-    render_ideal_text,
-    render_poly_text,
 )
 
 EXIT_OK = 0
@@ -89,6 +62,10 @@ def _document(command: str, options: dict, inputs: dict, results: dict) -> dict:
 
 
 def cmd_decompose(args) -> dict:
+    from .bass import ass_by_colon_scan, reducibility_index_by_bass
+    from .decompose import decompose
+    from .textio import parse_ideal_text, render_ideal_text
+
     ideal = parse_ideal_text(_read_input(args))
     dec = decompose(ideal, strategy="random", seed=args.seed)
     bass = reducibility_index_by_bass(ideal)
@@ -152,9 +129,21 @@ def _serialize_basechange(rep) -> dict:
 
 
 def cmd_basechange(args) -> dict:
+    from .textio import (
+        parse_change_descriptor,
+        parse_field_spec,
+        parse_ideal_text,
+        parse_poly_text,
+        render_change_descriptor,
+        render_ideal_text,
+        render_poly_text,
+    )
+
     descriptor = parse_change_descriptor(args.change)
     text = _read_input(args)
     if descriptor[0] == "field":
+        from .gfpoly import ExtField, field_extension_report
+
         poly = parse_poly_text(text)
         _, source, target = descriptor
         if source is not None:
@@ -176,6 +165,8 @@ def cmd_basechange(args) -> dict:
         rep = field_extension_report(poly, ext)
         inputs = {"polynomial": render_poly_text(poly)}
     else:
+        from .basechange import extension_report, localization_report
+
         ideal = parse_ideal_text(text)
         if descriptor[0] == "extend":
             rep = extension_report(ideal, descriptor[1])
@@ -194,6 +185,10 @@ def cmd_basechange(args) -> dict:
 
 
 def cmd_dual(args) -> dict:
+    from .monomial import Monomial
+    from .staircase import dual_index_report
+    from .textio import parse_ideal_text, render_ideal_text
+
     ideal = parse_ideal_text(_read_input(args))
     rep = dual_index_report(ideal)
     standard = rep.staircase.sorted_monomials()
@@ -220,6 +215,17 @@ def cmd_dual(args) -> dict:
 
 
 def cmd_abelian(args) -> dict:
+    from .abelian import (
+        QUOTIENT_SCAN_CAP,
+        characterization_report,
+        prime_divisors,
+        quotient_monotonicity_report,
+        secondary_representation,
+        sum_index_formula,
+        sum_reducibility_index_bruteforce,
+    )
+    from .textio import parse_group_text, render_group_text
+
     if args.max_order > MAX_ORDER:
         raise ParseError(
             f"--max-order {args.max_order} exceeds the hard ceiling {MAX_ORDER}"
@@ -322,6 +328,8 @@ def cmd_abelian(args) -> dict:
 
 
 def cmd_selftest(args) -> dict:
+    from .selftest import DOCUMENTED_UNTESTED, run_selftest
+
     report = run_selftest(scope=args.scope, seed=args.seed)
     results = {
         "suites": [

@@ -3,9 +3,15 @@
 The CLI maps these onto exit codes: parse problems and domain violations
 are input errors (2), size-cap refusals are their own code (3), and a
 failed cross-check during verification is code 1.
+
+`MAX_ORDER` lives here too: the abelian arena refuses larger groups,
+and the CLI's parser states it as the `--max-order` ceiling without
+loading that arena.
 """
 
 from __future__ import annotations
+
+MAX_ORDER = 64  # largest finite abelian group order accepted
 
 
 class RedixError(Exception):

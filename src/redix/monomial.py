@@ -192,9 +192,12 @@ class MonomialIdeal:
         return all(pure)
 
     def standard_monomials(self) -> frozenset[tuple[int, ...]]:
-        """Exponent vectors outside the ideal, scanned in the pure-power box.
+        """Exponent vectors outside the ideal, row by row in the pure-power box.
 
-        Requires finite colength and a box of at most MAX_STANDARD_BOX points.
+        Each row fixes the first n-1 coordinates; the row is standard
+        below the least last exponent among the generators whose first
+        n-1 coordinates divide the row's.  Requires finite colength and a
+        box of at most MAX_STANDARD_BOX points.
         """
         if not self.is_finite_colength():
             raise InfiniteColengthError(f"{self.render()} does not have finite colength")
@@ -207,10 +210,18 @@ class MonomialIdeal:
         points = math.prod(bounds)
         if points > MAX_STANDARD_BOX:
             raise SizeCapError(f"staircase box of {points} points exceeds cap {MAX_STANDARD_BOX}")
+        if not bounds:  # no variables: the zero ideal leaves the one empty monomial
+            return frozenset({()})
+        rows = [(e[:-1], e[-1]) for e in gens]
+
+        def cutoff(prefix):
+            # the pure power of the last variable divides every row, so the min exists
+            return min(last for head, last in rows if all(a <= b for a, b in zip(head, prefix)))
+
         return frozenset(
-            u
-            for u in itertools.product(*(range(b) for b in bounds))
-            if not any(all(a <= b for a, b in zip(e, u)) for e in gens)
+            prefix + (j,)
+            for prefix in itertools.product(*(range(b) for b in bounds[:-1]))
+            for j in range(cutoff(prefix))
         )
 
     def render(self) -> str:

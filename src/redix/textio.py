@@ -22,23 +22,17 @@ left empty when the polynomial already pins it down).
 
 Each parse has a matching render producing the canonical echo, and
 parsing an echo reproduces the parsed object exactly.
+
+Only the ideal grammar is loaded with this module: the group,
+polynomial and field grammars import their arenas (`abelian`,
+`gfpoly`) when they first run.
 """
 
 from __future__ import annotations
 
 import re
 
-from .abelian import FiniteAbelianGroup, _prime_power_split
 from .errors import ParseError, SizeCapError
-from .gfpoly import (
-    _SMALL_PRIMES,
-    MAX_FIELD_SIZE,
-    ExtField,
-    PrimeField,
-    UniPoly,
-    _poly_str,
-    irreducible_modulus,
-)
 from .monomial import Monomial, MonomialIdeal, RingContext
 
 _TOKEN_RE = re.compile(r"\d+|[A-Za-z_]\w*|\S")
@@ -210,12 +204,14 @@ def render_ideal_text(ideal: MonomialIdeal) -> str:
 # ---------------------------------------------------------------- groups
 
 
-def parse_group_text(text: str) -> FiniteAbelianGroup:
+def parse_group_text(text: str):
     """Finite abelian group from `group: Z/4 + Z/2` style text.
 
     A group above the order ceiling is refused by its constructor, which
     checks the product of the orders before splitting any of them.
     """
+    from .abelian import FiniteAbelianGroup
+
     payload = None
     for line_no, content in _logical_lines(text):
         ts = _Tokens(content, line_no)
@@ -244,7 +240,7 @@ def parse_group_text(text: str) -> FiniteAbelianGroup:
     return FiniteAbelianGroup.from_orders(*orders)
 
 
-def render_group_text(group: FiniteAbelianGroup) -> str:
+def render_group_text(group) -> str:
     if group.is_trivial:
         return "group: Z/1"
     return "group: " + group.render()
@@ -255,6 +251,8 @@ def render_group_text(group: FiniteAbelianGroup) -> str:
 
 def parse_field_spec(spec: str, line_no: int = 1):
     """`GF(q)` or `GF(q)=modulus` to a field object."""
+    from .gfpoly import _SMALL_PRIMES, MAX_FIELD_SIZE, ExtField, PrimeField, irreducible_modulus
+
     ts = _Tokens(spec, line_no)
     name, col = ts.take("NAME", "GF")
     if name != "GF":
@@ -266,8 +264,8 @@ def parse_field_spec(spec: str, line_no: int = 1):
     if q > MAX_FIELD_SIZE:
         # refused before factoring: trial division of a huge q would not return
         raise SizeCapError(f"field size {q} exceeds cap {MAX_FIELD_SIZE}")
-    split = _prime_power_split(q)
-    if len(split) != 1 or split[0][0] not in _SMALL_PRIMES:  # q < 2 splits to []
+    split = [(p, k) for p in _SMALL_PRIMES for k in range(1, q.bit_length()) if p**k == q]
+    if not split:
         raise ParseError(f"{q} is not a power of a prime up to 13", line_no, dcol)
     ((p, k),) = split
     if ts.done:
@@ -290,6 +288,8 @@ def parse_field_spec(spec: str, line_no: int = 1):
 
 
 def render_field_spec(field) -> str:
+    from .gfpoly import PrimeField, _poly_str
+
     if isinstance(field, PrimeField):
         return field.render()
     mod = _poly_str(field.modulus, field.gen_name, str, 1)
@@ -299,7 +299,7 @@ def render_field_spec(field) -> str:
 # ------------------------------------------------------------ polynomials
 
 
-def parse_poly_text(text: str) -> UniPoly:
+def parse_poly_text(text: str):
     """`f: ... over GF(q)` text to its UniPoly."""
     poly = None
     for line_no, content in _logical_lines(text):
@@ -316,7 +316,7 @@ def parse_poly_text(text: str) -> UniPoly:
     return poly
 
 
-def _parse_poly_line(ts: _Tokens, line_no: int) -> UniPoly:
+def _parse_poly_line(ts: _Tokens, line_no: int):
     over_at = None
     for i, (kind, s, _) in enumerate(ts.items):
         if kind == "NAME" and s == "over" and i >= ts.pos:
@@ -347,6 +347,8 @@ def _parse_poly_tokens(ts: _Tokens, field, var_hint):
     the generator name is reserved for coefficients; any other single
     name is accepted as the variable.
     """
+    from .gfpoly import ExtField, UniPoly
+
     gen_name = field.gen_name if isinstance(field, ExtField) else None
     state = {"var": None}
 
@@ -458,7 +460,7 @@ def _parse_poly_tokens(ts: _Tokens, field, var_hint):
     return UniPoly.make(field, coeffs), state["var"]
 
 
-def render_poly_text(f: UniPoly) -> str:
+def render_poly_text(f) -> str:
     return f"f: {f.render()} over {render_field_spec(f.field)}"
 
 

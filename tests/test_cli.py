@@ -126,7 +126,7 @@ def test_decompose_prime_check_reads_socle_scan(capsys, monkeypatch):
         report = reducibility_index_by_bass(ideal)
         return BassReport(report.ideal, report.entries[1:], report.index)
 
-    monkeypatch.setattr("redix.cli.reducibility_index_by_bass", drop_first_prime)
+    monkeypatch.setattr("redix.bass.reducibility_index_by_bass", drop_first_prime)
     # (x^2, x*y) has primes (x) and (x, y); the socle side now lacks (x)
     code, out, _ = run(capsys, "decompose", "ideal: x^2, x*y", "--format", "json")
     checks = dict(json.loads(out)["results"]["checks"])
@@ -325,7 +325,7 @@ def test_selftest_failure_exit_code(capsys, monkeypatch):
         ),
         documented_untested=(),
     )
-    monkeypatch.setattr("redix.cli.run_selftest", lambda scope, seed: failing)
+    monkeypatch.setattr("redix.selftest.run_selftest", lambda scope, seed: failing)
     code, out, err = run(capsys, "selftest")
     assert code == 1
     assert "FAIL" in out

@@ -1,10 +1,13 @@
 """Monomial arithmetic and ideal lattice operations."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from redix import Monomial, MonomialIdeal, RingContext
+from redix.errors import SizeCapError
 
 
 def ring(n):
@@ -108,8 +111,6 @@ def test_colon_adjunction(pair):
 
 
 def _probe_exponents(n):
-    import itertools
-
     return itertools.product(range(3), repeat=n)
 
 
@@ -137,3 +138,41 @@ def test_standard_monomials_are_the_complement(ideal):
                 down = list(e)
                 down[i] -= 1
                 assert tuple(down) in standard
+
+
+@st.composite
+def finite_colength_ideals(draw, max_vars=4, max_exp=5, max_gens=4):
+    n = draw(st.integers(1, max_vars))
+    R = ring(n)
+    pure = [tuple(draw(st.integers(1, max_exp)) if j == i else 0 for j in range(n)) for i in range(n)]
+    mixed = draw(st.lists(st.tuples(*[st.integers(0, max_exp)] * n).filter(any), max_size=max_gens))
+    return MonomialIdeal.from_gens(R, [Monomial(e, R) for e in pure + mixed])
+
+
+def _box_scan_standard(ideal):
+    """Reference: every point of the pure-power box that lies outside the ideal."""
+    R = ideal.ring
+    bounds = [min(g.exponents[i] for g in ideal.gens if g.support() == {i}) for i in range(R.n)]
+    box = itertools.product(*(range(b) for b in bounds))
+    return frozenset(u for u in box if not ideal.contains(Monomial(u, R)))
+
+
+@given(finite_colength_ideals())
+@settings(max_examples=300)
+def test_standard_monomials_match_box_scan(ideal):
+    assert ideal.standard_monomials() == _box_scan_standard(ideal)
+
+
+def test_standard_monomials_without_variables():
+    R = RingContext(())
+    assert MonomialIdeal.zero(R).standard_monomials() == frozenset({()})
+    assert MonomialIdeal.unit(R).standard_monomials() == frozenset()
+
+
+def test_standard_box_refused_before_scanning():
+    # 10^18 box points: a scan would not return
+    R = ring(3)
+    huge = MonomialIdeal.from_gens(R, [R.monomial(10**6, 0, 0), R.monomial(0, 10**6, 0), R.monomial(0, 0, 10**6)])
+    with pytest.raises(SizeCapError) as info:
+        huge.standard_monomials()
+    assert str(info.value) == f"staircase box of {10**18} points exceeds cap 100000"

@@ -153,6 +153,27 @@ def test_field_specs():
             parse_field_spec(huge)
 
 
+@pytest.mark.parametrize(
+    "q, error, text",
+    [
+        (0, ParseError, "0 is not a power of a prime up to 13 (line 1, column 4)"),
+        (1, ParseError, "1 is not a power of a prime up to 13 (line 1, column 4)"),
+        (6, ParseError, "6 is not a power of a prime up to 13 (line 1, column 4)"),
+        (17, ParseError, "17 is not a power of a prime up to 13 (line 1, column 4)"),
+        (2198, SizeCapError, "field size 2198 exceeds cap 2197"),
+    ],
+)
+def test_field_size_refusal_texts(q, error, text):
+    with pytest.raises(error) as info:
+        parse_field_spec(f"GF({q})")
+    assert str(info.value) == text
+
+
+def test_largest_field_size_is_accepted():
+    gf2197 = parse_field_spec("GF(2197)")
+    assert (gf2197.base.p, gf2197.k, gf2197.size) == (13, 3, 2197)
+
+
 def test_change_descriptors():
     assert parse_change_descriptor("extend:2") == ("extend", 2)
     assert parse_change_descriptor("invert:x,y") == ("invert", ("x", "y"))
