@@ -145,12 +145,15 @@ class _Package(ModuleType):
 
     Importing a submodule binds it on the package under its own name,
     after which `__getattr__` is no longer consulted for that name; the
-    submodule `decompose` shares its name with the function it defines.
+    submodule `decompose` shares its name with the function it defines,
+    so that binding is skipped and `__getattr__` resolves the function.
+    Reading the function off the module here instead would run a module
+    that was registered to load lazily.
     """
 
     def __setattr__(self, name, value):
         if name == "decompose" and isinstance(value, ModuleType):
-            value = value.decompose
+            return
         super().__setattr__(name, value)
 
 

@@ -22,6 +22,7 @@ it would break that guarantee.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 import time
@@ -34,6 +35,38 @@ from .errors import (
     SizeCapError,
     VerificationError,
 )
+
+
+def _lazy(name: str):
+    """The submodule `redix.<name>`, whose code runs at its first attribute read.
+
+    It is registered in `sys.modules` and bound on the package as an
+    import would, so imports elsewhere, patches of `redix.<name>.f` and
+    tools that walk the loaded `redix.*` modules all meet this one
+    object, while a request runs the code of only the arenas its
+    command reads from.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+abelian = _lazy("abelian")
+basechange = _lazy("basechange")
+bass = _lazy("bass")
+decompose = _lazy("decompose")
+gfpoly = _lazy("gfpoly")
+monomial = _lazy("monomial")
+selftest = _lazy("selftest")
+staircase = _lazy("staircase")
+textio = _lazy("textio")
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -62,20 +95,16 @@ def _document(command: str, options: dict, inputs: dict, results: dict) -> dict:
 
 
 def cmd_decompose(args) -> dict:
-    from .bass import ass_by_colon_scan, reducibility_index_by_bass
-    from .decompose import decompose
-    from .textio import parse_ideal_text, render_ideal_text
-
-    ideal = parse_ideal_text(_read_input(args))
-    dec = decompose(ideal, strategy="random", seed=args.seed)
-    bass = reducibility_index_by_bass(ideal)
-    ass_socle = frozenset(prime for prime, _, _ in bass.entries)
-    ass_colon = ass_by_colon_scan(ideal)
+    ideal = textio.parse_ideal_text(_read_input(args))
+    dec = decompose.decompose(ideal, strategy="random", seed=args.seed)
+    socle = bass.reducibility_index_by_bass(ideal)
+    ass_socle = frozenset(prime for prime, _, _ in socle.entries)
+    ass_colon = bass.ass_by_colon_scan(ideal)
     checks = [
-        ["splitting count equals socle sum", dec.count == bass.index],
+        ["splitting count equals socle sum", dec.count == socle.index],
         [
             "per-prime component multiplicities match socle dimensions",
-            dec.counts_by_support() == bass.socle_counts,
+            dec.counts_by_support() == socle.socle_counts,
         ],
         [
             "associated primes agree across socle scan and colon scan",
@@ -87,7 +116,7 @@ def cmd_decompose(args) -> dict:
         "components": [c.render() for c in sorted(dec.components, key=lambda c: c.bounds)],
         "associated_primes": sorted(p.render() for p in ass_socle),
         "socle": {
-            "index": bass.index,
+            "index": socle.index,
             "per_prime": [
                 {
                     "prime": prime.render(),
@@ -95,7 +124,7 @@ def cmd_decompose(args) -> dict:
                     "witnesses": [w.render() for w in witnesses],
                 }
                 for prime, count, witnesses in sorted(
-                    bass.entries, key=lambda e: sorted(e[0].support)
+                    socle.entries, key=lambda e: sorted(e[0].support)
                 )
             ],
         },
@@ -105,7 +134,7 @@ def cmd_decompose(args) -> dict:
     return _document(
         "decompose",
         {"seed": args.seed},
-        {"ideal": render_ideal_text(ideal)},
+        {"ideal": textio.render_ideal_text(ideal)},
         results,
     )
 
@@ -129,32 +158,20 @@ def _serialize_basechange(rep) -> dict:
 
 
 def cmd_basechange(args) -> dict:
-    from .textio import (
-        parse_change_descriptor,
-        parse_field_spec,
-        parse_ideal_text,
-        parse_poly_text,
-        render_change_descriptor,
-        render_ideal_text,
-        render_poly_text,
-    )
-
-    descriptor = parse_change_descriptor(args.change)
+    descriptor = textio.parse_change_descriptor(args.change)
     text = _read_input(args)
     if descriptor[0] == "field":
-        from .gfpoly import ExtField, field_extension_report
-
-        poly = parse_poly_text(text)
+        poly = textio.parse_poly_text(text)
         _, source, target = descriptor
         if source is not None:
-            src_field = parse_field_spec(source)
+            src_field = textio.parse_field_spec(source)
             if src_field.render() != poly.field.render():
                 raise ParseError(
                     f"descriptor source {src_field.render()} does not match"
                     f" the polynomial's field {poly.field.render()}"
                 )
-        ext = parse_field_spec(target)
-        if not isinstance(ext, ExtField):
+        ext = textio.parse_field_spec(target)
+        if not isinstance(ext, gfpoly.ExtField):
             raise ParseError(
                 f"target {target} is not a proper extension field"
             )
@@ -162,14 +179,12 @@ def cmd_basechange(args) -> dict:
             raise ParseError(
                 f"target {ext.render()} does not extend {poly.field.render()}"
             )
-        rep = field_extension_report(poly, ext)
-        inputs = {"polynomial": render_poly_text(poly)}
+        rep = gfpoly.field_extension_report(poly, ext)
+        inputs = {"polynomial": textio.render_poly_text(poly)}
     else:
-        from .basechange import extension_report, localization_report
-
-        ideal = parse_ideal_text(text)
+        ideal = textio.parse_ideal_text(text)
         if descriptor[0] == "extend":
-            rep = extension_report(ideal, descriptor[1])
+            rep = basechange.extension_report(ideal, descriptor[1])
         else:
             names = descriptor[1]
             index = {name: i for i, name in enumerate(ideal.ring.names)}
@@ -178,26 +193,24 @@ def cmd_basechange(args) -> dict:
                 raise ParseError(
                     f"cannot invert unknown variable {missing[0]!r}"
                 )
-            rep = localization_report(ideal, tuple(index[n] for n in names))
-        inputs = {"ideal": render_ideal_text(ideal)}
-    inputs["change"] = render_change_descriptor(descriptor)
+            rep = basechange.localization_report(ideal, tuple(index[n] for n in names))
+        inputs = {"ideal": textio.render_ideal_text(ideal)}
+    inputs["change"] = textio.render_change_descriptor(descriptor)
     return _document("basechange", {"seed": args.seed}, inputs, _serialize_basechange(rep))
 
 
 def cmd_dual(args) -> dict:
-    from .monomial import Monomial
-    from .staircase import dual_index_report
-    from .textio import parse_ideal_text, render_ideal_text
-
-    ideal = parse_ideal_text(_read_input(args))
-    rep = dual_index_report(ideal)
+    ideal = textio.parse_ideal_text(_read_input(args))
+    rep = staircase.dual_index_report(ideal)
     standard = rep.staircase.sorted_monomials()
     results = {
         "staircase_size": rep.staircase_size,
         "variables": list(ideal.ring.names),
         "standard_monomials": [m.render() for m in standard],
         "standard_exponents": [list(m.exponents) for m in standard],
-        "maximal_elements": sorted(Monomial(e, ideal.ring).render() for e in rep.corners),
+        "maximal_elements": sorted(
+            monomial.Monomial(e, ideal.ring).render() for e in rep.corners
+        ),
         "maximal_exponents": sorted(list(e) for e in rep.corners),
         "indices": {
             "decomposition": rep.ir_decomposition,
@@ -210,31 +223,20 @@ def cmd_dual(args) -> dict:
         "verdict": rep.all_equal,
     }
     return _document(
-        "dual", {"seed": args.seed}, {"ideal": render_ideal_text(ideal)}, results
+        "dual", {"seed": args.seed}, {"ideal": textio.render_ideal_text(ideal)}, results
     )
 
 
 def cmd_abelian(args) -> dict:
-    from .abelian import (
-        QUOTIENT_SCAN_CAP,
-        characterization_report,
-        prime_divisors,
-        quotient_monotonicity_report,
-        secondary_representation,
-        sum_index_formula,
-        sum_reducibility_index_bruteforce,
-    )
-    from .textio import parse_group_text, render_group_text
-
     if args.max_order > MAX_ORDER:
         raise ParseError(
             f"--max-order {args.max_order} exceeds the hard ceiling {MAX_ORDER}"
         )
     if args.max_order < 0:
         raise ParseError(f"--max-order {args.max_order} is negative")
-    group = parse_group_text(_read_input(args))
-    formula = sum_index_formula(group)
-    sec = secondary_representation(group) if not group.is_trivial else None
+    group = textio.parse_group_text(_read_input(args))
+    formula = abelian.sum_index_formula(group)
+    sec = abelian.secondary_representation(group) if not group.is_trivial else None
     att = sec.attached if sec is not None else ()
     results: dict = {
         "group": group.render(),
@@ -245,7 +247,7 @@ def cmd_abelian(args) -> dict:
     }
     checks = []
     if group.order <= args.max_order:
-        brute = sum_reducibility_index_bruteforce(group)
+        brute = abelian.sum_reducibility_index_bruteforce(group)
         results["bruteforce"] = {
             "index": brute.index,
             "minimum_representation_count": brute.minimum_count,
@@ -261,7 +263,7 @@ def cmd_abelian(args) -> dict:
         checks.append(
             ["index at least the number of attached primes", brute.index >= len(att)]
         )
-        char = characterization_report(group)
+        char = abelian.characterization_report(group)
         results["characterization"] = {
             "subgroups_checked": char.subgroups_checked,
             "mismatches": len(char.mismatches),
@@ -292,13 +294,13 @@ def cmd_abelian(args) -> dict:
         checks.append(
             [
                 "attached primes are the primes dividing the order",
-                att == prime_divisors(group.order),
+                att == abelian.prime_divisors(group.order),
             ]
         )
     else:
         results["secondary"] = None
-    if group.order <= min(args.max_order, QUOTIENT_SCAN_CAP):
-        quo = quotient_monotonicity_report(group)
+    if group.order <= min(args.max_order, abelian.QUOTIENT_SCAN_CAP):
+        quo = abelian.quotient_monotonicity_report(group)
         results["quotient_monotonicity"] = {
             "quotients_checked": quo.quotients_checked,
             "max_quotient_index": quo.max_quotient_index,
@@ -322,15 +324,13 @@ def cmd_abelian(args) -> dict:
     return _document(
         "abelian",
         {"seed": args.seed, "max_order": args.max_order},
-        {"group": render_group_text(group)},
+        {"group": textio.render_group_text(group)},
         results,
     )
 
 
 def cmd_selftest(args) -> dict:
-    from .selftest import DOCUMENTED_UNTESTED, run_selftest
-
-    report = run_selftest(scope=args.scope, seed=args.seed)
+    report = selftest.run_selftest(scope=args.scope, seed=args.seed)
     results = {
         "suites": [
             {
@@ -345,7 +345,7 @@ def cmd_selftest(args) -> dict:
             for r in report.results
         ],
         "total_checks": report.total_checks,
-        "documented_untested": list(DOCUMENTED_UNTESTED),
+        "documented_untested": list(selftest.DOCUMENTED_UNTESTED),
         "verdict": report.passed,
     }
     return _document(

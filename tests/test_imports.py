@@ -114,14 +114,19 @@ ARENAS = (
     "redix.textio",
 )
 
-# print the exit code of main(ARGV) (no call for an empty ARGV) and the redix modules loaded
+# print the exit code of main(ARGV) (no call for an empty ARGV), the redix
+# modules whose code has run and those registered in sys.modules; a module
+# registered to load lazily keeps a ModuleType subclass until it runs
 AFTER_MAIN = """
 import contextlib, io, json, sys
+from types import ModuleType
 from redix.cli import main
 argv = json.loads(sys.argv[1])
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(argv) if argv else 0
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("redix."))]))
+registered = {n: m for n, m in sys.modules.items() if n.startswith("redix.")}
+run = sorted(n for n, m in registered.items() if type(m) is ModuleType)
+print(json.dumps([code, run, sorted(registered)]))
 """
 
 
@@ -148,9 +153,25 @@ def fresh(script: str, *args: str):
     ],
 )
 def test_command_loads_only_its_arena(argv, absent):
-    code, loaded = fresh(AFTER_MAIN, json.dumps(argv))
+    code, run, _ = fresh(AFTER_MAIN, json.dumps(argv))
     assert code == 0
-    assert not set(absent) & set(loaded), loaded
+    assert not set(absent) & set(run), run
+
+
+def test_cli_registers_every_arena_it_reads():
+    # tools that walk the loaded redix.* modules (perfbench's tracer) see
+    # each arena from `import redix.cli` on, before any of its code runs
+    _, run, registered = fresh(AFTER_MAIN, "[]")
+    assert run == ["redix.cli", "redix.errors"]
+    assert set(ARENAS) - set(registered) == {"redix.census"}
+    # registered arenas are bound on the package as an import binds them
+    script = """
+import json
+import redix.cli
+import redix.bass
+print(json.dumps([redix.bass.bass0.__module__, type(redix.decompose).__name__]))
+"""
+    assert fresh(script) == ["redix.bass", "function"]
 
 
 def test_every_export_is_its_defining_object():
