@@ -15,14 +15,19 @@ the same number:
 `textio` holds the input grammars, `selftest` the bundled law suites,
 `cli` the command-line front end.
 
-`import redix` loads no submodule: each exported name is resolved from
-its defining submodule on first use, so a caller pays only for the
-arenas it touches.
+`import redix` runs no submodule, and this module alone decides what
+loads lazily.  It registers every arena in `sys.modules` through
+`importlib.util.LazyLoader`, so an arena's code runs at its first
+attribute read, and binds each on the package except `decompose`,
+which stays the function: the import system binds a submodule on its
+package only when it first loads it, and every arena is in
+`sys.modules` before any import runs.  Exported names resolve from
+their defining submodule on first use.  `cli` and `errors` load as
+usual.
 """
 
-import importlib
+import importlib.util
 import sys
-from types import ModuleType
 
 __version__ = "0.1.0"
 
@@ -129,7 +134,7 @@ __all__ = list(_SOURCE)
 def __getattr__(name: str):
     module = _SOURCE.get(name)
     if module is None:
-        # not an export: `from redix import gfpoly` then imports the submodule
+        # not an export: `from redix import cli` then imports the submodule
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
     globals()[name] = value
@@ -140,21 +145,14 @@ def __dir__():
     return sorted(set(globals()) | set(__all__))
 
 
-class _Package(ModuleType):
-    """Keeps `redix.decompose` the function once its submodule loads.
-
-    Importing a submodule binds it on the package under its own name,
-    after which `__getattr__` is no longer consulted for that name; the
-    submodule `decompose` shares its name with the function it defines,
-    so that binding is skipped and `__getattr__` resolves the function.
-    Reading the function off the module here instead would run a module
-    that was registered to load lazily.
-    """
-
-    def __setattr__(self, name, value):
-        if name == "decompose" and isinstance(value, ModuleType):
-            return
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package
+for _name in (
+    "abelian", "basechange", "bass", "census", "decompose",
+    "gfpoly", "monomial", "selftest", "staircase", "textio",
+):
+    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    _module = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(_module)
+    if _name != "decompose":
+        globals()[_name] = _module
+del _name, _spec, _module

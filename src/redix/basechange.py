@@ -19,10 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bass import MonomialPrime, localized_ideal, reducibility_index_by_bass
-from .decompose import reducibility_index_by_decomposition
+from . import bass, monomial
 from .errors import UnitIdealError
-from .monomial import Monomial, MonomialIdeal, RingContext
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,7 @@ class BaseChangeReport:
         return all(ok for _, ok in self.checks)
 
 
-def extend_polynomial(ideal: MonomialIdeal, extra: int) -> MonomialIdeal:
+def extend_polynomial(ideal: monomial.MonomialIdeal, extra: int) -> monomial.MonomialIdeal:
     """The same generators in a ring with `extra` new variables t1, t2, ... appended last."""
     if extra < 0:
         raise ValueError("extra must be nonnegative")
@@ -62,25 +60,27 @@ def extend_polynomial(ideal: MonomialIdeal, extra: int) -> MonomialIdeal:
         i += 1
         if f"t{i}" not in names:
             names.append(f"t{i}")
-    big = RingContext(tuple(names))
-    gens = [Monomial(g.exponents + (0,) * extra, big) for g in ideal.gens]
-    return MonomialIdeal.from_gens(big, gens)
+    big = monomial.RingContext(tuple(names))
+    gens = [monomial.Monomial(g.exponents + (0,) * extra, big) for g in ideal.gens]
+    return monomial.MonomialIdeal.from_gens(big, gens)
 
 
-def extension_report(ideal: MonomialIdeal, extra: int) -> BaseChangeReport:
+def extension_report(ideal: monomial.MonomialIdeal, extra: int) -> BaseChangeReport:
     """Index before vs after adjoining `extra` polynomial variables.
 
     The fiber at p is p's own variables read as a prime of the extended
     ring, indexed by the splitting decomposition.
     """
+    from .decompose import reducibility_index_by_decomposition
+
     if ideal.is_unit:
         raise UnitIdealError("base change reports need a proper ideal")
-    before = reducibility_index_by_bass(ideal)
+    before = bass.reducibility_index_by_bass(ideal)
     extended = extend_polynomial(ideal, extra)
     fibers = []
     formula = 0
     for prime, mu0, _ in before.entries:
-        extended_prime = MonomialPrime(prime.support, extended.ring).as_ideal()
+        extended_prime = bass.MonomialPrime(prime.support, extended.ring).as_ideal()
         fib = reducibility_index_by_decomposition(extended_prime)
         fibers.append(PrimeFiber(prime.render(), mu0, fib))
         formula += mu0 * fib
@@ -107,22 +107,24 @@ def extension_report(ideal: MonomialIdeal, extra: int) -> BaseChangeReport:
     )
 
 
-def localization_report(ideal: MonomialIdeal, inverted) -> BaseChangeReport:
+def localization_report(ideal: monomial.MonomialIdeal, inverted) -> BaseChangeReport:
     """Index before vs after inverting the variables with indices in `inverted`.
 
     A prime survives when its support avoids the inverted set; the others
     get the zero fiber.  Equality with the original index holds exactly
     when every associated prime survives.
     """
+    from .decompose import reducibility_index_by_decomposition
+
     if ideal.is_unit:
         raise UnitIdealError("base change reports need a proper ideal")
     inverted = frozenset(inverted)
     for i in inverted:
         if not 0 <= i < ideal.ring.n:
             raise ValueError("inverted variable index out of range")
-    before = reducibility_index_by_bass(ideal)
+    before = bass.reducibility_index_by_bass(ideal)
     keep = [i for i in range(ideal.ring.n) if i not in inverted]
-    local = localized_ideal(ideal, keep)
+    local = bass.localized_ideal(ideal, keep)
 
     fibers = []
     formula = 0
@@ -133,7 +135,7 @@ def localization_report(ideal: MonomialIdeal, inverted) -> BaseChangeReport:
             # the prime survives; its image in the localized ring is the
             # prime on the same variables, a domain quotient
             image_support = [keep.index(i) for i in sorted(prime.support)]
-            image = MonomialPrime(frozenset(image_support), local.ring).as_ideal()
+            image = bass.MonomialPrime(frozenset(image_support), local.ring).as_ideal()
             fib = reducibility_index_by_decomposition(image)
         fibers.append(PrimeFiber(prime.render(), mu0, fib))
         formula += mu0 * fib

@@ -17,17 +17,21 @@ Exit codes: 0 success, 1 verification failure, 2 input error,
 3 size-cap error.  Identical inputs and seed produce byte-identical
 reports; wall-clock timing is only included under `--timing` because
 it would break that guarantee.
+
+The package registers the arena modules imported here to load lazily,
+so a request runs only the arenas its command reads from; on the
+package `decompose` is the function, which `cmd_decompose` imports.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import sys
 import time
 
 from . import __version__ as VERSION
+from . import abelian, basechange, bass, gfpoly, monomial, selftest, staircase, textio
 from .errors import (
     MAX_ORDER,
     ParseError,
@@ -35,38 +39,6 @@ from .errors import (
     SizeCapError,
     VerificationError,
 )
-
-
-def _lazy(name: str):
-    """The submodule `redix.<name>`, whose code runs at its first attribute read.
-
-    It is registered in `sys.modules` and bound on the package as an
-    import would, so imports elsewhere, patches of `redix.<name>.f` and
-    tools that walk the loaded `redix.*` modules all meet this one
-    object, while a request runs the code of only the arenas its
-    command reads from.
-    """
-    fullname = f"{__package__}.{name}"
-    module = sys.modules.get(fullname)
-    if module is None:
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[fullname] = module
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-    return module
-
-
-abelian = _lazy("abelian")
-basechange = _lazy("basechange")
-bass = _lazy("bass")
-decompose = _lazy("decompose")
-gfpoly = _lazy("gfpoly")
-monomial = _lazy("monomial")
-selftest = _lazy("selftest")
-staircase = _lazy("staircase")
-textio = _lazy("textio")
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -95,8 +67,10 @@ def _document(command: str, options: dict, inputs: dict, results: dict) -> dict:
 
 
 def cmd_decompose(args) -> dict:
+    from .decompose import decompose
+
     ideal = textio.parse_ideal_text(_read_input(args))
-    dec = decompose.decompose(ideal, strategy="random", seed=args.seed)
+    dec = decompose(ideal, strategy="random", seed=args.seed)
     socle = bass.reducibility_index_by_bass(ideal)
     ass_socle = frozenset(prime for prime, _, _ in socle.entries)
     ass_colon = bass.ass_by_colon_scan(ideal)

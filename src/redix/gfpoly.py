@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
+from . import basechange
 from .census import census
 from .errors import DimensionMismatchError, SizeCapError, VerificationError
 
@@ -450,8 +451,6 @@ def field_extension_report(f: UniPoly, ext: ExtField):
     product of the embed(g)^mult(g), and tests the closed form against
     the direct side.
     """
-    from .basechange import BaseChangeReport, PrimeFiber
-
     if f.degree < 1:
         raise ValueError("need a nonconstant polynomial")
     direct_fact = factor(embed_poly(f, ext))
@@ -476,7 +475,7 @@ def field_extension_report(f: UniPoly, ext: ExtField):
         ),
         ("factor multiset matches across the two routes", owned_right),
     )
-    return BaseChangeReport(
+    return basechange.BaseChangeReport(
         kind="field",
         detail=f"{f.field.render()} -> {ext.render()}",
         ir_before=r_before,
@@ -484,7 +483,9 @@ def field_extension_report(f: UniPoly, ext: ExtField):
         ir_after_direct=direct,
         t_bound=t,
         faithfully_flat=True,
-        fibers=tuple(PrimeFiber(g.render(), 1, s) for (g, _), s in zip(base_fact.factors, splits)),
+        fibers=tuple(
+            basechange.PrimeFiber(g.render(), 1, s) for (g, _), s in zip(base_fact.factors, splits)
+        ),
         checks=checks,
     )
 

@@ -23,17 +23,17 @@ left empty when the polynomial already pins it down).
 Each parse has a matching render producing the canonical echo, and
 parsing an echo reproduces the parsed object exactly.
 
-Only the ideal grammar is loaded with this module: the group,
-polynomial and field grammars import their arenas (`abelian`,
-`gfpoly`) when they first run.
+Each grammar reads its arena as a module (`monomial`, `abelian`,
+`gfpoly`), which the package registers to load lazily, so an arena's
+code runs only when a parse or render first reads from it.
 """
 
 from __future__ import annotations
 
 import re
 
+from . import abelian, gfpoly, monomial
 from .errors import ParseError, SizeCapError
-from .monomial import Monomial, MonomialIdeal, RingContext
 
 _TOKEN_RE = re.compile(r"\d+|[A-Za-z_]\w*|\S")
 
@@ -108,7 +108,7 @@ def _keyword(ts: _Tokens):
 # ---------------------------------------------------------------- ideals
 
 
-def parse_ideal_text(text: str) -> MonomialIdeal:
+def parse_ideal_text(text: str) -> monomial.MonomialIdeal:
     """Monomial ideal from the `ring:`/`ideal:` grammar."""
     ring_names = None
     sym_gens = []  # each generator: list of (name, exponent, line, col)
@@ -129,7 +129,7 @@ def parse_ideal_text(text: str) -> MonomialIdeal:
         if not ring_names:
             raise ParseError("the ideal names no variable and there is no ring line", 1, 1)
     try:
-        ring = RingContext(ring_names)
+        ring = monomial.RingContext(ring_names)
     except ValueError as exc:
         raise ParseError(str(exc), 1, 1) from None
     index = {name: i for i, name in enumerate(ring_names)}
@@ -141,11 +141,11 @@ def parse_ideal_text(text: str) -> MonomialIdeal:
                 raise ParseError(f"variable {name!r} is not in the ring", line_no, col)
             exps[index[name]] += e
         try:
-            gens.append(Monomial(tuple(exps), ring))
+            gens.append(monomial.Monomial(tuple(exps), ring))
         except ValueError as exc:
             line_no, col = gen[0][2], gen[0][3]
             raise ParseError(str(exc), line_no, col) from None
-    return MonomialIdeal.from_gens(ring, gens)
+    return monomial.MonomialIdeal.from_gens(ring, gens)
 
 
 def _parse_name_list(ts: _Tokens) -> tuple[str, ...]:
@@ -195,7 +195,7 @@ def _parse_monomial(ts: _Tokens):
     return [(n, e, ln, c) for n, e, ln, c in factors if n]
 
 
-def render_ideal_text(ideal: MonomialIdeal) -> str:
+def render_ideal_text(ideal: monomial.MonomialIdeal) -> str:
     ring_line = "ring: " + ", ".join(ideal.ring.names)
     gens = ", ".join(g.render() for g in ideal.gens)
     return f"{ring_line}\nideal: {gens}".rstrip()
@@ -210,8 +210,6 @@ def parse_group_text(text: str):
     A group above the order ceiling is refused by its constructor, which
     checks the product of the orders before splitting any of them.
     """
-    from .abelian import FiniteAbelianGroup
-
     payload = None
     for line_no, content in _logical_lines(text):
         ts = _Tokens(content, line_no)
@@ -237,7 +235,7 @@ def parse_group_text(text: str):
         if payload.done:
             break
         payload.take("+", "a plus sign")
-    return FiniteAbelianGroup.from_orders(*orders)
+    return abelian.FiniteAbelianGroup.from_orders(*orders)
 
 
 def render_group_text(group) -> str:
@@ -251,8 +249,6 @@ def render_group_text(group) -> str:
 
 def parse_field_spec(spec: str, line_no: int = 1):
     """`GF(q)` or `GF(q)=modulus` to a field object."""
-    from .gfpoly import _SMALL_PRIMES, MAX_FIELD_SIZE, ExtField, PrimeField, irreducible_modulus
-
     ts = _Tokens(spec, line_no)
     name, col = ts.take("NAME", "GF")
     if name != "GF":
@@ -261,38 +257,36 @@ def parse_field_spec(spec: str, line_no: int = 1):
     digits, dcol = ts.take("INT", "a field size")
     q = int(digits)
     ts.take(")", "a closing parenthesis")
-    if q > MAX_FIELD_SIZE:
+    if q > gfpoly.MAX_FIELD_SIZE:
         # refused before factoring: trial division of a huge q would not return
-        raise SizeCapError(f"field size {q} exceeds cap {MAX_FIELD_SIZE}")
-    split = [(p, k) for p in _SMALL_PRIMES for k in range(1, q.bit_length()) if p**k == q]
+        raise SizeCapError(f"field size {q} exceeds cap {gfpoly.MAX_FIELD_SIZE}")
+    split = [(p, k) for p in gfpoly._SMALL_PRIMES for k in range(1, q.bit_length()) if p**k == q]
     if not split:
         raise ParseError(f"{q} is not a power of a prime up to 13", line_no, dcol)
     ((p, k),) = split
     if ts.done:
         if k == 1:
-            return PrimeField(p)
-        return ExtField(PrimeField(p), irreducible_modulus(p, k))
+            return gfpoly.PrimeField(p)
+        return gfpoly.ExtField(gfpoly.PrimeField(p), gfpoly.irreducible_modulus(p, k))
     ts.take("=", "an equals sign")
     if k == 1:
         ts.fail("a prime field takes no modulus")
-    base = PrimeField(p)
+    base = gfpoly.PrimeField(p)
     mod_poly, gen_name = _parse_poly_tokens(ts, base, var_hint=None)
     if mod_poly.degree != k:
         raise ParseError(
             f"modulus degree {mod_poly.degree} does not match GF({q})", line_no, dcol
         )
     try:
-        return ExtField(base, mod_poly.coeffs, gen_name=gen_name or "t")
+        return gfpoly.ExtField(base, mod_poly.coeffs, gen_name=gen_name or "t")
     except ValueError as exc:
         raise ParseError(str(exc), line_no, dcol) from None
 
 
 def render_field_spec(field) -> str:
-    from .gfpoly import PrimeField, _poly_str
-
-    if isinstance(field, PrimeField):
+    if isinstance(field, gfpoly.PrimeField):
         return field.render()
-    mod = _poly_str(field.modulus, field.gen_name, str, 1)
+    mod = gfpoly._poly_str(field.modulus, field.gen_name, str, 1)
     return f"{field.render()}={mod}"
 
 
@@ -347,9 +341,7 @@ def _parse_poly_tokens(ts: _Tokens, field, var_hint):
     the generator name is reserved for coefficients; any other single
     name is accepted as the variable.
     """
-    from .gfpoly import ExtField, UniPoly
-
-    gen_name = field.gen_name if isinstance(field, ExtField) else None
+    gen_name = field.gen_name if isinstance(field, gfpoly.ExtField) else None
     state = {"var": None}
 
     def is_var(name):
@@ -457,7 +449,7 @@ def _parse_poly_tokens(ts: _Tokens, field, var_hint):
             ts.fail("expected + or - between terms")
     top = max(acc) if acc else 0
     coeffs = [acc.get(d, field.zero) for d in range(top + 1)]
-    return UniPoly.make(field, coeffs), state["var"]
+    return gfpoly.UniPoly.make(field, coeffs), state["var"]
 
 
 def render_poly_text(f) -> str:

@@ -148,8 +148,20 @@ def fresh(script: str, *args: str):
             ["decompose", "ideal: x^2, x*y"],
             ("redix.selftest", "redix.abelian", "redix.gfpoly", "redix.staircase", "redix.census"),
         ),
-        (["abelian", "group: Z/4 + Z/2"], ("redix.gfpoly", "redix.selftest", "redix.bass")),
-        (["basechange", "f: x^2+x+1 over GF(2)", "field:->GF(4)"], ("redix.abelian", "redix.selftest")),
+        (
+            ["abelian", "group: Z/4 + Z/2"],
+            ("redix.gfpoly", "redix.selftest", "redix.bass", "redix.monomial"),
+        ),
+        (
+            ["basechange", "f: x^2+x+1 over GF(2)", "field:->GF(4)"],
+            (
+                "redix.abelian",
+                "redix.selftest",
+                "redix.bass",
+                "redix.decompose",
+                "redix.monomial",
+            ),
+        ),
     ],
 )
 def test_command_loads_only_its_arena(argv, absent):
@@ -160,10 +172,10 @@ def test_command_loads_only_its_arena(argv, absent):
 
 def test_cli_registers_every_arena_it_reads():
     # tools that walk the loaded redix.* modules (perfbench's tracer) see
-    # each arena from `import redix.cli` on, before any of its code runs
+    # each arena from `import redix` on, before any of its code runs
     _, run, registered = fresh(AFTER_MAIN, "[]")
     assert run == ["redix.cli", "redix.errors"]
-    assert set(ARENAS) - set(registered) == {"redix.census"}
+    assert set(ARENAS) - set(registered) == set()
     # registered arenas are bound on the package as an import binds them
     script = """
 import json
@@ -203,14 +215,36 @@ print(json.dumps([decompose is module.decompose, redix.decompose is module.decom
 
 
 def test_version_loads_no_submodule():
+    # `import redix` runs no submodule but registers every arena, bound
+    # on the package except `decompose`, which stays the function
     script = """
 import json, sys
+from types import ModuleType
 import redix
-print(json.dumps([redix.__version__, [m for m in sys.modules if m.startswith("redix.")]]))
+registered = {n: m for n, m in sys.modules.items() if n.startswith("redix.")}
+run = sorted(n for n, m in registered.items() if type(m) is ModuleType)
+unbound = [n for n, m in registered.items() if n != "redix.decompose" and getattr(redix, n[6:]) is not m]
+print(json.dumps([redix.__version__, run, sorted(registered), unbound]))
 """
-    version, loaded = fresh(script)
+    version, run, registered, unbound = fresh(script)
     assert version == redix.__version__
-    assert loaded == []
+    assert run == []
+    assert registered == sorted(ARENAS)
+    assert unbound == []
+
+
+def test_cli_runs_as_a_module_without_warnings():
+    # a `redix.cli` registered before runpy executes it would warn on stderr
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "redix.cli", "--version"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_unknown_name_is_an_attribute_error():
