@@ -490,8 +490,7 @@ def secondary_representation(group: FiniteAbelianGroup) -> SecondaryReport:
             elif stable != members:
                 split = False  # neither surjective nor nilpotent
         attached = min(n for n in nilpotent if n >= 2)
-        nilp = _stable_image(group, p, members) == {0}
-        parts.append(SecondaryPart(p, attached, sub, nilp, split))
+        parts.append(SecondaryPart(p, attached, sub, p in nilpotent, split))
         sizes.append(len(members))
         masks.append(sub.mask)
     pairwise = all(

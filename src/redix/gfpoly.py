@@ -457,10 +457,8 @@ def field_extension_report(f: UniPoly, ext: ExtField):
     base_fact = factor(f)
     r_before, direct = base_fact.distinct_count, direct_fact.distinct_count
     splits = [math.gcd(g.degree, ext.k) for g, _ in base_fact.factors]
-    owned = [
-        [(q, m) for q, m in direct_fact.factors if q.divides(embed_poly(g, ext))]
-        for g, _ in base_fact.factors
-    ]
+    embedded = [embed_poly(g, ext) for g, _ in base_fact.factors]
+    owned = [[(q, m) for q, m in direct_fact.factors if q.divides(h)] for h in embedded]
     owned_right = sum(map(len, owned)) == direct and all(
         len(mine) == s and all(q.degree * s == g.degree and m == mult for q, m in mine)
         for (g, mult), s, mine in zip(base_fact.factors, splits, owned)

@@ -83,14 +83,18 @@ class Staircase:
         return [Monomial(e, self.ring) for e in sorted(self.exponents)]
 
 
-def maximal_elements(g: Staircase) -> frozenset[tuple[int, ...]]:
-    """Exponent vectors with no multiple inside the staircase: the dual's generators."""
-    exps = g.exponents
+def _corners(exps: frozenset[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
+    """The vectors of exps with no x_i multiple in exps."""
     return frozenset(
         e
         for e in exps
         if all(e[:i] + (v + 1,) + e[i + 1 :] not in exps for i, v in enumerate(e))
     )
+
+
+def maximal_elements(g: Staircase) -> frozenset[tuple[int, ...]]:
+    """Exponent vectors with no multiple inside the staircase: the dual's generators."""
+    return _corners(g.exponents)
 
 
 @dataclass(frozen=True)
@@ -239,12 +243,7 @@ def quotient_index(g: Staircase, b: DownsetSubmodule) -> int:
     the index of the dual.  For B = G the quotient is zero and the
     index is 0.
     """
-    rest = g.exponents - b.members
-    count = 0
-    for e in rest:
-        if not any(e[:i] + (v + 1,) + e[i + 1 :] in rest for i, v in enumerate(e)):
-            count += 1
-    return count
+    return len(_corners(g.exponents - b.members))
 
 
 @dataclass(frozen=True)

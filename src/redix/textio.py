@@ -20,6 +20,11 @@ extension field.  Base-change descriptors are single tokens:
 `extend:2`, `invert:y,z`, `field:GF(2)->GF(4)` (the source side may be
 left empty when the polynomial already pins it down).
 
+A group or polynomial text is exactly one line (after ';' splits and
+comments), its keyword optional; a second line is refused before the
+first is parsed.  Each line is tokenized once, and every error column
+is a column of that input line, also inside a polynomial's field spec.
+
 Each parse has a matching render producing the canonical echo, and
 parsing an echo reproduces the parsed object exactly.
 
@@ -39,25 +44,25 @@ _TOKEN_RE = re.compile(r"\d+|[A-Za-z_]\w*|\S")
 
 
 class _Tokens:
-    """Token stream over one logical line, tracking source position."""
+    """Token stream over one logical line, tracking source position.
+
+    A grammar may narrow the stream to the tokens before index `end`;
+    the end of the stream is then reported at column `end_col`.
+    """
 
     def __init__(self, text: str, line_no: int):
         self.line = line_no
         self.items = []
         for m in _TOKEN_RE.finditer(text):
             s = m.group()
-            if s[0].isdigit():
-                kind = "INT"
-            elif s[0].isalpha() or s[0] == "_":
-                kind = "NAME"
-            else:
-                kind = s
+            kind = "INT" if s[0].isdigit() else "NAME" if s[0].isalpha() or s[0] == "_" else s
             self.items.append((kind, s, m.start() + 1))
         self.pos = 0
+        self.end = len(self.items)
         self.end_col = len(text) + 1
 
     def peek(self):
-        if self.pos < len(self.items):
+        if self.pos < self.end:
             return self.items[self.pos]
         return (None, "", self.end_col)
 
@@ -74,7 +79,7 @@ class _Tokens:
 
     @property
     def done(self) -> bool:
-        return self.pos >= len(self.items)
+        return self.pos >= self.end
 
     def fail(self, message: str):
         _, _, col = self.peek()
@@ -94,15 +99,58 @@ def _logical_lines(text: str, extra_separators: str = ""):
 
 def _keyword(ts: _Tokens):
     """Leading `name:` if present, consuming it; None for bare payload."""
-    if (
-        len(ts.items) >= 2
-        and ts.items[0][0] == "NAME"
-        and ts.items[1][0] == ":"
-    ):
-        word = ts.items[0][1]
+    if len(ts.items) >= 2 and ts.items[0][0] == "NAME" and ts.items[1][0] == ":":
         ts.pos = 2
-        return word
+        return ts.items[0][1]
     return None
+
+
+def _payload_line(text: str, keyword: str, what: str) -> _Tokens:
+    """The one line of a group or polynomial text, past its optional keyword."""
+    payload = None
+    for line_no, content in _logical_lines(text):
+        ts = _Tokens(content, line_no)
+        word = _keyword(ts)
+        if word not in (None, keyword):
+            raise ParseError(f"unknown section {word!r}", line_no, 1)
+        if payload is not None:
+            raise ParseError(f"more than one {what} line", line_no, 1)
+        payload = ts
+    if payload is None:
+        raise ParseError(f"no {what} given", 1, 1)
+    return payload
+
+
+def _separated(ts: _Tokens, sep: str, what: str, item) -> list:
+    """`item {sep item}` up to the end of the stream; item reads one from ts."""
+    items = [item(ts)]
+    while not ts.done:
+        ts.take(sep, what)
+        items.append(item(ts))
+    return items
+
+
+def _signed_sum(ts: _Tokens, item) -> list:
+    """`[-] item {(+|-) item}` as (negated, item) pairs, stopping at any other token."""
+    negated = ts.peek()[0] == "-"
+    if negated:
+        ts.take()
+    terms = []
+    while True:
+        terms.append((negated, item()))
+        kind = ts.peek()[0]
+        if kind not in ("+", "-"):
+            return terms
+        ts.take()
+        negated = kind == "-"
+
+
+def _exponent(ts: _Tokens) -> int:
+    """An optional `^ INT`; 1 when absent."""
+    if ts.peek()[0] != "^":
+        return 1
+    ts.take()
+    return int(ts.take("INT", "an exponent")[0])
 
 
 # ---------------------------------------------------------------- ideals
@@ -118,9 +166,12 @@ def parse_ideal_text(text: str) -> monomial.MonomialIdeal:
         if word == "ring":
             if ring_names is not None:
                 raise ParseError("duplicate ring line", line_no, 1)
-            ring_names = _parse_name_list(ts)
+            ring_names = tuple(
+                _separated(ts, ",", "a comma", lambda t: t.take("NAME", "a variable name")[0])
+            )
         elif word == "ideal" or word is None:
-            sym_gens.extend(_parse_monomial_list(ts))
+            if not ts.done:  # an empty body means no generators
+                sym_gens.extend(_separated(ts, ",", "a comma", _parse_monomial))
         else:
             raise ParseError(f"unknown section {word!r}", line_no, 1)
     if ring_names is None:
@@ -148,29 +199,8 @@ def parse_ideal_text(text: str) -> monomial.MonomialIdeal:
     return monomial.MonomialIdeal.from_gens(ring, gens)
 
 
-def _parse_name_list(ts: _Tokens) -> tuple[str, ...]:
-    names = []
-    while True:
-        name, _ = ts.take("NAME", "a variable name")
-        names.append(name)
-        if ts.done:
-            return tuple(names)
-        ts.take(",", "a comma")
-
-
-def _parse_monomial_list(ts: _Tokens):
-    """Generators as symbolic factor lists; empty line body means none."""
-    gens = []
-    if ts.done:
-        return gens
-    while True:
-        gens.append(_parse_monomial(ts))
-        if ts.done:
-            return gens
-        ts.take(",", "a comma")
-
-
 def _parse_monomial(ts: _Tokens):
+    """One generator as its (name, exponent, line, col) factors; a `1` adds none."""
     factors = []
     while True:
         kind, s, col = ts.peek()
@@ -178,21 +208,14 @@ def _parse_monomial(ts: _Tokens):
             ts.take()
             if s != "1":
                 raise ParseError(f"coefficient {s} is not allowed; use 1", ts.line, col)
-            factors.append(("", 0, ts.line, col))
         elif kind == "NAME":
             ts.take()
-            exp = 1
-            if ts.peek()[0] == "^":
-                ts.take()
-                digits, dcol = ts.take("INT", "an exponent")
-                exp = int(digits)
-            factors.append((s, exp, ts.line, col))
+            factors.append((s, _exponent(ts), ts.line, col))
         else:
             ts.fail("expected a variable or 1")
         if ts.peek()[0] != "*":
-            break
+            return factors
         ts.take()
-    return [(n, e, ln, c) for n, e, ln, c in factors if n]
 
 
 def render_ideal_text(ideal: monomial.MonomialIdeal) -> str:
@@ -210,32 +233,19 @@ def parse_group_text(text: str):
     A group above the order ceiling is refused by its constructor, which
     checks the product of the orders before splitting any of them.
     """
-    payload = None
-    for line_no, content in _logical_lines(text):
-        ts = _Tokens(content, line_no)
-        word = _keyword(ts)
-        if word not in (None, "group"):
-            raise ParseError(f"unknown section {word!r}", line_no, 1)
-        if payload is not None:
-            raise ParseError("more than one group line", line_no, 1)
-        payload = ts
-    if payload is None:
-        raise ParseError("no group given", 1, 1)
-    orders = []
-    while True:
-        name, col = payload.take("NAME", "Z")
-        if name != "Z":
-            raise ParseError("cyclic factors are written Z/n", payload.line, col)
-        payload.take("/", "a slash")
-        digits, dcol = payload.take("INT", "a cyclic order")
-        n = int(digits)
-        if n < 1:
-            raise ParseError("cyclic order must be positive", payload.line, dcol)
-        orders.append(n)
-        if payload.done:
-            break
-        payload.take("+", "a plus sign")
-    return abelian.FiniteAbelianGroup.from_orders(*orders)
+    ts = _payload_line(text, "group", "group")
+    return abelian.FiniteAbelianGroup.from_orders(*_separated(ts, "+", "a plus sign", _cyclic_order))
+
+
+def _cyclic_order(ts: _Tokens) -> int:
+    name, col = ts.take("NAME", "Z")
+    if name != "Z":
+        raise ParseError("cyclic factors are written Z/n", ts.line, col)
+    ts.take("/", "a slash")
+    digits, col = ts.take("INT", "a cyclic order")
+    if int(digits) < 1:
+        raise ParseError("cyclic order must be positive", ts.line, col)
+    return int(digits)
 
 
 def render_group_text(group) -> str:
@@ -249,10 +259,14 @@ def render_group_text(group) -> str:
 
 def parse_field_spec(spec: str, line_no: int = 1):
     """`GF(q)` or `GF(q)=modulus` to a field object."""
-    ts = _Tokens(spec, line_no)
+    return _parse_field(_Tokens(spec, line_no))
+
+
+def _parse_field(ts: _Tokens):
+    """A field spec filling the rest of the stream."""
     name, col = ts.take("NAME", "GF")
     if name != "GF":
-        raise ParseError("field specs start with GF", line_no, col)
+        raise ParseError("field specs start with GF", ts.line, col)
     ts.take("(", "an opening parenthesis")
     digits, dcol = ts.take("INT", "a field size")
     q = int(digits)
@@ -262,32 +276,27 @@ def parse_field_spec(spec: str, line_no: int = 1):
         raise SizeCapError(f"field size {q} exceeds cap {gfpoly.MAX_FIELD_SIZE}")
     split = [(p, k) for p in gfpoly._SMALL_PRIMES for k in range(1, q.bit_length()) if p**k == q]
     if not split:
-        raise ParseError(f"{q} is not a power of a prime up to 13", line_no, dcol)
+        raise ParseError(f"{q} is not a power of a prime up to 13", ts.line, dcol)
     ((p, k),) = split
+    base = gfpoly.PrimeField(p)
     if ts.done:
-        if k == 1:
-            return gfpoly.PrimeField(p)
-        return gfpoly.ExtField(gfpoly.PrimeField(p), gfpoly.irreducible_modulus(p, k))
+        return base if k == 1 else gfpoly.ExtField(base, gfpoly.irreducible_modulus(p, k))
     ts.take("=", "an equals sign")
     if k == 1:
         ts.fail("a prime field takes no modulus")
-    base = gfpoly.PrimeField(p)
-    mod_poly, gen_name = _parse_poly_tokens(ts, base, var_hint=None)
+    mod_poly, gen_name = _parse_poly_tokens(ts, base)
     if mod_poly.degree != k:
-        raise ParseError(
-            f"modulus degree {mod_poly.degree} does not match GF({q})", line_no, dcol
-        )
+        raise ParseError(f"modulus degree {mod_poly.degree} does not match GF({q})", ts.line, dcol)
     try:
-        return gfpoly.ExtField(base, mod_poly.coeffs, gen_name=gen_name or "t")
+        return gfpoly.ExtField(base, mod_poly.coeffs, gen_name=gen_name)
     except ValueError as exc:
-        raise ParseError(str(exc), line_no, dcol) from None
+        raise ParseError(str(exc), ts.line, dcol) from None
 
 
 def render_field_spec(field) -> str:
     if isinstance(field, gfpoly.PrimeField):
         return field.render()
-    mod = gfpoly._poly_str(field.modulus, field.gen_name, str, 1)
-    return f"{field.render()}={mod}"
+    return f"{field.render()}={field.render_element(field.modulus)}"
 
 
 # ------------------------------------------------------------ polynomials
@@ -295,161 +304,85 @@ def render_field_spec(field) -> str:
 
 def parse_poly_text(text: str):
     """`f: ... over GF(q)` text to its UniPoly."""
-    poly = None
-    for line_no, content in _logical_lines(text):
-        ts = _Tokens(content, line_no)
-        word = _keyword(ts)
-        if word in (None, "f"):
-            if poly is not None:
-                raise ParseError("more than one polynomial line", line_no, 1)
-            poly = _parse_poly_line(ts, line_no)
-        else:
-            raise ParseError(f"unknown section {word!r}", line_no, 1)
-    if poly is None:
-        raise ParseError("no polynomial given", 1, 1)
-    return poly
-
-
-def _parse_poly_line(ts: _Tokens, line_no: int):
-    over_at = None
-    for i, (kind, s, _) in enumerate(ts.items):
-        if kind == "NAME" and s == "over" and i >= ts.pos:
-            over_at = i
-            break
-    if over_at is None:
+    ts = _payload_line(text, "f", "polynomial")
+    body = ts.pos
+    over = next((i for i in range(body, ts.end) if ts.items[i][:2] == ("NAME", "over")), None)
+    if over is None:
         ts.fail("missing `over GF(...)`")
-    spec_items = ts.items[over_at + 1 :]
-    if not spec_items:
-        raise ParseError("missing field after `over`", line_no, ts.end_col)
-    spec_col = spec_items[0][2]
-    spec_text = " ".join(s for _, s, _ in spec_items)
-    field = parse_field_spec(spec_text, line_no)
-    body = _Tokens("", line_no)
-    body.items = ts.items[ts.pos : over_at]
-    body.pos = 0
-    body.end_col = spec_col
-    if not body.items:
-        raise ParseError("empty polynomial", line_no, 1)
-    poly, _ = _parse_poly_tokens(body, field, var_hint="x")
-    return poly
+    ts.pos = over + 1
+    if ts.done:
+        raise ParseError("missing field after `over`", ts.line, ts.end_col)
+    spec_col = ts.peek()[2]
+    field = _parse_field(ts)
+    # the body is the stream narrowed to the tokens before `over`
+    ts.pos, ts.end, ts.end_col = body, over, spec_col
+    if ts.done:
+        raise ParseError("empty polynomial", ts.line, 1)
+    return _parse_poly_tokens(ts, field)[0]
 
 
-def _parse_poly_tokens(ts: _Tokens, field, var_hint):
-    """Sum-of-terms parser shared by polynomial bodies and moduli.
+def _parse_poly_tokens(ts: _Tokens, field):
+    """Sum of terms filling the stream, shared by polynomial bodies and moduli.
 
     Returns (UniPoly, variable name or None).  Over an extension field
-    the generator name is reserved for coefficients; any other single
-    name is accepted as the variable.
+    the generator name is reserved for coefficients; the first other
+    name in a variable's place is the variable, and no second is.
     """
     gen_name = field.gen_name if isinstance(field, gfpoly.ExtField) else None
-    state = {"var": None}
+    var = None
 
-    def is_var(name):
-        if name == gen_name:
-            return False
-        if state["var"] is None:
-            state["var"] = name
-            return True
-        return name == state["var"]
-
-    def gen_power(e: int):
-        out = field.one
-        t = (0, 1) + (0,) * (field.k - 2)
-        for _ in range(e):
-            out = field.mul(out, t)
-        return out
-
-    def parse_coef_atom():
-        kind, s, col = ts.peek()
+    def coef_atom():
+        kind, s, _ = ts.peek()
         if kind == "INT":
             ts.take()
-            if gen_name is None:
-                return int(s) % field.p
-            return field.embed(int(s))
+            return int(s) % field.p if gen_name is None else field.embed(int(s))
         if kind == "NAME" and s == gen_name:
             ts.take()
-            e = 1
-            if ts.peek()[0] == "^":
-                ts.take()
-                digits, _ = ts.take("INT", "an exponent")
-                e = int(digits)
-            return gen_power(e)
+            out, t = field.one, (0, 1) + (0,) * (field.k - 2)
+            for _ in range(_exponent(ts)):
+                out = field.mul(out, t)
+            return out
         ts.fail("expected a coefficient")
 
-    def parse_paren_coef():
-        ts.take("(", "an opening parenthesis")
-        acc = field.zero
-        sign = 1
-        kind, s, _ = ts.peek()
-        if kind == "-":
+    def coef_product():  # a product such as 2*t^2
+        c = coef_atom()
+        while ts.peek()[0] == "*":
             ts.take()
-            sign = -1
-        while True:
-            c = parse_coef_atom()
-            while ts.peek()[0] == "*":  # a product such as 2*t^2
-                ts.take()
-                c = field.mul(c, parse_coef_atom())
-            acc = field.add(acc, c if sign == 1 else field.neg(c))
-            kind, s, _ = ts.peek()
-            if kind == "+":
-                ts.take()
-                sign = 1
-            elif kind == "-":
-                ts.take()
-                sign = -1
-            else:
-                break
+            c = field.mul(c, coef_atom())
+        return c
+
+    def paren_sum():
+        ts.take()  # the opening parenthesis
+        acc = field.zero
+        for negated, c in _signed_sum(ts, coef_product):
+            acc = field.add(acc, field.neg(c) if negated else c)
         ts.take(")", "a closing parenthesis")
         return acc
 
-    def parse_term():
+    def term():
         """One term to (degree, coefficient)."""
-        kind, s, col = ts.peek()
-        coef = None
-        if kind == "(":
-            coef = parse_paren_coef()
-        elif kind == "INT" or (kind == "NAME" and s == gen_name):
-            coef = parse_coef_atom()
-        if coef is not None:
-            if ts.peek()[0] == "*":
-                ts.take()
-            else:
+        nonlocal var
+        kind, s, _ = ts.peek()
+        coef = field.one
+        if kind in ("(", "INT") or s == gen_name:
+            coef = paren_sum() if kind == "(" else coef_atom()
+            if ts.peek()[0] != "*":
                 return 0, coef
-        kind, s, col = ts.peek()
-        if kind != "NAME" or not is_var(s):
+            ts.take()
+        kind, s, _ = ts.peek()
+        if kind != "NAME" or s == gen_name or var not in (None, s):
             ts.fail("expected the variable")
         ts.take()
-        deg = 1
-        if ts.peek()[0] == "^":
-            ts.take()
-            digits, _ = ts.take("INT", "an exponent")
-            deg = int(digits)
-        return deg, field.one if coef is None else coef
+        var = s
+        return _exponent(ts), coef
 
     acc: dict[int, object] = {}
-    sign = 1
-    if ts.peek()[0] == "-":
-        ts.take()
-        sign = -1
-    while True:
-        deg, coef = parse_term()
-        if sign == -1:
-            coef = field.neg(coef)
-        acc[deg] = field.add(acc.get(deg, field.zero), coef)
-        kind, _, _ = ts.peek()
-        if kind == "+":
-            ts.take()
-            sign = 1
-        elif kind == "-":
-            ts.take()
-            sign = -1
-        elif kind is None:
-            break
-        else:
-            ts.fail("expected + or - between terms")
-    top = max(acc) if acc else 0
-    coeffs = [acc.get(d, field.zero) for d in range(top + 1)]
-    return gfpoly.UniPoly.make(field, coeffs), state["var"]
+    for negated, (deg, coef) in _signed_sum(ts, term):
+        acc[deg] = field.add(acc.get(deg, field.zero), field.neg(coef) if negated else coef)
+    if not ts.done:
+        ts.fail("expected + or - between terms")
+    coeffs = [acc.get(d, field.zero) for d in range(max(acc) + 1)]
+    return gfpoly.UniPoly.make(field, coeffs), var
 
 
 def render_poly_text(f) -> str:

@@ -137,6 +137,22 @@ def test_poly_errors():
         parse_poly_text("f: x^2+x+1 over GF(2)\next: GF(4)")  # no ext section
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("f: x^2+1 over GF(6)", "6 is not a power of a prime up to 13 (line 1, column 18)"),
+        ("f: x^2+1 over GF(2) extra", "expected an equals sign, got 'extra' (line 1, column 21)"),
+        ("f: x^2+1 over GF(4)=t^3+t+1", "modulus degree 3 does not match GF(4) (line 1, column 18)"),
+        # the second line is refused before the first, which lacks its field, is parsed
+        ("f: x\nf: y over GF(2)", "more than one polynomial line (line 2, column 1)"),
+    ],
+)
+def test_poly_errors_point_into_the_input_line(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_poly_text(text)
+    assert str(info.value) == message
+
+
 def test_field_specs():
     assert isinstance(parse_field_spec("GF(5)"), PrimeField)
     gf4 = parse_field_spec("GF(4)")

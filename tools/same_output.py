@@ -30,6 +30,12 @@ EXTRA = (
     ["basechange", "f: x^6+x^5+x^4+x^3+x^2+x+1 over GF(2)", "field:GF(2)->GF(8)=s^3+s+1"],
     # x^2 * (x^2 + 1)^2, repeated factors on both sides
     ["basechange", "f: x^6+2*x^4+x^2 over GF(3)", "field:->GF(9)"],
+    # minus signs and a descriptor modulus over an odd prime
+    ["basechange", "f: x^4 - x^2 + 2*x - 1 over GF(5)", "field:GF(5)->GF(25)=t^2+2"],
+    # a leading minus and a bracketed coefficient
+    ["basechange", "f: -x^3 + (2)*x + 1 over GF(3)", "field:->GF(9)"],
+    # bracketed sums over an extension field, refused with exit 2
+    ["basechange", "f: (t+1)*x^2 + (-t)*x + t^2 over GF(4)=t^2+t+1", "field:->GF(16)"],
 )
 
 
