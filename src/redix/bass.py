@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import le
 
 from .errors import UnitIdealError
 from .monomial import Monomial, MonomialIdeal, RingContext, minimal_exponents
@@ -81,7 +82,7 @@ def bass0(ideal: MonomialIdeal, support) -> tuple[int, tuple[Monomial, ...]]:
         return 0, ()  # localizes to the unit ideal
 
     def inside(v):
-        return any(all(a <= b for a, b in zip(g, v)) for g in gens)
+        return any(all(map(le, g, v)) for g in gens)
 
     n = len(keep)
     grid = [sorted({g[i] - 1 for g in gens if g[i]}) for i in range(n)]
@@ -91,6 +92,8 @@ def bass0(ideal: MonomialIdeal, support) -> tuple[int, tuple[Monomial, ...]]:
         if not inside(u)
         and all(inside(u[:i] + (u[i] + 1,) + u[i + 1 :]) for i in range(n))
     ]
+    if not witnesses:
+        return 0, ()
     sub = ideal.ring.subring(keep)
     return len(witnesses), tuple(Monomial(u, sub) for u in witnesses)
 

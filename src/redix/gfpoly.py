@@ -44,6 +44,9 @@ from .census import census
 from .errors import DimensionMismatchError, SizeCapError, VerificationError
 
 MAX_TRIAL_DIVISORS = 50_000
+# degrees and exponents the polynomial grammar reads; above the degree 29
+# that MAX_TRIAL_DIVISORS admits over GF(2), the most any field admits
+MAX_POLY_DEGREE = 64
 MAX_FIELD_SIZE = 13**3
 MAX_PRIME = 13
 MAX_LATTICE_SIZE = 512

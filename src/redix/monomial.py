@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import le
 
 from .errors import InfiniteColengthError, SizeCapError
 
@@ -81,7 +82,7 @@ class Monomial:
         return frozenset(i for i, e in enumerate(self.exponents) if e)
 
     def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
+        return all(map(le, self.exponents, other.exponents))
 
     def lcm(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(map(max, self.exponents, other.exponents)), self.ring)
@@ -114,7 +115,7 @@ def minimal_exponents(exps) -> tuple[tuple[int, ...], ...]:
     kept = []
     # sorting by total degree first makes each divisor appear before its multiples
     for e in sorted(set(exps), key=lambda t: (sum(t), t)):
-        if not any(all(a <= b for a, b in zip(k, e)) for k in kept):
+        if not any(all(map(le, k, e)) for k in kept):
             kept.append(e)
     kept.sort(reverse=True)
     return tuple(kept)
@@ -216,7 +217,7 @@ class MonomialIdeal:
 
         def cutoff(prefix):
             # the pure power of the last variable divides every row, so the min exists
-            return min(last for head, last in rows if all(a <= b for a, b in zip(head, prefix)))
+            return min(last for head, last in rows if all(map(le, head, prefix)))
 
         return frozenset(
             prefix + (j,)

@@ -21,11 +21,22 @@ knowing anything about maximality, and a census of progressive covers
 here is a finite dimensional graded algebra over the field, already
 complete, so the index of the ideal and the index of its dual agree on
 the nose; the reports state that equality and verify it numerically.
+
+The checks on downsets of one staircase run thousands of times in a row
+(every downset of every small staircase), so they read two neighbour
+tables of the staircase, `_neighbours`: each member's immediate divisors
+and each member's x_i multiples inside the staircase.  Only the tables
+of the staircase used last are kept, since callers take one staircase's
+downsets in a row and holding tables for every staircase alive would
+cost memory for no hit.  Building a staircase and finding its maximal
+elements stay on tuple arithmetic, so a large staircase that is only
+rendered never builds tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 
 from .bass import bass0, reducibility_index_by_bass
 from .census import census
@@ -83,8 +94,9 @@ class Staircase:
         return [Monomial(e, self.ring) for e in sorted(self.exponents)]
 
 
-def _corners(exps: frozenset[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
-    """The vectors of exps with no x_i multiple in exps."""
+def maximal_elements(g: Staircase) -> frozenset[tuple[int, ...]]:
+    """Exponent vectors with no multiple inside the staircase: the dual's generators."""
+    exps = g.exponents
     return frozenset(
         e
         for e in exps
@@ -92,9 +104,31 @@ def _corners(exps: frozenset[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
     )
 
 
-def maximal_elements(g: Staircase) -> frozenset[tuple[int, ...]]:
-    """Exponent vectors with no multiple inside the staircase: the dual's generators."""
-    return _corners(g.exponents)
+_last_neighbours: tuple = (None, None)
+
+
+def _neighbours(g: Staircase) -> tuple[dict, dict]:
+    """Each member's immediate divisors and its x_i multiples inside g.
+
+    One slot: the tables of the staircase used last, matched by
+    identity, so a staircase no longer used is not kept alive here.
+    """
+    global _last_neighbours
+    last, tables = _last_neighbours
+    if last is g:
+        return tables
+    exps = g.exponents
+    divisors = {e: [] for e in exps}
+    multiples = {e: [] for e in exps}
+    for e in exps:
+        for i, v in enumerate(e):
+            up = e[:i] + (v + 1,) + e[i + 1 :]
+            if up in exps:
+                multiples[e].append(up)
+                divisors[up].append(e)
+    tables = divisors, multiples
+    _last_neighbours = g, tables
+    return tables
 
 
 @dataclass(frozen=True)
@@ -107,7 +141,11 @@ class DownsetSubmodule:
     def __post_init__(self):
         if not self.members <= self.staircase.exponents:
             raise ValueError("members must lie in the staircase")
-        _check_downset(self.members)
+        # the staircase is a downset, so its divisor table lists every
+        # immediate divisor of a member: the test of _check_downset
+        divisors = _neighbours(self.staircase)[0]
+        if not all(self.members.issuperset(divisors[e]) for e in self.members):
+            raise ValueError("not closed under divisors")
 
     @property
     def size(self) -> int:
@@ -123,7 +161,7 @@ def principal_downset(g: Staircase, u: tuple[int, ...]) -> DownsetSubmodule:
         except (ValueError, SizeCapError):  # not an exponent vector of this ring
             shown = str(u)
         raise NotInStaircaseError(f"{shown} is not a standard monomial here")
-    members = frozenset(e for e in g.exponents if all(a <= b for a, b in zip(e, u)))
+    members = frozenset(e for e in g.exponents if all(map(le, e, u)))
     return DownsetSubmodule(g, members)
 
 
@@ -147,7 +185,7 @@ def _principal_masks(g: Staircase) -> list[int]:
     for u in order:
         mask = 0
         for i, m in enumerate(order):
-            if all(a <= b for a, b in zip(m, u)):
+            if all(map(le, m, u)):
                 mask |= 1 << i
         masks.append(mask)
     return masks
@@ -240,10 +278,19 @@ def quotient_index(g: Staircase, b: DownsetSubmodule) -> int:
     downset, G minus B is an upset of G: a multiple inside G of an
     element outside B is outside B too.  So these are exactly the
     corners of G that escaped B, which is what makes the count at most
-    the index of the dual.  For B = G the quotient is zero and the
-    index is 0.
+    the index of the dual; the count never uses that, or the comparison
+    with the corner count would prove nothing.  For B = G the quotient
+    is zero and the index is 0.
+
+    Multiples are looked up in G's neighbour table (`_neighbours`), the
+    x_i multiples of each member inside G.  The table has one slot, the
+    staircase used last: callers check one staircase's downsets in a
+    row, and tables kept for every live staircase would cost memory
+    that no later call reads.
     """
-    return len(_corners(g.exponents - b.members))
+    multiples = _neighbours(g)[1]
+    rest = g.exponents - b.members
+    return sum(1 for e in rest if rest.isdisjoint(multiples[e]))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,10 @@ comments), its keyword optional; a second line is refused before the
 first is parsed.  Each line is tokenized once, and every error column
 is a column of that input line, also inside a polynomial's field spec.
 
+A polynomial term's degree or a `t^e` exponent above
+`gfpoly.MAX_POLY_DEGREE` is refused with SizeCapError before any
+coefficient list is built or any product is taken.
+
 Each parse has a matching render producing the canonical echo, and
 parsing an echo reproduces the parsed object exactly.
 
@@ -55,7 +59,8 @@ class _Tokens:
         self.items = []
         for m in _TOKEN_RE.finditer(text):
             s = m.group()
-            kind = "INT" if s[0].isdigit() else "NAME" if s[0].isalpha() or s[0] == "_" else s
+            # isdecimal is what \d+ and int() accept; isdigit would also take a lone '²'
+            kind = "INT" if s[0].isdecimal() else "NAME" if s[0].isalpha() or s[0] == "_" else s
             self.items.append((kind, s, m.start() + 1))
         self.pos = 0
         self.end = len(self.items)
@@ -331,6 +336,13 @@ def _parse_poly_tokens(ts: _Tokens, field):
     gen_name = field.gen_name if isinstance(field, gfpoly.ExtField) else None
     var = None
 
+    def capped_exponent():
+        # refused before a dense coefficient list or e multiplications are spent
+        e = _exponent(ts)
+        if e > gfpoly.MAX_POLY_DEGREE:
+            raise SizeCapError(f"polynomial exponent {e} exceeds cap {gfpoly.MAX_POLY_DEGREE}")
+        return e
+
     def coef_atom():
         kind, s, _ = ts.peek()
         if kind == "INT":
@@ -339,7 +351,7 @@ def _parse_poly_tokens(ts: _Tokens, field):
         if kind == "NAME" and s == gen_name:
             ts.take()
             out, t = field.one, (0, 1) + (0,) * (field.k - 2)
-            for _ in range(_exponent(ts)):
+            for _ in range(capped_exponent()):
                 out = field.mul(out, t)
             return out
         ts.fail("expected a coefficient")
@@ -374,7 +386,7 @@ def _parse_poly_tokens(ts: _Tokens, field):
             ts.fail("expected the variable")
         ts.take()
         var = s
-        return _exponent(ts), coef
+        return capped_exponent(), coef
 
     acc: dict[int, object] = {}
     for negated, (deg, coef) in _signed_sum(ts, term):

@@ -55,3 +55,28 @@ def test_localization_never_grows():
         rep = localization_report(I, subset)
         assert rep.ir_after_direct <= base
         assert rep.passed
+
+
+def test_reports_in_a_row_equal_fresh_reports(monkeypatch):
+    from redix import bass
+
+    a = ideal((3, 0), (2, 2), (0, 4))
+    b = ideal((2, 0), (1, 1))
+    scans = []
+    scan = bass.reducibility_index_by_bass
+    monkeypatch.setattr(bass, "reducibility_index_by_bass", lambda i: scans.append(i) or scan(i))
+    calls = [
+        (localization_report, a, (0,)),
+        (localization_report, a, (1,)),
+        (localization_report, b, (1,)),
+        (extension_report, b, 2),
+        (localization_report, a, ()),
+        (extension_report, a, 1),
+    ]
+    in_a_row = [report(i, arg) for report, i, arg in calls]
+    # a, a, b, b, a, a: one scan per change of ideal
+    assert scans == [a, b, a]
+    for (report, i, arg), got in zip(calls, in_a_row):
+        # an equal but distinct ideal misses the one-slot memo and is scanned afresh
+        assert got == report(MonomialIdeal(i.ring, i.gens), arg)
+    assert len(scans) == 3 + len(calls)

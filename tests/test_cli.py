@@ -165,6 +165,20 @@ def test_parse_error_position(capsys):
     assert "column" in err
 
 
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (["decompose", "ideal: x^²"], "input error: expected an exponent, got '²' (line 1, column 10)\n"),
+        (["abelian", "group: Z/²"], "input error: expected a cyclic order, got '²' (line 1, column 10)\n"),
+    ],
+    ids=["decompose", "abelian"],
+)
+def test_superscript_digit_is_a_positioned_parse_error(capsys, argv, stderr):
+    # '²' passes str.isdigit but neither \d+ nor int(): it is a symbol token
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", stderr)
+
+
 def test_dual_infinite_colength(capsys):
     code, _, err = run(capsys, "dual", "ring: x, y\nideal: x^2")
     assert code == 2

@@ -1,8 +1,13 @@
 """Staircase duality: corners, covers, downset sums, quotients."""
 
+import gc
 import itertools
+import weakref
+from operator import le
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from redix import (
     DownsetSubmodule,
@@ -26,7 +31,7 @@ from redix.errors import (
     SizeCapError,
 )
 from redix.selftest import all_staircases
-from redix.staircase import _principal_masks, irredundant_cover_sizes
+from redix.staircase import _check_downset, _principal_masks, irredundant_cover_sizes
 
 R1 = RingContext.default(1)
 R2 = RingContext.default(2)
@@ -222,3 +227,91 @@ def test_quotient_index_counts_corners_outside_b(monkeypatch):
             )
             assert quotient_index(g, b) == len(corners - b.members)
     assert calls == []
+
+
+# ------------------------------------------- property: neighbour tables vs tuples
+
+
+@st.composite
+def staircase_exponents(draw):
+    """A random downset in 1-3 variables: everything below a few random tops."""
+    n = draw(st.integers(1, 3))
+    tops = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=4))
+    box = itertools.product(range(4), repeat=n)
+    return n, frozenset(e for e in box if any(all(map(le, e, t)) for t in tops))
+
+
+def _subset(data, exps):
+    return frozenset(data.draw(st.sets(st.sampled_from(sorted(exps))))) if exps else frozenset()
+
+
+def _closure(members):
+    """Everything below some member, by tuple arithmetic."""
+    out, todo = set(members), list(members)
+    while todo:
+        e = todo.pop()
+        for i, v in enumerate(e):
+            d = e[:i] + (v - 1,) + e[i + 1 :]
+            if v and d not in out:
+                out.add(d)
+                todo.append(d)
+    return frozenset(out)
+
+
+def _corner_count(rest):
+    """Members of rest with no x_i multiple in rest, by tuple arithmetic."""
+    return sum(
+        all(e[:i] + (v + 1,) + e[i + 1 :] not in rest for i, v in enumerate(e)) for e in rest
+    )
+
+
+def _refusal(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(staircase_exponents(), st.data())
+def test_downset_submodule_accepts_what_check_downset_accepts(drawn, data):
+    n, exps = drawn
+    g = Staircase(RingContext.default(n), exps)
+    members = _subset(data, exps)
+    for chosen in (members, _closure(members)):
+        expected = _refusal(lambda: _check_downset(chosen))
+        assert _refusal(lambda: DownsetSubmodule(g, chosen)) == expected
+    outside = (4,) * n
+    assert _refusal(lambda: DownsetSubmodule(g, members | {outside})) == (
+        "members must lie in the staircase"
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(staircase_exponents(), staircase_exponents(), st.data())
+def test_quotient_index_matches_tuple_corner_count_across_staircases(first, second, data):
+    stairs = [Staircase(RingContext.default(n), exps) for n, exps in (first, second)]
+    # an equal staircase that is a different object must get its own tables
+    stairs.append(Staircase(stairs[0].ring, frozenset(stairs[0].exponents)))
+    downsets = [
+        DownsetSubmodule(g, _closure(_subset(data, g.exponents))) for g in stairs for _ in range(3)
+    ]
+    order = data.draw(st.permutations(range(len(downsets))))
+    for k in order:
+        b = downsets[k]
+        g = b.staircase
+        assert quotient_index(g, b) == _corner_count(g.exponents - b.members)
+
+
+@settings(max_examples=50, deadline=None)
+@given(staircase_exponents(), staircase_exponents())
+def test_only_the_last_staircase_is_kept(first, second):
+    g = Staircase(RingContext.default(first[0]), first[1])
+    h = Staircase(RingContext.default(second[0]), second[1])
+    quotient_index(g, DownsetSubmodule(g, frozenset()))
+    quotient_index(h, DownsetSubmodule(h, frozenset()))
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None

@@ -22,7 +22,7 @@ from redix import (
 )
 from redix.abelian import MAX_ORDER
 from redix.errors import ParseError, SizeCapError
-from redix.gfpoly import UniPoly
+from redix.gfpoly import MAX_POLY_DEGREE, UniPoly, _cap_trial_divisors
 
 
 def test_ideal_basic_forms():
@@ -151,6 +151,41 @@ def test_poly_errors_point_into_the_input_line(text, message):
     with pytest.raises(ParseError) as info:
         parse_poly_text(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, cls, method",
+    [
+        ("f: x^1000000 over GF(2)", UniPoly, "make"),
+        ("f: x^65 + 1 over GF(3)", UniPoly, "make"),
+        ("f: x over GF(9)=t^100+1", UniPoly, "make"),
+        # building GF(4) itself makes polynomials; a t^e coefficient costs e products
+        ("f: t^1000000*x over GF(4)", ExtField, "mul"),
+    ],
+)
+def test_poly_degree_cap_refuses_before_building(monkeypatch, text, cls, method):
+    def forbidden(*args):
+        raise AssertionError("built before refusing")
+
+    monkeypatch.setattr(cls, method, forbidden)
+    with pytest.raises(SizeCapError, match=f"exceeds cap {MAX_POLY_DEGREE}$"):
+        parse_poly_text(text)
+
+
+def test_poly_degree_cap_admits_every_factorable_degree():
+    # the largest degree any field lets factor() try is below the grammar's cap
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+        field = parse_field_spec(f"GF({q})")
+        admitted = 1
+        while True:
+            try:
+                _cap_trial_divisors(UniPoly.make(field, [field.one] * (admitted + 2)))
+            except SizeCapError:
+                break
+            admitted += 1
+        assert admitted < MAX_POLY_DEGREE, q
+    f = parse_poly_text(f"f: x^{MAX_POLY_DEGREE} + 1 over GF(2)")
+    assert f.degree == MAX_POLY_DEGREE
 
 
 def test_field_specs():
