@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import le
 
-from .bass import bass0, reducibility_index_by_bass
+from .bass import reducibility_index_by_bass
 from .census import census
 from .decompose import decompose
 from .errors import (
@@ -258,17 +258,6 @@ def sum_covers_iff_dual_disjoint(
     return left, right
 
 
-def dual_single_generator_check(ideal: MonomialIdeal) -> tuple[bool, bool]:
-    """Zero is irreducible in the quotient iff the dual is one-generated.
-
-    Left from the splitting decomposition, right from counting maximal
-    staircase elements; independent computations.
-    """
-    left = decompose(ideal).count == 1
-    right = len(maximal_elements(Staircase.from_ideal(ideal))) == 1
-    return left, right
-
-
 def quotient_index(g: Staircase, b: DownsetSubmodule) -> int:
     """Sum-reducibility index of (dual module)/B.
 
@@ -302,6 +291,7 @@ class DualIndexReport:
     corners: frozenset[tuple[int, ...]]
     ir_decomposition: int
     ir_socle_formula: int
+    top_socle: int
     min_cover: int | None
     completion_note: str
 
@@ -322,12 +312,17 @@ class DualIndexReport:
 
 
 def dual_index_report(ideal: MonomialIdeal) -> DualIndexReport:
-    """Index of a finite-colength ideal against the dual-side counts."""
+    """Index of a finite-colength ideal against the dual-side counts.
+
+    The socle dimension at the top prime (all variables) is read from
+    the same socle scan as the socle sum, never from the corners, so it
+    stays a second route to the dual generator count.
+    """
     g = Staircase.from_ideal(ideal)
     if not g.exponents:
         raise EmptyStaircaseError("the unit ideal leaves an empty staircase")
     ir_dec = decompose(ideal).count
-    ir_bass = reducibility_index_by_bass(ideal).index
+    socle = reducibility_index_by_bass(ideal)
     cover = min_cover_oracle(g) if g.size <= MIN_COVER_CAP else None
     note = (
         "finite length over a field: the ring is already complete, so the"
@@ -338,18 +333,8 @@ def dual_index_report(ideal: MonomialIdeal) -> DualIndexReport:
         staircase=g,
         corners=maximal_elements(g),
         ir_decomposition=ir_dec,
-        ir_socle_formula=ir_bass,
+        ir_socle_formula=socle.index,
+        top_socle=socle.socle_counts.get(frozenset(range(ideal.ring.n)), 0),
         min_cover=cover,
         completion_note=note,
     )
-
-
-def socle_matches_dual_generators(ideal: MonomialIdeal) -> tuple[int, int]:
-    """Socle dimension at the top prime vs dual generator count.
-
-    Two routes to one number: a socle scan of the quotient against the
-    count of maximal staircase monomials.
-    """
-    g = Staircase.from_ideal(ideal)
-    count, _ = bass0(ideal, range(ideal.ring.n))
-    return count, len(maximal_elements(g))

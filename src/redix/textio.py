@@ -27,7 +27,10 @@ is a column of that input line, also inside a polynomial's field spec.
 
 A polynomial term's degree or a `t^e` exponent above
 `gfpoly.MAX_POLY_DEGREE` is refused with SizeCapError before any
-coefficient list is built or any product is taken.
+coefficient list is built or any product is taken.  A digit run over
+MAX_DIGITS digits (an exponent, a cyclic order, a field size, a
+coefficient, an `extend:` count) is a ParseError at its column before
+any conversion, on every Python, whatever its int-string limit.
 
 Each parse has a matching render producing the canonical echo, and
 parsing an echo reproduces the parsed object exactly.
@@ -45,6 +48,17 @@ from . import abelian, gfpoly, monomial
 from .errors import ParseError, SizeCapError
 
 _TOKEN_RE = re.compile(r"\d+|[A-Za-z_]\w*|\S")
+
+# the longest digit run converted to an int, whatever the running
+# Python's own int-string limit (4300 digits by default since 3.11)
+MAX_DIGITS = 4300
+
+
+def _decimal(digits: str, line_no: int, col: int) -> int:
+    """A run of decimal digits as an int; a run over MAX_DIGITS is a ParseError."""
+    if len(digits) > MAX_DIGITS:
+        raise ParseError(f"{len(digits)}-digit number exceeds {MAX_DIGITS} digits", line_no, col)
+    return int(digits)
 
 
 class _Tokens:
@@ -81,6 +95,11 @@ class _Tokens:
             raise ParseError(f"unexpected end of line{': ' + what if what else ''}", self.line, col)
         self.pos += 1
         return s, col
+
+    def take_int(self, what: str) -> tuple[int, int]:
+        """An INT token's value and column."""
+        digits, col = self.take("INT", what)
+        return _decimal(digits, self.line, col), col
 
     @property
     def done(self) -> bool:
@@ -155,7 +174,7 @@ def _exponent(ts: _Tokens) -> int:
     if ts.peek()[0] != "^":
         return 1
     ts.take()
-    return int(ts.take("INT", "an exponent")[0])
+    return ts.take_int("an exponent")[0]
 
 
 # ---------------------------------------------------------------- ideals
@@ -247,10 +266,10 @@ def _cyclic_order(ts: _Tokens) -> int:
     if name != "Z":
         raise ParseError("cyclic factors are written Z/n", ts.line, col)
     ts.take("/", "a slash")
-    digits, col = ts.take("INT", "a cyclic order")
-    if int(digits) < 1:
+    order, col = ts.take_int("a cyclic order")
+    if order < 1:
         raise ParseError("cyclic order must be positive", ts.line, col)
-    return int(digits)
+    return order
 
 
 def render_group_text(group) -> str:
@@ -262,9 +281,9 @@ def render_group_text(group) -> str:
 # ------------------------------------------------------------ field specs
 
 
-def parse_field_spec(spec: str, line_no: int = 1):
+def parse_field_spec(spec: str):
     """`GF(q)` or `GF(q)=modulus` to a field object."""
-    return _parse_field(_Tokens(spec, line_no))
+    return _parse_field(_Tokens(spec, 1))
 
 
 def _parse_field(ts: _Tokens):
@@ -273,8 +292,7 @@ def _parse_field(ts: _Tokens):
     if name != "GF":
         raise ParseError("field specs start with GF", ts.line, col)
     ts.take("(", "an opening parenthesis")
-    digits, dcol = ts.take("INT", "a field size")
-    q = int(digits)
+    q, dcol = ts.take_int("a field size")
     ts.take(")", "a closing parenthesis")
     if q > gfpoly.MAX_FIELD_SIZE:
         # refused before factoring: trial division of a huge q would not return
@@ -346,8 +364,8 @@ def _parse_poly_tokens(ts: _Tokens, field):
     def coef_atom():
         kind, s, _ = ts.peek()
         if kind == "INT":
-            ts.take()
-            return int(s) % field.p if gen_name is None else field.embed(int(s))
+            c = ts.take_int("a coefficient")[0]
+            return c % field.p if gen_name is None else field.embed(c)
         if kind == "NAME" and s == gen_name:
             ts.take()
             out, t = field.one, (0, 1) + (0,) * (field.k - 2)
@@ -412,9 +430,11 @@ def parse_change_descriptor(descriptor: str):
     if not sep:
         raise ParseError("descriptors look like extend:k, invert:vars, field:...->...", 1, 1)
     if head == "extend":
-        if not rest.strip().isdigit() or int(rest) < 1:
+        digits = rest.strip()
+        count = _decimal(digits, 1, len(head) + 2) if digits.isdecimal() else 0
+        if count < 1:
             raise ParseError("extend takes a positive variable count", 1, len(head) + 2)
-        return ("extend", int(rest))
+        return ("extend", count)
     if head == "invert":
         names = tuple(n.strip() for n in rest.split(",") if n.strip())
         for n in names:

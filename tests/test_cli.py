@@ -179,6 +179,13 @@ def test_superscript_digit_is_a_positioned_parse_error(capsys, argv, stderr):
     assert (code, out, err) == (2, "", stderr)
 
 
+def test_over_long_digit_run_is_a_positioned_parse_error(capsys):
+    # refused before int() sees it, whatever Python's int-string limit
+    code, out, err = run(capsys, "decompose", f"ideal: x^{'9' * 5000}")
+    assert (code, out) == (2, "")
+    assert err == "input error: 5000-digit number exceeds 4300 digits (line 1, column 10)\n"
+
+
 def test_dual_infinite_colength(capsys):
     code, _, err = run(capsys, "dual", "ring: x, y\nideal: x^2")
     assert code == 2

@@ -60,12 +60,10 @@ EXPORTS = {
         "DualIndexReport",
         "Staircase",
         "dual_index_report",
-        "dual_single_generator_check",
         "maximal_elements",
         "min_cover_oracle",
         "principal_downset",
         "quotient_index",
-        "socle_matches_dual_generators",
         "sum_covers_iff_dual_disjoint",
         "sum_irreducible_representation",
     ],

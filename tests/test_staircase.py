@@ -15,12 +15,10 @@ from redix import (
     RingContext,
     Staircase,
     dual_index_report,
-    dual_single_generator_check,
     maximal_elements,
     min_cover_oracle,
     principal_downset,
     quotient_index,
-    socle_matches_dual_generators,
     sum_covers_iff_dual_disjoint,
     sum_irreducible_representation,
 )
@@ -30,7 +28,8 @@ from redix.errors import (
     NotInStaircaseError,
     SizeCapError,
 )
-from redix.selftest import all_staircases
+from redix.bass import bass0
+from redix.selftest import _downsets, all_staircases, run_selftest
 from redix.staircase import _check_downset, _principal_masks, irredundant_cover_sizes
 
 R1 = RingContext.default(1)
@@ -80,14 +79,42 @@ def test_maximal_ideal_gives_trivial_dual():
     g = Staircase.from_ideal(ideal(R2, (1, 0), (0, 1)))
     assert g.size == 1
     assert min_cover_oracle(g) == 1
-    one_dec, one_dual = dual_single_generator_check(ideal(R2, (1, 0), (0, 1)))
-    assert one_dec and one_dual
+    rep = dual_index_report(ideal(R2, (1, 0), (0, 1)))
+    assert rep.ir_decomposition == rep.dual_generator_count == 1
 
 
 def test_socle_equals_corners():
     for exps in (((2, 0), (1, 1), (0, 3)), ((3, 0), (0, 2)), ((1, 0), (0, 1))):
-        soc, corners = socle_matches_dual_generators(ideal(R2, *exps))
-        assert soc == corners
+        I = ideal(R2, *exps)
+        rep = dual_index_report(I)
+        assert rep.top_socle == bass0(I, range(2))[0] == rep.dual_generator_count
+
+
+def test_top_socle_comes_from_the_socle_scan(monkeypatch):
+    import redix.staircase as staircase
+
+    I = ideal(R2, (2, 0), (1, 1), (0, 3))
+    monkeypatch.setattr(staircase, "maximal_elements", lambda g: frozenset())
+    rep = dual_index_report(I)
+    assert (rep.dual_generator_count, rep.top_socle) == (0, 2)
+
+
+def test_duality_suite_builds_one_staircase_and_decomposition_per_ideal(monkeypatch):
+    import redix.staircase as staircase
+
+    built, decomposed = [], []
+    from_ideal, decompose = staircase.Staircase.from_ideal, staircase.decompose
+    monkeypatch.setattr(
+        staircase.Staircase,
+        "from_ideal",
+        staticmethod(lambda ideal: built.append(ideal) or from_ideal(ideal)),
+    )
+    monkeypatch.setattr(
+        staircase, "decompose", lambda ideal: decomposed.append(ideal) or decompose(ideal)
+    )
+    (result,) = run_selftest("finite-length-duality", 42).results
+    assert result.passed and result.checks == 417
+    assert len(built) == len(decomposed) == 139
 
 
 def test_not_in_staircase():
@@ -206,7 +233,6 @@ def test_staircase_ideal_round_trip():
 
 def test_quotient_index_counts_corners_outside_b(monkeypatch):
     import redix.staircase as staircase
-    from redix.selftest import _downset_masks
 
     stairs = [
         Staircase.from_ideal(ideal(R2, (2, 0), (1, 1), (0, 3))),
@@ -220,7 +246,7 @@ def test_quotient_index_counts_corners_outside_b(monkeypatch):
     )
     for g in stairs:
         corners = maximal(g)
-        order, masks = _downset_masks(g)
+        order, masks = _downsets(g.exponents, g.size)
         for mask in masks:
             b = DownsetSubmodule(
                 g, frozenset(order[i] for i in range(len(order)) if mask >> i & 1)
@@ -315,3 +341,37 @@ def test_only_the_last_staircase_is_kept(first, second):
     del g
     gc.collect()
     assert ref() is None
+
+
+# ------------------------------------------- property: downsets vs brute force
+
+
+@st.composite
+def small_staircases(draw):
+    """A random staircase of at most 8 monomials in 1-3 variables, grown a member at a time."""
+    n = draw(st.integers(1, 3))
+    members = set()
+    for _ in range(draw(st.integers(0, 8))):
+        ups = {e[:i] + (v + 1,) + e[i + 1 :] for e in members for i, v in enumerate(e)}
+        addable = [
+            e
+            for e in sorted((ups | {(0,) * n}) - members)
+            if all(e[:i] + (v - 1,) + e[i + 1 :] in members for i, v in enumerate(e) if v)
+        ]
+        members.add(draw(st.sampled_from(addable)))
+    return frozenset(members)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_staircases(), st.integers(0, 9))
+def test_downsets_are_the_divisor_closed_subsets(members, max_size):
+    order, masks = _downsets(members, max_size)
+    assert order == sorted(members) and masks == sorted(masks)
+    found = [frozenset(e for i, e in enumerate(order) if mask >> i & 1) for mask in masks]
+    brute = {
+        frozenset(combo)
+        for size in range(min(max_size, len(order)) + 1)
+        for combo in itertools.combinations(order, size)
+        if all(m in combo for u in combo for m in order if all(map(le, m, u)))
+    }
+    assert len(found) == len(set(found)) and set(found) == brute

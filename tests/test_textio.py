@@ -1,6 +1,7 @@
 """Input grammars: parsing, canonical rendering, round trips, positions."""
 
 import re
+import sys
 from math import prod
 
 import pytest
@@ -23,6 +24,7 @@ from redix import (
 from redix.abelian import MAX_ORDER
 from redix.errors import ParseError, SizeCapError
 from redix.gfpoly import MAX_POLY_DEGREE, UniPoly, _cap_trial_divisors
+from redix.textio import MAX_DIGITS
 
 
 def test_ideal_basic_forms():
@@ -234,8 +236,56 @@ def test_change_descriptors():
         assert parse_change_descriptor(render_change_descriptor(parse_change_descriptor(d))) == parse_change_descriptor(d)
     with pytest.raises(ParseError):
         parse_change_descriptor("extend:0")
+    with pytest.raises(ParseError, match=r"positive variable count \(line 1, column 8\)"):
+        parse_change_descriptor("extend:²")
     with pytest.raises(ParseError):
         parse_change_descriptor("shrink:2")
+
+
+_LONG = "9" * (MAX_DIGITS + 1)
+
+
+@pytest.fixture(params=[0, 4300], ids=["unlimited", "default"])
+def int_str_limit(request):
+    """Run under Python's int-string limit set to 0 (none) and to its default."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # a Python with no limit at all
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "parse, text, col",
+    [
+        (parse_ideal_text, f"ideal: x^{_LONG}", 10),
+        (parse_group_text, f"group: Z/{_LONG}", 10),
+        (parse_poly_text, f"f: x^{_LONG} over GF(2)", 6),
+        (parse_poly_text, f"f: {_LONG}*x over GF(2)", 4),
+        (parse_poly_text, f"f: x over GF({_LONG})", 14),
+        (parse_field_spec, f"GF({_LONG})", 4),
+        (parse_change_descriptor, f"extend:{_LONG}", 8),
+    ],
+    ids=["exponent", "cyclic-order", "poly-exponent", "coefficient", "poly-field", "field", "extend"],
+)
+def test_over_long_digit_runs_are_positioned_parse_errors(int_str_limit, parse, text, col):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == (
+        f"{MAX_DIGITS + 1}-digit number exceeds {MAX_DIGITS} digits (line 1, column {col})"
+    )
+
+
+def test_longest_digit_run_is_still_read(int_str_limit):
+    padded = "0" * (MAX_DIGITS - 1)
+    assert parse_group_text(f"group: Z/{padded}2").order == 2
+    assert parse_change_descriptor(f"extend:{padded}2") == ("extend", 2)
+    with pytest.raises(SizeCapError, match="exceeds cap"):
+        parse_ideal_text(f"ideal: x^{'9' * MAX_DIGITS}")
+    with pytest.raises(ParseError, match="digits"):
+        parse_group_text(f"group: Z/0{padded}2")
 
 
 # ------------------------------------------------ property: parse -> render -> parse
