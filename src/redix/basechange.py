@@ -15,18 +15,23 @@ fiber (index 1) and a prime meeting the inverted set collapses to the
 zero ring (index 0).
 
 The selftest asks for a localization report on every subset of an
-ideal's variables in a row, so both reports reuse the socle report of
-the ideal from the call before (`_socle_report`, one slot, matched by
-identity); an ideal is immutable, so the reused report is the one a
-fresh scan would give.
+ideal's variables in a row, so both reports reuse the socle scan of the
+ideal from the call before (`_socle_report`).
+
+Adjoining variables changes no index, and the report echoes the count
+and otherwise does not depend on it, so a count above
+MAX_EXTRA_VARIABLES is refused before any name or ring is built.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import bass, monomial
-from .errors import UnitIdealError
+from .errors import SizeCapError, UnitIdealError
+
+MAX_EXTRA_VARIABLES = 1000
 
 
 @dataclass(frozen=True)
@@ -57,27 +62,22 @@ class BaseChangeReport:
         return all(ok for _, ok in self.checks)
 
 
-_last_socle: tuple = (None, None)
-
-
+@functools.lru_cache(maxsize=1)
 def _socle_report(ideal: monomial.MonomialIdeal) -> bass.BassReport:
-    """The socle scan of `ideal`, reused when the call before had the same object."""
-    global _last_socle
-    last, report = _last_socle
-    if last is not ideal:
-        report = bass.reducibility_index_by_bass(ideal)
-        _last_socle = ideal, report
-    return report
+    """The socle scan of `ideal`, reused when the call before had an equal ideal."""
+    return bass.reducibility_index_by_bass(ideal)
 
 
 def extend_polynomial(ideal: monomial.MonomialIdeal, extra: int) -> monomial.MonomialIdeal:
     """The same generators in a ring with `extra` new variables t1, t2, ... appended last."""
     if extra < 0:
         raise ValueError("extra must be nonnegative")
-    names, i = list(ideal.ring.names), 0
+    if extra > MAX_EXTRA_VARIABLES:
+        raise SizeCapError(f"extend count exceeds cap {MAX_EXTRA_VARIABLES}")
+    taken, names, i = set(ideal.ring.names), list(ideal.ring.names), 0
     while len(names) < ideal.ring.n + extra:
         i += 1
-        if f"t{i}" not in names:
+        if f"t{i}" not in taken:
             names.append(f"t{i}")
     big = monomial.RingContext(tuple(names))
     gens = [monomial.Monomial(g.exponents + (0,) * extra, big) for g in ideal.gens]
@@ -94,8 +94,8 @@ def extension_report(ideal: monomial.MonomialIdeal, extra: int) -> BaseChangeRep
 
     if ideal.is_unit:
         raise UnitIdealError("base change reports need a proper ideal")
-    before = _socle_report(ideal)
     extended = extend_polynomial(ideal, extra)
+    before = _socle_report(ideal)
     fibers = []
     formula = 0
     for prime, mu0, _ in before.entries:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .abelian import (
@@ -207,12 +208,14 @@ def _box_ideals() -> list[MonomialIdeal]:
     ]
 
 
-def all_staircases(n: int, max_size: int) -> list[Staircase]:
+def all_staircases(n: int, max_size: int) -> Iterator[Staircase]:
     """Every nonempty staircase on at most max_size monomials in n variables.
 
     A member e brings its prod(e_i + 1) divisors along, so each such
     staircase is a downset of the monomials with that product at most
-    max_size.  Ordered by size, then by sorted members.
+    max_size.  Ordered by size, then by sorted members.  Yielded one at a
+    time, so a staircase and the tables it builds are freed once the
+    caller moves on.
     """
     ring = RingContext.default(n)
     box = itertools.product(range(max_size), repeat=n)
@@ -221,7 +224,7 @@ def all_staircases(n: int, max_size: int) -> list[Staircase]:
     )
     stairs = [frozenset(e for i, e in enumerate(order) if mask >> i & 1) for mask in masks[1:]]
     stairs.sort(key=lambda s: (len(s), sorted(s)))
-    return [Staircase(ring, s) for s in stairs]
+    return (Staircase(ring, s) for s in stairs)
 
 
 # --------------------------------------------------------------- suites

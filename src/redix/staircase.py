@@ -24,18 +24,17 @@ the nose; the reports state that equality and verify it numerically.
 
 The checks on downsets of one staircase run thousands of times in a row
 (every downset of every small staircase), so they read two neighbour
-tables of the staircase, `_neighbours`: each member's immediate divisors
-and each member's x_i multiples inside the staircase.  Only the tables
-of the staircase used last are kept, since callers take one staircase's
-downsets in a row and holding tables for every staircase alive would
-cost memory for no hit.  Building a staircase and finding its maximal
-elements stay on tuple arithmetic, so a large staircase that is only
-rendered never builds tables.
+tables that the staircase builds on first read, `Staircase._neighbours`:
+each member's immediate divisors and each member's x_i multiples inside
+the staircase.  Building a staircase and finding its maximal elements
+stay on tuple arithmetic, so a large staircase that is only rendered
+never builds tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import le
 
 from .bass import reducibility_index_by_bass
@@ -93,6 +92,20 @@ class Staircase:
         """The staircase as monomials in lex order, for rendering."""
         return [Monomial(e, self.ring) for e in sorted(self.exponents)]
 
+    @cached_property
+    def _neighbours(self) -> tuple[dict, dict]:
+        """Each member's immediate divisors and its x_i multiples inside the staircase."""
+        exps = self.exponents
+        divisors = {e: [] for e in exps}
+        multiples = {e: [] for e in exps}
+        for e in exps:
+            for i, v in enumerate(e):
+                up = e[:i] + (v + 1,) + e[i + 1 :]
+                if up in exps:
+                    multiples[e].append(up)
+                    divisors[up].append(e)
+        return divisors, multiples
+
 
 def maximal_elements(g: Staircase) -> frozenset[tuple[int, ...]]:
     """Exponent vectors with no multiple inside the staircase: the dual's generators."""
@@ -102,33 +115,6 @@ def maximal_elements(g: Staircase) -> frozenset[tuple[int, ...]]:
         for e in exps
         if all(e[:i] + (v + 1,) + e[i + 1 :] not in exps for i, v in enumerate(e))
     )
-
-
-_last_neighbours: tuple = (None, None)
-
-
-def _neighbours(g: Staircase) -> tuple[dict, dict]:
-    """Each member's immediate divisors and its x_i multiples inside g.
-
-    One slot: the tables of the staircase used last, matched by
-    identity, so a staircase no longer used is not kept alive here.
-    """
-    global _last_neighbours
-    last, tables = _last_neighbours
-    if last is g:
-        return tables
-    exps = g.exponents
-    divisors = {e: [] for e in exps}
-    multiples = {e: [] for e in exps}
-    for e in exps:
-        for i, v in enumerate(e):
-            up = e[:i] + (v + 1,) + e[i + 1 :]
-            if up in exps:
-                multiples[e].append(up)
-                divisors[up].append(e)
-    tables = divisors, multiples
-    _last_neighbours = g, tables
-    return tables
 
 
 @dataclass(frozen=True)
@@ -143,7 +129,7 @@ class DownsetSubmodule:
             raise ValueError("members must lie in the staircase")
         # the staircase is a downset, so its divisor table lists every
         # immediate divisor of a member: the test of _check_downset
-        divisors = _neighbours(self.staircase)[0]
+        divisors = self.staircase._neighbours[0]
         if not all(self.members.issuperset(divisors[e]) for e in self.members):
             raise ValueError("not closed under divisors")
 
@@ -269,15 +255,10 @@ def quotient_index(g: Staircase, b: DownsetSubmodule) -> int:
     corners of G that escaped B, which is what makes the count at most
     the index of the dual; the count never uses that, or the comparison
     with the corner count would prove nothing.  For B = G the quotient
-    is zero and the index is 0.
-
-    Multiples are looked up in G's neighbour table (`_neighbours`), the
-    x_i multiples of each member inside G.  The table has one slot, the
-    staircase used last: callers check one staircase's downsets in a
-    row, and tables kept for every live staircase would cost memory
-    that no later call reads.
+    is zero and the index is 0.  Multiples are looked up in G's table of
+    x_i multiples inside G.
     """
-    multiples = _neighbours(g)[1]
+    multiples = g._neighbours[1]
     rest = g.exponents - b.members
     return sum(1 for e in rest if rest.isdisjoint(multiples[e]))
 

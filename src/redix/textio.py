@@ -30,7 +30,8 @@ A polynomial term's degree or a `t^e` exponent above
 coefficient list is built or any product is taken.  A digit run over
 MAX_DIGITS digits (an exponent, a cyclic order, a field size, a
 coefficient, an `extend:` count) is a ParseError at its column before
-any conversion, on every Python, whatever its int-string limit.
+any conversion, on every Python; under a lower int-string limit, a run
+over that limit is refused the same way.
 
 Each parse has a matching render producing the canonical echo, and
 parsing an echo reproduces the parsed object exactly.
@@ -43,21 +44,28 @@ code runs only when a parse or render first reads from it.
 from __future__ import annotations
 
 import re
+import sys
 
 from . import abelian, gfpoly, monomial
 from .errors import ParseError, SizeCapError
 
 _TOKEN_RE = re.compile(r"\d+|[A-Za-z_]\w*|\S")
 
-# the longest digit run converted to an int, whatever the running
-# Python's own int-string limit (4300 digits by default since 3.11)
+# the longest digit run converted to an int when the running Python's
+# own int-string limit (4300 digits by default since 3.11) is no lower
 MAX_DIGITS = 4300
 
 
 def _decimal(digits: str, line_no: int, col: int) -> int:
-    """A run of decimal digits as an int; a run over MAX_DIGITS is a ParseError."""
-    if len(digits) > MAX_DIGITS:
-        raise ParseError(f"{len(digits)}-digit number exceeds {MAX_DIGITS} digits", line_no, col)
+    """A run of decimal digits as an int; a run over the limit in force is a ParseError.
+
+    The limit is MAX_DIGITS, or the interpreter's int-string limit when
+    that is set lower (0 means none).
+    """
+    own = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = min(own, MAX_DIGITS) if own else MAX_DIGITS
+    if len(digits) > limit:
+        raise ParseError(f"{len(digits)}-digit number exceeds {limit} digits", line_no, col)
     return int(digits)
 
 

@@ -186,6 +186,21 @@ def test_over_long_digit_run_is_a_positioned_parse_error(capsys):
     assert err == "input error: 5000-digit number exceeds 4300 digits (line 1, column 10)\n"
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int-string limit"
+)
+def test_over_long_digit_run_under_a_lower_int_string_limit(monkeypatch):
+    monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "1000")
+    proc = run_module("decompose", f"ideal: x^{'9' * 2000}")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "input error: 2000-digit number exceeds 1000 digits (line 1, column 10)\n"
+
+
+def test_longest_extend_count_is_refused_promptly():
+    proc = run_module("basechange", "ideal: x", f"extend:{'9' * 4300}", timeout=10)
+    assert (proc.returncode, proc.stderr) == (3, "size cap: extend count exceeds cap 1000\n")
+
+
 def test_dual_infinite_colength(capsys):
     code, _, err = run(capsys, "dual", "ring: x, y\nideal: x^2")
     assert code == 2

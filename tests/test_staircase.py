@@ -332,13 +332,29 @@ def test_quotient_index_matches_tuple_corner_count_across_staircases(first, seco
 
 @settings(max_examples=50, deadline=None)
 @given(staircase_exponents(), staircase_exponents())
-def test_only_the_last_staircase_is_kept(first, second):
+def test_tables_are_freed_with_their_staircase(first, second):
     g = Staircase(RingContext.default(first[0]), first[1])
     h = Staircase(RingContext.default(second[0]), second[1])
+    shown = repr(g)
     quotient_index(g, DownsetSubmodule(g, frozenset()))
     quotient_index(h, DownsetSubmodule(h, frozenset()))
+    # the tables are no field: equality, hash and repr read only the members
+    twin = Staircase(g.ring, frozenset(g.exponents))
+    assert (g == twin, hash(g) == hash(twin), repr(g)) == (True, True, shown)
     ref = weakref.ref(g)
     del g
+    gc.collect()
+    assert ref() is None
+    assert "_neighbours" in vars(h) and "_neighbours" not in vars(twin)
+
+
+def test_all_staircases_lets_go_of_each_staircase_it_passed():
+    stairs = all_staircases(3, 10)
+    g = next(stairs)
+    quotient_index(g, DownsetSubmodule(g, frozenset()))
+    ref = weakref.ref(g)
+    del g
+    next(stairs)
     gc.collect()
     assert ref() is None
 

@@ -288,6 +288,32 @@ def test_longest_digit_run_is_still_read(int_str_limit):
         parse_group_text(f"group: Z/0{padded}2")
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int-string limit"
+)
+@pytest.mark.parametrize(
+    "parse, text, col",
+    [
+        (parse_ideal_text, "ideal: x^{}", 10),
+        (parse_group_text, "group: Z/{}", 10),
+        (parse_poly_text, "f: {}*x over GF(2)", 4),
+        (parse_field_spec, "GF({})", 4),
+        (parse_change_descriptor, "extend:{}", 8),
+    ],
+    ids=["exponent", "cyclic-order", "coefficient", "field", "extend"],
+)
+def test_a_lower_int_string_limit_is_the_limit_in_force(parse, text, col):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        with pytest.raises(ParseError) as info:
+            parse(text.format("9" * 2000))
+        assert str(info.value) == f"2000-digit number exceeds 1000 digits (line 1, column {col})"
+        assert parse_change_descriptor(f"extend:{'0' * 999}2") == ("extend", 2)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 # ------------------------------------------------ property: parse -> render -> parse
 
 _NAMES = ("x", "y", "z", "w", "a", "b", "x1", "x2", "u_1")
