@@ -52,7 +52,6 @@ _EXPORTS = {
         "IrreducibleComponent",
         "decompose",
         "irredundant",
-        "reducibility_index_by_decomposition",
         "split_decompose",
     ),
     "bass": (

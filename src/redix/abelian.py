@@ -41,7 +41,7 @@ from functools import cache, cached_property
 from math import prod
 
 from .census import census
-from .errors import MAX_ORDER, SizeCapError, TrivialGroupError, VerificationError
+from .errors import MAX_ORDER, SizeCapError, TrivialGroupError, VerificationError, shown
 
 QUOTIENT_SCAN_CAP = 32
 SAMPLE_CAP = 12
@@ -72,7 +72,7 @@ def prime_divisors(n: int) -> tuple[int, ...]:
 def _check_order(order: int) -> None:
     """Refuse a group above MAX_ORDER before any order is split into primes."""
     if order > MAX_ORDER:
-        raise SizeCapError(f"group order {order} exceeds the hard ceiling {MAX_ORDER}")
+        raise SizeCapError(f"group order {shown(order)} exceeds the hard ceiling {MAX_ORDER}")
 
 
 def _partitions(n: int):

@@ -80,8 +80,7 @@ def extend_polynomial(ideal: monomial.MonomialIdeal, extra: int) -> monomial.Mon
         if f"t{i}" not in taken:
             names.append(f"t{i}")
     big = monomial.RingContext(tuple(names))
-    gens = [monomial.Monomial(g.exponents + (0,) * extra, big) for g in ideal.gens]
-    return monomial.MonomialIdeal.from_gens(big, gens)
+    return monomial.MonomialIdeal.of(big, (e + (0,) * extra for e in ideal.exponents))
 
 
 def extension_report(ideal: monomial.MonomialIdeal, extra: int) -> BaseChangeReport:
@@ -90,7 +89,7 @@ def extension_report(ideal: monomial.MonomialIdeal, extra: int) -> BaseChangeRep
     The fiber at p is p's own variables read as a prime of the extended
     ring, indexed by the splitting decomposition.
     """
-    from .decompose import reducibility_index_by_decomposition
+    from .decompose import decompose
 
     if ideal.is_unit:
         raise UnitIdealError("base change reports need a proper ideal")
@@ -100,10 +99,10 @@ def extension_report(ideal: monomial.MonomialIdeal, extra: int) -> BaseChangeRep
     formula = 0
     for prime, mu0, _ in before.entries:
         extended_prime = bass.MonomialPrime(prime.support, extended.ring).as_ideal()
-        fib = reducibility_index_by_decomposition(extended_prime)
+        fib = decompose(extended_prime).count
         fibers.append(PrimeFiber(prime.render(), mu0, fib))
         formula += mu0 * fib
-    direct = reducibility_index_by_decomposition(extended)
+    direct = decompose(extended).count
     t = max((f.fiber_index for f in fibers), default=1)
     checks = (
         ("prediction matches direct recomputation", formula == direct),
@@ -133,7 +132,7 @@ def localization_report(ideal: monomial.MonomialIdeal, inverted) -> BaseChangeRe
     get the zero fiber.  Equality with the original index holds exactly
     when every associated prime survives.
     """
-    from .decompose import reducibility_index_by_decomposition
+    from .decompose import decompose
 
     if ideal.is_unit:
         raise UnitIdealError("base change reports need a proper ideal")
@@ -155,10 +154,10 @@ def localization_report(ideal: monomial.MonomialIdeal, inverted) -> BaseChangeRe
             # prime on the same variables, a domain quotient
             image_support = [keep.index(i) for i in sorted(prime.support)]
             image = bass.MonomialPrime(frozenset(image_support), local.ring).as_ideal()
-            fib = reducibility_index_by_decomposition(image)
+            fib = decompose(image).count
         fibers.append(PrimeFiber(prime.render(), mu0, fib))
         formula += mu0 * fib
-    direct = 0 if local.is_unit else reducibility_index_by_decomposition(local)
+    direct = 0 if local.is_unit else decompose(local).count
     t = max((f.fiber_index for f in fibers), default=1)
     all_survive = all(f.fiber_index >= 1 for f in fibers)
     checks = (

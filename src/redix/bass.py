@@ -39,12 +39,9 @@ class MonomialPrime:
                 raise ValueError("variable index out of range")
 
     def as_ideal(self) -> MonomialIdeal:
-        gens = []
-        for i in sorted(self.support):
-            exps = [0] * self.ring.n
-            exps[i] = 1
-            gens.append(Monomial(tuple(exps), self.ring))
-        return MonomialIdeal.from_gens(self.ring, gens)
+        n = self.ring.n
+        variables = ((0,) * i + (1,) + (0,) * (n - i - 1) for i in self.support)
+        return MonomialIdeal.of(self.ring, variables)
 
     def sort_key(self):
         return tuple(sorted(self.support))
@@ -63,8 +60,7 @@ def localized_ideal(ideal: MonomialIdeal, support) -> MonomialIdeal:
     """
     keep = sorted(support)
     sub = ideal.ring.subring(keep)
-    gens = [Monomial(tuple(g.exponents[i] for i in keep), sub) for g in ideal.gens]
-    return MonomialIdeal.from_gens(sub, gens)
+    return MonomialIdeal.of(sub, (tuple(e[i] for i in keep) for e in ideal.exponents))
 
 
 def bass0(ideal: MonomialIdeal, support) -> tuple[int, tuple[Monomial, ...]]:
@@ -77,7 +73,7 @@ def bass0(ideal: MonomialIdeal, support) -> tuple[int, tuple[Monomial, ...]]:
     the grid {g_i - 1 : g_i >= 1}.
     """
     keep = sorted(support)
-    gens = minimal_exponents(tuple(g.exponents[i] for i in keep) for g in ideal.gens)
+    gens = minimal_exponents(tuple(e[i] for i in keep) for e in ideal.exponents)
     if len(gens) == 1 and not any(gens[0]):
         return 0, ()  # localizes to the unit ideal
 
@@ -112,7 +108,7 @@ def ass_by_colon_scan(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
     """
     if ideal.is_unit:
         raise UnitIdealError("the unit ideal has no associated primes")
-    gens = [g.exponents for g in ideal.gens]
+    gens = ideal.exponents
     grid = [
         sorted({g[k] - 1 for g in gens if g[k]} | {d})
         for k, d in enumerate(ideal.max_exponents())

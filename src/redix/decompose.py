@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidCandidatesError, UnitIdealError
-from .monomial import Monomial, MonomialIdeal, RingContext, minimal_exponents
+from .monomial import MonomialIdeal, RingContext, minimal_exponents
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,7 @@ class IrreducibleComponent:
         return frozenset(i for i, b in enumerate(self.bounds) if b)
 
     def as_ideal(self) -> MonomialIdeal:
-        gens = []
-        for i, b in enumerate(self.bounds):
-            if b:
-                exps = [0] * self.ring.n
-                exps[i] = b
-                gens.append(Monomial(tuple(exps), self.ring))
-        return MonomialIdeal.from_gens(self.ring, gens)
+        return MonomialIdeal.of(self.ring, _pure_powers(self.bounds))
 
     def render(self) -> str:
         ideal = self.as_ideal()
@@ -107,7 +101,7 @@ def split_decompose(
     """
     if ideal.is_unit:
         raise UnitIdealError("cannot decompose the unit ideal")
-    gens = [g.exponents for g in ideal.gens]
+    gens = list(ideal.exponents)
     if strategy == "last":
         gens.reverse()
     elif strategy == "random":
@@ -157,21 +151,26 @@ def irredundant(candidates, ideal: MonomialIdeal) -> Decomposition:
     """
     by_bounds = {c.bounds: c for c in candidates}
     comps = [by_bounds[b] for b in _containing_none(by_bounds)]
-    ring = ideal.ring
-    inter = _intersect_components(comps, ring.n)
-    if inter != tuple(g.exponents for g in ideal.gens):
-        shown = MonomialIdeal.from_gens(ring, [Monomial(e, ring) for e in inter])
+    inter = _intersect_components(comps, ideal.ring.n)
+    if inter != ideal.exponents:
+        shown = MonomialIdeal.of(ideal.ring, inter)
         raise InvalidCandidatesError(
             f"candidates intersect to ({shown.render()}), not ({ideal.render()})"
         )
     return Decomposition(ideal, tuple(sorted(comps, key=lambda c: c.bounds, reverse=True)))
 
 
+def _pure_powers(bounds) -> list[tuple[int, ...]]:
+    """Exponents of the generators x_i^b_i, b_i >= 1, of a component."""
+    n = len(bounds)
+    return [(0,) * i + (b,) + (0,) * (n - i - 1) for i, b in enumerate(bounds) if b]
+
+
 def _intersect_components(comps, n: int) -> tuple[tuple[int, ...], ...]:
     """Generator exponents of the intersection; the unit ideal when comps is empty."""
     out = ((0,) * n,)
     for c in comps:
-        pure = [(0,) * i + (b,) + (0,) * (n - i - 1) for i, b in enumerate(c.bounds) if b]
+        pure = _pure_powers(c.bounds)
         out = minimal_exponents(tuple(map(max, a, p)) for a in out for p in pure)
     return out
 
@@ -182,13 +181,3 @@ def decompose(
     """Irredundant irreducible decomposition of the ideal."""
     return irredundant(split_decompose(ideal, strategy, seed), ideal)
 
-
-def reducibility_index_by_decomposition(
-    ideal: MonomialIdeal, strategy: str = "first", seed: int | None = None
-) -> int:
-    """Component count of the irredundant decomposition.
-
-    The zero ideal decomposes as itself (the quotient is the whole ring,
-    a domain), giving index 1.
-    """
-    return decompose(ideal, strategy, seed).count

@@ -12,6 +12,19 @@ loading that arena.
 from __future__ import annotations
 
 MAX_ORDER = 64  # largest finite abelian group order accepted
+SHOWN_DIGITS = 40  # longer values are named by size in messages, never printed
+
+
+def shown(value: int) -> str:
+    """`value` in decimal below 10**40, else a phrase naming its size.
+
+    A refused value can be thousands of digits long; it is never turned
+    into a decimal string, which would flood the message or trip the
+    interpreter's int-string limit.
+    """
+    if value < 10**SHOWN_DIGITS:
+        return str(value)
+    return f"10^{SHOWN_DIGITS} or more"
 
 
 class RedixError(Exception):

@@ -1,10 +1,13 @@
 """Monomials and monomial ideals in a fixed polynomial ring.
 
-A monomial is an exponent vector over the ring's variables; a monomial
-ideal is stored canonically as the lex-sorted antichain of its minimal
-generators.  The zero ideal is the empty generator list and the unit
-ideal is the single all-zero monomial.  All values are immutable, so
-they hash, compare, and can be shared freely.
+A monomial is an exponent vector over the ring's variables.  A monomial
+ideal is stored as exponent tuples only: the lex-descending antichain of
+its minimal generators, as `minimal_exponents` returns it.  The zero
+ideal has no tuples and the unit ideal the single all-zero one.  Every
+route builds and reads ideals through these tuples (`MonomialIdeal.of`);
+`Monomial` objects appear only where input is parsed, output rendered,
+or a caller asks for `gens`.  All values are immutable, so they hash,
+compare, and can be shared freely.
 
 A ring with zero variables is allowed: it models the coefficient field,
 which shows up when every variable of a localization is inverted.  The
@@ -16,9 +19,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import le
 
-from .errors import InfiniteColengthError, SizeCapError
+from .errors import InfiniteColengthError, SizeCapError, shown
 
 MAX_EXPONENT = 10**6  # larger exponents are refused, not silently accepted
 MAX_STANDARD_BOX = 100_000  # box points standard_monomials scans before refusing
@@ -72,26 +76,13 @@ class Monomial:
             if e < 0:
                 raise ValueError("negative exponent")
             if e > MAX_EXPONENT:
-                raise SizeCapError(f"exponent {e} exceeds cap {MAX_EXPONENT}")
-
-    @property
-    def is_unit(self) -> bool:
-        return not any(self.exponents)
+                raise SizeCapError(f"exponent {shown(e)} exceeds cap {MAX_EXPONENT}")
 
     def support(self) -> frozenset[int]:
         return frozenset(i for i, e in enumerate(self.exponents) if e)
 
     def divides(self, other: "Monomial") -> bool:
         return all(map(le, self.exponents, other.exponents))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(map(max, self.exponents, other.exponents)), self.ring)
-
-    def colon_by(self, u: "Monomial") -> "Monomial":
-        """self / gcd(self, u), the generator image under the colon by u."""
-        return Monomial(
-            tuple(max(a - b, 0) for a, b in zip(self.exponents, u.exponents)), self.ring
-        )
 
     def render(self) -> str:
         parts = []
@@ -123,19 +114,27 @@ def minimal_exponents(exps) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Canonical form: minimal generators, lex sorted.  Build via from_gens."""
+    """Minimal generator exponents, in `minimal_exponents` order.  Build via `of`."""
 
     ring: RingContext
-    gens: tuple[Monomial, ...]
+    exponents: tuple[tuple[int, ...], ...]
+
+    @staticmethod
+    def of(ring: RingContext, exps) -> "MonomialIdeal":
+        """The ideal generated by exponent tuples of the ring's length, minimalized."""
+        kept = minimal_exponents(exps)
+        if any(len(e) != ring.n for e in kept):
+            raise ValueError("exponent vector length does not match ring")
+        return MonomialIdeal(ring, kept)
 
     @staticmethod
     def from_gens(ring: RingContext, gens) -> "MonomialIdeal":
-        by_exps = {}
+        exps = []
         for g in gens:
             if g.ring != ring:
                 raise ValueError("generator from a different ring")
-            by_exps[g.exponents] = g
-        return MonomialIdeal(ring, tuple(by_exps[e] for e in minimal_exponents(by_exps)))
+            exps.append(g.exponents)
+        return MonomialIdeal.of(ring, exps)
 
     @staticmethod
     def zero(ring: RingContext) -> "MonomialIdeal":
@@ -143,49 +142,51 @@ class MonomialIdeal:
 
     @staticmethod
     def unit(ring: RingContext) -> "MonomialIdeal":
-        return MonomialIdeal(ring, (Monomial((0,) * ring.n, ring),))
+        return MonomialIdeal(ring, ((0,) * ring.n,))
+
+    @cached_property
+    def gens(self) -> tuple[Monomial, ...]:
+        """The minimal generators as monomials, built on first read."""
+        return tuple(Monomial(e, self.ring) for e in self.exponents)
 
     @property
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self.exponents
 
     @property
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].is_unit
+        return len(self.exponents) == 1 and not any(self.exponents[0])
 
     def contains(self, u: Monomial) -> bool:
         """Monomial membership: some generator divides u."""
-        return any(g.divides(u) for g in self.gens)
+        return any(all(map(le, g, u.exponents)) for g in self.exponents)
 
     def colon(self, u: Monomial) -> "MonomialIdeal":
         """(I : u) = (g / gcd(g, u) for g in gens)."""
-        return MonomialIdeal.from_gens(self.ring, [g.colon_by(u) for g in self.gens])
+        quot = (tuple(max(a - b, 0) for a, b in zip(g, u.exponents)) for g in self.exponents)
+        return MonomialIdeal.of(self.ring, quot)
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Pairwise lcms of generators, then minimalize."""
         if self.ring != other.ring:
             raise ValueError("ideals over different rings")
-        if self.is_zero or other.is_zero:
-            return MonomialIdeal.zero(self.ring)
-        lcms = [a.lcm(b) for a in self.gens for b in other.gens]
-        return MonomialIdeal.from_gens(self.ring, lcms)
+        return MonomialIdeal.of(
+            self.ring, (tuple(map(max, a, b)) for a in self.exponents for b in other.exponents)
+        )
 
     def max_exponents(self) -> tuple[int, ...]:
         """Per-variable maximum exponent over the generators (0 if absent)."""
-        out = [0] * self.ring.n
-        for g in self.gens:
-            for i, e in enumerate(g.exponents):
-                if e > out[i]:
-                    out[i] = e
-        return tuple(out)
+        if not self.exponents:
+            return (0,) * self.ring.n
+        return tuple(map(max, zip(*self.exponents)))
 
     def is_finite_colength(self) -> bool:
         """True when every variable appears as a pure power among the gens."""
         if self.ring.n == 0:
             return True
         pure = [False] * self.ring.n
-        for g in self.gens:
-            supp = [i for i, e in enumerate(g.exponents) if e]
+        for e in self.exponents:
+            supp = [i for i, v in enumerate(e) if v]
             if len(supp) == 1:
                 pure[supp[0]] = True
             elif not supp:  # unit ideal
@@ -204,13 +205,15 @@ class MonomialIdeal:
             raise InfiniteColengthError(f"{self.render()} does not have finite colength")
         if self.is_unit:
             return frozenset()
-        gens = [g.exponents for g in self.gens]
+        gens = self.exponents
         bounds = [
             min(e[i] for e in gens if e[i] and e[i] == sum(e)) for i in range(self.ring.n)
         ]
         points = math.prod(bounds)
         if points > MAX_STANDARD_BOX:
-            raise SizeCapError(f"staircase box of {points} points exceeds cap {MAX_STANDARD_BOX}")
+            raise SizeCapError(
+                f"staircase box of {shown(points)} points exceeds cap {MAX_STANDARD_BOX}"
+            )
         if not bounds:  # no variables: the zero ideal leaves the one empty monomial
             return frozenset({()})
         rows = [(e[:-1], e[-1]) for e in gens]

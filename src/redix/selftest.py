@@ -46,7 +46,7 @@ from .gfpoly import (
     is_irreducible,
     monic_polys,
 )
-from .monomial import Monomial, MonomialIdeal, RingContext
+from .monomial import MonomialIdeal, RingContext
 from .staircase import (
     ALL_COVERS_CAP,
     Staircase,
@@ -124,12 +124,9 @@ class _Recorder:
 
 def random_ideal(rng: random.Random, ring: RingContext, max_exp: int, max_gens: int = 6) -> MonomialIdeal:
     """Random proper monomial ideal; may come out zero, never unit."""
-    gens = []
-    for _ in range(rng.randint(1, max_gens)):
-        exps = tuple(rng.randint(0, max_exp) for _ in range(ring.n))
-        if any(exps):
-            gens.append(Monomial(exps, ring))
-    return MonomialIdeal.from_gens(ring, gens)
+    count = rng.randint(1, max_gens)
+    gens = [tuple(rng.randint(0, max_exp) for _ in range(ring.n)) for _ in range(count)]
+    return MonomialIdeal.of(ring, filter(any, gens))
 
 
 def ideal_sample(seed: int, count: int, max_vars: int, max_exp: int) -> list[MonomialIdeal]:
@@ -151,12 +148,10 @@ def finite_colength_sample(seed: int, count: int) -> list[MonomialIdeal]:
         for i in range(ring.n):
             exps = [0] * ring.n
             exps[i] = rng.randint(1, 4)
-            gens.append(Monomial(tuple(exps), ring))
+            gens.append(tuple(exps))
         for _ in range(rng.randint(0, 3)):
-            exps = tuple(rng.randint(0, 3) for _ in range(ring.n))
-            if any(exps):
-                gens.append(Monomial(exps, ring))
-        ideal = MonomialIdeal.from_gens(ring, gens)
+            gens.append(tuple(rng.randint(0, 3) for _ in range(ring.n)))
+        ideal = MonomialIdeal.of(ring, filter(any, gens))
         if ideal.is_unit:
             continue
         if len(ideal.standard_monomials()) <= 25:
@@ -201,9 +196,7 @@ def _box_ideals() -> list[MonomialIdeal]:
     ring = RingContext.default(2)
     order, masks = _downsets(itertools.product(range(4), repeat=2), 16)
     return [
-        MonomialIdeal.from_gens(
-            ring, [Monomial(e, ring) for i, e in enumerate(order) if not mask >> i & 1]
-        )
+        MonomialIdeal.of(ring, (e for i, e in enumerate(order) if not mask >> i & 1))
         for mask in masks[1:]
     ]
 

@@ -84,9 +84,7 @@ class Staircase:
             return MonomialIdeal.unit(self.ring)
         exps = self.exponents
         border = {e[:i] + (v + 1,) + e[i + 1 :] for e in exps for i, v in enumerate(e)}
-        return MonomialIdeal.from_gens(
-            self.ring, [Monomial(e, self.ring) for e in border - exps]
-        )
+        return MonomialIdeal.of(self.ring, border - exps)
 
     def sorted_monomials(self) -> list[Monomial]:
         """The staircase as monomials in lex order, for rendering."""

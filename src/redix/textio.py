@@ -47,7 +47,7 @@ import re
 import sys
 
 from . import abelian, gfpoly, monomial
-from .errors import ParseError, SizeCapError
+from .errors import ParseError, SizeCapError, shown
 
 _TOKEN_RE = re.compile(r"\d+|[A-Za-z_]\w*|\S")
 
@@ -304,7 +304,7 @@ def _parse_field(ts: _Tokens):
     ts.take(")", "a closing parenthesis")
     if q > gfpoly.MAX_FIELD_SIZE:
         # refused before factoring: trial division of a huge q would not return
-        raise SizeCapError(f"field size {q} exceeds cap {gfpoly.MAX_FIELD_SIZE}")
+        raise SizeCapError(f"field size {shown(q)} exceeds cap {gfpoly.MAX_FIELD_SIZE}")
     split = [(p, k) for p in gfpoly._SMALL_PRIMES for k in range(1, q.bit_length()) if p**k == q]
     if not split:
         raise ParseError(f"{q} is not a power of a prime up to 13", ts.line, dcol)
@@ -366,7 +366,9 @@ def _parse_poly_tokens(ts: _Tokens, field):
         # refused before a dense coefficient list or e multiplications are spent
         e = _exponent(ts)
         if e > gfpoly.MAX_POLY_DEGREE:
-            raise SizeCapError(f"polynomial exponent {e} exceeds cap {gfpoly.MAX_POLY_DEGREE}")
+            raise SizeCapError(
+                f"polynomial exponent {shown(e)} exceeds cap {gfpoly.MAX_POLY_DEGREE}"
+            )
         return e
 
     def coef_atom():

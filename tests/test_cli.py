@@ -16,6 +16,7 @@ import redix
 from redix import parse_ideal_text, render_ideal_text
 from redix.bass import BassReport, reducibility_index_by_bass
 from redix.cli import main
+from redix.errors import shown
 from redix.selftest import SelftestReport, SuiteResult
 
 IDEAL = "ring: x, y\nideal: x^2, x*y, y^3"
@@ -199,6 +200,34 @@ def test_over_long_digit_run_under_a_lower_int_string_limit(monkeypatch):
 def test_longest_extend_count_is_refused_promptly():
     proc = run_module("basechange", "ideal: x", f"extend:{'9' * 4300}", timeout=10)
     assert (proc.returncode, proc.stderr) == (3, "size cap: extend count exceeds cap 1000\n")
+
+
+NINES = "9" * 4300
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("abelian", f"group: Z/{NINES} + Z/{NINES}"),
+            "group order 10^40 or more exceeds the hard ceiling 64",
+        ),
+        (("decompose", f"ideal: x^{NINES}*x^{NINES}"), "exponent 10^40 or more exceeds cap 1000000"),
+        (
+            ("dual", "ideal: " + ", ".join(f"x_{i}^999999" for i in range(800))),
+            "staircase box of 10^40 or more points exceeds cap 100000",
+        ),
+    ],
+)
+def test_over_long_capped_values_are_named_by_size(capsys, argv, message):
+    # each value is past Python's int-string limit, so printing it would fail
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", f"size cap: {message}\n")
+
+
+def test_shown_values_switch_to_a_size_at_forty_digits():
+    assert shown(10**40 - 1) == "9" * 40
+    assert shown(10**40) == "10^40 or more"
 
 
 def test_dual_infinite_colength(capsys):

@@ -15,7 +15,6 @@ from redix import (
     irredundant,
     parse_ideal_text,
     reducibility_index_by_bass,
-    reducibility_index_by_decomposition,
     split_decompose,
 )
 from redix.errors import InvalidCandidatesError, UnitIdealError
@@ -51,7 +50,6 @@ def test_frozen_embedded_prime_example():
 def test_single_generator_power():
     I = ideal((3, 0))
     assert decompose(I).count == 1
-    assert reducibility_index_by_decomposition(I) == 1
 
 
 def test_zero_ideal_is_irreducible():

@@ -37,7 +37,6 @@ EXPORTS = {
         "IrreducibleComponent",
         "decompose",
         "irredundant",
-        "reducibility_index_by_decomposition",
         "split_decompose",
     ],
     "bass": ["BassReport", "MonomialPrime", "ass_by_colon_scan", "bass0", "reducibility_index_by_bass"],

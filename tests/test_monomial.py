@@ -6,7 +6,20 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from redix import Monomial, MonomialIdeal, RingContext
+from redix import (
+    Monomial,
+    MonomialIdeal,
+    MonomialPrime,
+    RingContext,
+    Staircase,
+    ass_by_colon_scan,
+    irredundant,
+    parse_ideal_text,
+    render_ideal_text,
+    split_decompose,
+)
+from redix.basechange import extend_polynomial
+from redix.bass import localized_ideal
 from redix.errors import SizeCapError
 
 
@@ -42,8 +55,6 @@ def test_divides_and_operations():
     xy = R.monomial(1, 1)
     assert xy.divides(x2y)
     assert not x2y.divides(xy)
-    assert xy.lcm(R.monomial(0, 3)).exponents == (1, 3)
-    assert x2y.colon_by(xy).exponents == (1, 0)
 
 
 def test_render_names():
@@ -56,6 +67,8 @@ def test_mixed_rings_rejected():
     R2, R3 = ring(2), ring(3)
     with pytest.raises(ValueError):
         MonomialIdeal.from_gens(R2, [R3.monomial(1, 0, 0)])
+    with pytest.raises(ValueError):
+        MonomialIdeal.of(R2, [(1, 0, 0)])
     a = MonomialIdeal.from_gens(R2, [R2.monomial(1, 0)])
     b = MonomialIdeal.from_gens(R3, [R3.monomial(1, 0, 0)])
     with pytest.raises(ValueError):
@@ -70,6 +83,60 @@ def test_zero_and_unit():
     assert unit.is_unit and not unit.is_zero
     assert unit.contains(R.monomial(0, 0))
     assert not zero.contains(R.monomial(0, 0))
+
+
+def _lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def _colon(g, u):
+    """g / gcd(g, u), the generator image under the colon by u."""
+    return tuple(max(x - y, 0) for x, y in zip(g, u))
+
+
+@st.composite
+def exponent_lists(draw, max_vars=4, max_exp=3, max_gens=5):
+    """A ring, two exponent lists over it (empty and all-zero ones included) and a vector."""
+    n = draw(st.integers(1, max_vars))
+    vector = st.tuples(*[st.integers(0, max_exp)] * n)
+    a, b = (draw(st.lists(vector, max_size=max_gens)) for _ in range(2))
+    return ring(n), a, b, draw(vector)
+
+
+@given(exponent_lists())
+@settings(max_examples=200)
+def test_exponent_tuples_are_the_ideal(case):
+    R, a, b, u = case
+    ideal = MonomialIdeal.of(R, a)
+    assert ideal == MonomialIdeal.from_gens(R, [Monomial(e, R) for e in a])
+    assert tuple(g.exponents for g in ideal.gens) == ideal.exponents
+    assert parse_ideal_text(render_ideal_text(ideal)) == ideal
+    other = MonomialIdeal.of(R, b)
+    lcms = [Monomial(_lcm(x, y), R) for x in a for y in b]
+    assert ideal.intersect(other) == MonomialIdeal.from_gens(R, lcms)
+    quotients = [Monomial(_colon(g, u), R) for g in a]
+    assert ideal.colon(Monomial(u, R)) == MonomialIdeal.from_gens(R, quotients)
+
+
+def test_tuple_routes_build_no_monomial(monkeypatch):
+    R = ring(3)
+    ideal = MonomialIdeal.of(R, [(2, 0, 0), (1, 1, 0), (0, 3, 1), (0, 0, 2)])
+    box = MonomialIdeal.of(R, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)])
+    staircase = Staircase.from_ideal(box)
+    built = []
+    post_init = Monomial.__post_init__
+    monkeypatch.setattr(Monomial, "__post_init__", lambda m: built.append(m) or post_init(m))
+    comps = split_decompose(ideal)
+    irredundant(comps, ideal)
+    ass_by_colon_scan(ideal)
+    localized_ideal(ideal, {0, 2})
+    comps[0].as_ideal()
+    MonomialPrime(frozenset({0, 1}), R).as_ideal()
+    extend_polynomial(ideal, 2)
+    staircase.ideal()
+    assert built == []
+    R.monomial(0, 0, 0)  # the counter does see a construction
+    assert len(built) == 1
 
 
 @given(ideals())
