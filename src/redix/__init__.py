@@ -21,9 +21,12 @@ loads lazily.  It registers every arena in `sys.modules` through
 attribute read, and binds each on the package except `decompose`,
 which stays the function: the import system binds a submodule on its
 package only when it first loads it, and every arena is in
-`sys.modules` before any import runs.  Exported names resolve from
-their defining submodule on first use.  `cli` and `errors` load as
+`sys.modules` before any import runs.  `cli` and `errors` load as
 usual.
+
+The package exports exactly the names README's Library example
+imports, each resolved from its defining submodule on first use; every
+other name is imported from its module.
 """
 
 import importlib.util
@@ -33,95 +36,11 @@ __version__ = "0.1.0"
 
 # defining submodule -> the names the package exports from it
 _EXPORTS = {
-    "errors": (
-        "DimensionMismatchError",
-        "EmptyStaircaseError",
-        "InfiniteColengthError",
-        "InvalidCandidatesError",
-        "NotInStaircaseError",
-        "ParseError",
-        "RedixError",
-        "SizeCapError",
-        "TrivialGroupError",
-        "UnitIdealError",
-        "VerificationError",
-    ),
-    "monomial": ("Monomial", "MonomialIdeal", "RingContext"),
-    "decompose": (
-        "Decomposition",
-        "IrreducibleComponent",
-        "decompose",
-        "irredundant",
-        "split_decompose",
-    ),
-    "bass": (
-        "BassReport",
-        "MonomialPrime",
-        "ass_by_colon_scan",
-        "bass0",
-        "reducibility_index_by_bass",
-    ),
-    "basechange": (
-        "BaseChangeReport",
-        "PrimeFiber",
-        "extension_report",
-        "localization_report",
-    ),
-    "gfpoly": (
-        "ExtField",
-        "Factorization",
-        "PrimeField",
-        "UniPoly",
-        "factor",
-        "field_extension_report",
-        "hypersurface_index",
-        "hypersurface_index_bruteforce",
-        "irreducible_modulus",
-        "is_irreducible",
-        "monic_polys",
-    ),
-    "staircase": (
-        "DownsetSubmodule",
-        "DualIndexReport",
-        "Staircase",
-        "dual_index_report",
-        "maximal_elements",
-        "min_cover_oracle",
-        "principal_downset",
-        "quotient_index",
-        "sum_covers_iff_dual_disjoint",
-        "sum_irreducible_representation",
-    ),
-    "abelian": (
-        "AdditivityReport",
-        "FiniteAbelianGroup",
-        "SecondaryReport",
-        "Subgroup",
-        "SumIndexReport",
-        "abelian_group_classes",
-        "additivity_report",
-        "attached_primes",
-        "characterization_report",
-        "quotient_group",
-        "quotient_monotonicity_report",
-        "secondary_representation",
-        "subgroup_lattice",
-        "sum_index_formula",
-        "sum_reducibility_index_bruteforce",
-    ),
-    "textio": (
-        "parse_change_descriptor",
-        "parse_field_spec",
-        "parse_group_text",
-        "parse_ideal_text",
-        "parse_poly_text",
-        "render_change_descriptor",
-        "render_field_spec",
-        "render_group_text",
-        "render_ideal_text",
-        "render_poly_text",
-    ),
-    "selftest": ("SUITES", "SelftestReport", "SuiteResult", "run_selftest"),
+    "monomial": ("MonomialIdeal", "RingContext"),
+    "decompose": ("decompose",),
+    "bass": ("reducibility_index_by_bass",),
+    "staircase": ("Staircase", "dual_index_report"),
+    "abelian": ("FiniteAbelianGroup", "sum_index_formula", "sum_reducibility_index_bruteforce"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -147,7 +147,7 @@ class ExtField:
             raise SizeCapError(f"field size {self.base.p}^{k} exceeds cap {MAX_FIELD_SIZE}")
         mod_poly = UniPoly(self.base, self.modulus)
         if not is_irreducible(mod_poly):
-            raise ValueError(f"modulus {mod_poly.render()} is not irreducible")
+            raise ValueError(f"modulus {mod_poly.render(self.gen_name)} is not irreducible")
 
     @property
     def k(self) -> int:

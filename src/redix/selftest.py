@@ -111,12 +111,17 @@ class _Recorder:
         self.failure_count = 0
         self.samples: list[str] = []
 
-    def check(self, ok: bool, detail: str) -> None:
+    def check(self, ok: bool, detail: str, *args) -> None:
+        """Count one check; a failing one keeps `detail.format(*args)` as a sample.
+
+        The text is built only for a failing check, so args are the
+        objects themselves (ideals, polynomials, groups) and render then.
+        """
         self.checks += 1
         if not ok:
             self.failure_count += 1
             if len(self.samples) < FAILURE_SAMPLE_CAP:
-                self.samples.append(detail)
+                self.samples.append(detail.format(*args))
 
 
 # ------------------------------------------------------------- samplers
@@ -227,7 +232,7 @@ def _suite_index_socle_agreement(seed: int, rec: _Recorder) -> None:
     for ideal in itertools.chain(ideal_sample(seed, 1000, 4, 5), _box_ideals()):
         a = decompose(ideal).count
         b = reducibility_index_by_bass(ideal).index
-        rec.check(a == b, f"{ideal.render()}: splitting {a} vs socle sum {b}")
+        rec.check(a == b, "{}: splitting {} vs socle sum {}", ideal, a, b)
 
 
 def _suite_decomposition_uniqueness(seed: int, rec: _Recorder) -> None:
@@ -237,23 +242,24 @@ def _suite_decomposition_uniqueness(seed: int, rec: _Recorder) -> None:
         outcomes = [frozenset(c.bounds for c in dec.components) for dec in decs]
         rec.check(
             all(o == outcomes[0] for o in outcomes),
-            f"{ideal.render()}: components differ across strategies",
+            "{}: components differ across strategies", ideal,
         )
         by_support = decs[0].counts_by_support()
         socle_counts = reducibility_index_by_bass(ideal).socle_counts
         rec.check(
             by_support == socle_counts,
-            f"{ideal.render()}: per-prime counts {by_support} vs socle {socle_counts}",
+            "{}: per-prime counts {} vs socle {}", ideal, by_support, socle_counts,
         )
 
 
 def _suite_variable_extension(seed: int, rec: _Recorder) -> None:
     sample = ideal_sample(seed, 500, 3, 4)
     for j, ideal in enumerate(sample):
-        rep = extension_report(ideal, 1 + (j % 2))
+        extra = 1 + (j % 2)
+        rep = extension_report(ideal, extra)
         rec.check(
             rep.passed and rep.ir_after_direct == rep.ir_before,
-            f"{ideal.render()} + {1 + (j % 2)} vars: {rep.ir_before} -> {rep.ir_after_direct}",
+            "{} + {} vars: {} -> {}", ideal, extra, rep.ir_before, rep.ir_after_direct,
         )
 
 
@@ -265,8 +271,8 @@ def _suite_localization(seed: int, rec: _Recorder) -> None:
                 rep = localization_report(ideal, subset)
                 rec.check(
                     rep.passed,
-                    f"{ideal.render()} inverting {subset}: formula "
-                    f"{rep.ir_after_formula} vs direct {rep.ir_after_direct}",
+                    "{} inverting {}: formula {} vs direct {}",
+                    ideal, subset, rep.ir_after_formula, rep.ir_after_direct,
                 )
 
 
@@ -279,7 +285,7 @@ def _suite_factorization_soundness(seed: int, rec: _Recorder) -> None:
             and len(set(keys)) == len(keys)
             and keys == sorted(keys)
             and all(is_irreducible(p) for p, _ in fac.factors),
-            f"{f.render()} over {f.field.render()}: bad factorization",
+            "{} over {}: bad factorization", f, f.field.render(),
         )
 
     for d in range(1, 7):
@@ -306,8 +312,8 @@ def _suite_field_extension(seed: int, rec: _Recorder) -> None:
                 rep = field_extension_report(f, ext)
                 rec.check(
                     rep.passed,
-                    f"{f.render()} into GF(2^{k}): "
-                    + "; ".join(name for name, ok in rep.checks if not ok),
+                    "{} into GF(2^{}): {}",
+                    f, k, "; ".join(name for name, ok in rep.checks if not ok),
                 )
 
 
@@ -321,8 +327,7 @@ def _suite_hypersurface(seed: int, rec: _Recorder) -> None:
                 single = factor(f).distinct_count == 1
                 rec.check(
                     by_factors == by_lattice and (by_lattice == 1) == single,
-                    f"{f.render()} over GF({p}): factors {by_factors},"
-                    f" lattice {by_lattice}",
+                    "{} over GF({}): factors {}, lattice {}", f, p, by_factors, by_lattice,
                 )
 
 
@@ -340,16 +345,16 @@ def _suite_finite_length_duality(seed: int, rec: _Recorder) -> None:
         rep = dual_index_report(ideal)
         rec.check(
             rep.all_equal,
-            f"{ideal.render()}: splitting {rep.ir_decomposition}, socle "
-            f"{rep.ir_socle_formula}, corners {rep.dual_generator_count}, "
-            f"cover {rep.min_cover}",
+            "{}: splitting {}, socle {}, corners {}, cover {}",
+            ideal, rep.ir_decomposition, rep.ir_socle_formula,
+            rep.dual_generator_count, rep.min_cover,
         )
         soc, corners = rep.top_socle, rep.dual_generator_count
-        rec.check(soc == corners, f"{ideal.render()}: socle {soc} vs corners {corners}")
+        rec.check(soc == corners, "{}: socle {} vs corners {}", ideal, soc, corners)
         one_dec, one_dual = rep.ir_decomposition == 1, corners == 1
         rec.check(
             one_dec == one_dual,
-            f"{ideal.render()}: irreducible {one_dec} vs one-generated dual {one_dual}",
+            "{}: irreducible {} vs one-generated dual {}", ideal, one_dec, one_dual,
         )
 
 
@@ -360,10 +365,7 @@ def _suite_cover_uniqueness(seed: int, rec: _Recorder) -> None:
             continue
         sizes = irredundant_cover_sizes(g)
         expected = len(maximal_elements(g))
-        rec.check(
-            sizes == {expected},
-            f"{ideal.render()}: irredundant cover sizes {sorted(sizes)}",
-        )
+        rec.check(sizes == {expected}, "{}: irredundant cover sizes {}", ideal, sorted(sizes))
 
 
 def _suite_downset_sum(seed: int, rec: _Recorder) -> None:
@@ -385,7 +387,7 @@ def _suite_downset_sum(seed: int, rec: _Recorder) -> None:
                         bad += 1
                     pairs += 1
             rec.checks += pairs - 1
-            rec.check(bad == 0, f"staircase {sorted(order)}: {bad} mismatched pairs")
+            rec.check(bad == 0, "staircase {}: {} mismatched pairs", order, bad)
     # set-level route on the small staircases, sharing no mask logic
     for n in (1, 2):
         for g in all_staircases(n, 6):
@@ -404,10 +406,7 @@ def _suite_downset_sum(seed: int, rec: _Recorder) -> None:
             for b in downsets:
                 for c in downsets:
                     left, right = sum_covers_iff_dual_disjoint(g, b, c)
-                    rec.check(
-                        left == right,
-                        f"staircase {g.size}: set-level sum lemma mismatch",
-                    )
+                    rec.check(left == right, "staircase {}: set-level sum lemma mismatch", g.size)
 
 
 def _suite_dual_corner_counts(seed: int, rec: _Recorder) -> None:
@@ -415,21 +414,18 @@ def _suite_dual_corner_counts(seed: int, rec: _Recorder) -> None:
         for g in all_staircases(n, 10):
             ideal = g.ideal()
             soc, corners = bass0(ideal, range(n))[0], len(maximal_elements(g))
-            rec.check(soc == corners, f"{ideal.render()}: socle {soc} vs corners {corners}")
+            rec.check(soc == corners, "{}: socle {} vs corners {}", ideal, soc, corners)
             parts, count = sum_irreducible_representation(g)
             rec.check(
                 count == corners,
-                f"{ideal.render()}: representation size {count} vs corners {corners}",
+                "{}: representation size {} vs corners {}", ideal, count, corners,
             )
             order, masks = _downsets(g.exponents, g.size)
             worst = 0
             for mask in masks:
                 chosen = frozenset(order[i] for i in range(len(order)) if mask >> i & 1)
                 worst = max(worst, quotient_index(g, DownsetSubmodule(g, chosen)))
-            rec.check(
-                worst <= corners,
-                f"{ideal.render()}: quotient index {worst} above {corners}",
-            )
+            rec.check(worst <= corners, "{}: quotient index {} above {}", ideal, worst, corners)
 
 
 def _suite_abelian_agreement(seed: int, rec: _Recorder) -> None:
@@ -438,8 +434,8 @@ def _suite_abelian_agreement(seed: int, rec: _Recorder) -> None:
         formula = sum_index_formula(group)
         rec.check(
             report.index == formula and report.equicardinal,
-            f"{group.render()}: search {report.index} vs formula {formula},"
-            f" equicardinal {report.equicardinal}",
+            "{}: search {} vs formula {}, equicardinal {}",
+            group, report.index, formula, report.equicardinal,
         )
 
 
@@ -450,8 +446,7 @@ def _suite_abelian_attached_bound(seed: int, rec: _Recorder) -> None:
         index = sum_reducibility_index_bruteforce(group).index
         att = attached_primes(group)
         rec.check(
-            index >= len(att),
-            f"{group.render()}: index {index} below attached count {len(att)}",
+            index >= len(att), "{}: index {} below attached count {}", group, index, len(att)
         )
 
 
@@ -460,8 +455,7 @@ def _suite_abelian_classification(seed: int, rec: _Recorder) -> None:
         report = characterization_report(group)
         rec.checks += report.subgroups_checked - 1 if report.subgroups_checked else 0
         rec.check(
-            report.passed,
-            f"{group.render()}: {len(report.mismatches)} subgroups misclassified",
+            report.passed, "{}: {} subgroups misclassified", group, len(report.mismatches)
         )
 
 
@@ -472,8 +466,7 @@ def _suite_abelian_secondary(seed: int, rec: _Recorder) -> None:
         report = secondary_representation(group)
         divisors = prime_divisors(group.order)
         rec.check(
-            report.passed and report.attached == divisors,
-            f"{group.render()}: secondary split failed",
+            report.passed and report.attached == divisors, "{}: secondary split failed", group
         )
 
 
@@ -482,8 +475,8 @@ def _suite_abelian_additivity(seed: int, rec: _Recorder) -> None:
         report = additivity_report(group)
         rec.check(
             report.passed,
-            f"{group.render()}: whole {report.whole_index}, parts "
-            f"{report.part_indices}, formula {report.formula_index}",
+            "{}: whole {}, parts {}, formula {}",
+            group, report.whole_index, report.part_indices, report.formula_index,
         )
 
 
@@ -493,8 +486,8 @@ def _suite_abelian_quotients(seed: int, rec: _Recorder) -> None:
         rec.checks += report.quotients_checked - 1 if report.quotients_checked else 0
         rec.check(
             report.passed,
-            f"{group.render()}: quotient index up to {report.max_quotient_index}"
-            f" vs whole {report.whole_index}",
+            "{}: quotient index up to {} vs whole {}",
+            group, report.max_quotient_index, report.whole_index,
         )
 
 

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import redix
-from redix import (
+from redix.abelian import (
     FiniteAbelianGroup,
+    _add_table,
     abelian_group_classes,
     additivity_report,
     attached_primes,
@@ -24,7 +25,6 @@ from redix import (
     sum_index_formula,
     sum_reducibility_index_bruteforce,
 )
-from redix.abelian import _add_table
 from redix.cli import main
 from redix.errors import SizeCapError, TrivialGroupError
 

@@ -7,13 +7,9 @@ asserted here are exactly the ones that were checked.
 
 from conftest import record_criterion
 
-from redix import (
-    MonomialIdeal,
-    RingContext,
-    abelian_group_classes,
-    decompose,
-    sum_reducibility_index_bruteforce,
-)
+from redix.abelian import abelian_group_classes, sum_reducibility_index_bruteforce
+from redix.decompose import decompose
+from redix.monomial import MonomialIdeal, RingContext
 from redix.selftest import DOCUMENTED_UNTESTED
 
 

@@ -2,14 +2,15 @@
 
 import pytest
 
-from redix import (
-    MonomialIdeal,
-    RingContext,
+from redix.basechange import (
+    MAX_EXTRA_VARIABLES,
+    _socle_report,
+    extend_polynomial,
     extension_report,
     localization_report,
 )
-from redix.basechange import MAX_EXTRA_VARIABLES, _socle_report, extend_polynomial
 from redix.errors import SizeCapError
+from redix.monomial import MonomialIdeal, RingContext
 from redix.selftest import ideal_sample, run_selftest
 
 R2 = RingContext.default(2)

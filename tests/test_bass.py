@@ -5,15 +5,9 @@ import itertools
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from redix import (
-    MonomialIdeal,
-    RingContext,
-    ass_by_colon_scan,
-    bass0,
-    decompose,
-    reducibility_index_by_bass,
-)
-from redix.monomial import minimal_exponents
+from redix.bass import ass_by_colon_scan, bass0, reducibility_index_by_bass
+from redix.decompose import decompose
+from redix.monomial import MonomialIdeal, RingContext, minimal_exponents
 
 R2 = RingContext.default(2)
 

@@ -13,11 +13,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import redix
-from redix import parse_ideal_text, render_ideal_text
 from redix.bass import BassReport, reducibility_index_by_bass
 from redix.cli import main
 from redix.errors import shown
 from redix.selftest import SelftestReport, SuiteResult
+from redix.textio import parse_ideal_text, render_ideal_text
 
 IDEAL = "ring: x, y\nideal: x^2, x*y, y^3"
 
@@ -176,6 +176,25 @@ def test_parse_error_position(capsys):
 )
 def test_superscript_digit_is_a_positioned_parse_error(capsys, argv, stderr):
     # '²' passes str.isdigit but neither \d+ nor int(): it is a symbol token
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", stderr)
+
+
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (
+            ["basechange", "f: x^2+1 over GF(4)=s^2+s", "field:->GF(16)"],
+            "input error: modulus s^2+s is not irreducible (line 1, column 18)\n",
+        ),
+        (
+            ["basechange", "f: x^2+1 over GF(2)", "field:->GF(4)=t^2+t"],
+            "input error: modulus t^2+t is not irreducible (line 1, column 4)\n",
+        ),
+    ],
+    ids=["polynomial", "descriptor"],
+)
+def test_reducible_modulus_is_named_in_its_variable(capsys, argv, stderr):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", stderr)
 

@@ -6,19 +6,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from redix import (
-    IrreducibleComponent,
-    MonomialIdeal,
-    RingContext,
-    ass_by_colon_scan,
-    decompose,
-    irredundant,
-    parse_ideal_text,
-    reducibility_index_by_bass,
-    split_decompose,
-)
+from redix.bass import ass_by_colon_scan, reducibility_index_by_bass
+from redix.decompose import IrreducibleComponent, decompose, irredundant, split_decompose
 from redix.errors import InvalidCandidatesError, UnitIdealError
-from redix.monomial import minimal_exponents
+from redix.monomial import MonomialIdeal, RingContext, minimal_exponents
+from redix.textio import parse_ideal_text
 
 R2 = RingContext.default(2)
 

@@ -6,10 +6,18 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from redix import (
+from redix import gfpoly
+from redix.errors import SizeCapError
+from redix.gfpoly import (
+    MAX_LATTICE_SIZE,
+    MAX_TRIAL_DIVISORS,
     ExtField,
+    Factorization,
     PrimeField,
     UniPoly,
+    _meet_irreducible_submodules,
+    _submodules,
+    embed_poly,
     factor,
     field_extension_report,
     hypersurface_index,
@@ -17,16 +25,6 @@ from redix import (
     irreducible_modulus,
     is_irreducible,
     monic_polys,
-)
-from redix import gfpoly
-from redix.errors import SizeCapError
-from redix.gfpoly import (
-    MAX_LATTICE_SIZE,
-    MAX_TRIAL_DIVISORS,
-    Factorization,
-    _meet_irreducible_submodules,
-    _submodules,
-    embed_poly,
 )
 
 F2 = PrimeField(2)

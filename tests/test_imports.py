@@ -1,9 +1,12 @@
 """What a cold process loads: the package's lazy exports and each command's modules.
 
-Every check runs in a fresh interpreter, since this process has long
-since imported every submodule.
+The exports are the names README's Library example imports; that
+example is the only list of them.  Every check of what loads runs in a
+fresh interpreter, since this process has long since imported every
+submodule.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -16,87 +19,24 @@ import redix
 
 SRC = str(Path(redix.__file__).resolve().parents[1])
 
-# the names `import redix` exported when every submodule was imported eagerly
-EXPORTS = {
-    "errors": [
-        "DimensionMismatchError",
-        "EmptyStaircaseError",
-        "InfiniteColengthError",
-        "InvalidCandidatesError",
-        "NotInStaircaseError",
-        "ParseError",
-        "RedixError",
-        "SizeCapError",
-        "TrivialGroupError",
-        "UnitIdealError",
-        "VerificationError",
-    ],
-    "monomial": ["Monomial", "MonomialIdeal", "RingContext"],
-    "decompose": [
-        "Decomposition",
-        "IrreducibleComponent",
-        "decompose",
-        "irredundant",
-        "split_decompose",
-    ],
-    "bass": ["BassReport", "MonomialPrime", "ass_by_colon_scan", "bass0", "reducibility_index_by_bass"],
-    "basechange": ["BaseChangeReport", "PrimeFiber", "extension_report", "localization_report"],
-    "gfpoly": [
-        "ExtField",
-        "Factorization",
-        "PrimeField",
-        "UniPoly",
-        "factor",
-        "field_extension_report",
-        "hypersurface_index",
-        "hypersurface_index_bruteforce",
-        "irreducible_modulus",
-        "is_irreducible",
-        "monic_polys",
-    ],
-    "staircase": [
-        "DownsetSubmodule",
-        "DualIndexReport",
-        "Staircase",
-        "dual_index_report",
-        "maximal_elements",
-        "min_cover_oracle",
-        "principal_downset",
-        "quotient_index",
-        "sum_covers_iff_dual_disjoint",
-        "sum_irreducible_representation",
-    ],
-    "abelian": [
-        "AdditivityReport",
-        "FiniteAbelianGroup",
-        "SecondaryReport",
-        "Subgroup",
-        "SumIndexReport",
-        "abelian_group_classes",
-        "additivity_report",
-        "attached_primes",
-        "characterization_report",
-        "quotient_group",
-        "quotient_monotonicity_report",
-        "secondary_representation",
-        "subgroup_lattice",
-        "sum_index_formula",
-        "sum_reducibility_index_bruteforce",
-    ],
-    "textio": [
-        "parse_change_descriptor",
-        "parse_field_spec",
-        "parse_group_text",
-        "parse_ideal_text",
-        "parse_poly_text",
-        "render_change_descriptor",
-        "render_field_spec",
-        "render_group_text",
-        "render_ideal_text",
-        "render_poly_text",
-    ],
-    "selftest": ["SUITES", "SelftestReport", "SuiteResult", "run_selftest"],
-}
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_example() -> str:
+    """The python block under README's Library heading."""
+    section = README.read_text().split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def documented_exports() -> list[str]:
+    """The names README's Library example imports from the package."""
+    (imports,) = [
+        node
+        for node in ast.parse(library_example()).body
+        if isinstance(node, ast.ImportFrom) and node.module == "redix"
+    ]
+    return sorted(alias.name for alias in imports.names)
+
 
 ARENAS = (
     "redix.abelian",
@@ -183,20 +123,29 @@ print(json.dumps([redix.bass.bass0.__module__, type(redix.decompose).__name__]))
     assert fresh(script) == ["redix.bass", "function"]
 
 
+def test_exports_are_the_documented_names():
+    assert sorted(redix.__all__) == documented_exports()
+    assert set(redix.__all__) <= set(dir(redix))
+
+
 def test_every_export_is_its_defining_object():
     script = """
 import importlib, json, sys
+import redix
 out = []
-for module, names in json.loads(sys.argv[1]).items():
-    for name in names:
-        value = getattr(__import__("redix", fromlist=[name]), name)  # from redix import name
-        out.append([name, value is getattr(importlib.import_module("redix." + module), name)])
+for name in json.loads(sys.argv[1]):
+    value = getattr(__import__("redix", fromlist=[name]), name)  # from redix import name
+    module = "redix." + redix._SOURCE[name]
+    defined = getattr(importlib.import_module(module), name)
+    out.append([name, value is defined and value.__module__ == module])
 print(json.dumps(out))
 """
-    results = fresh(script, json.dumps(EXPORTS))
+    results = fresh(script, json.dumps(documented_exports()))
     assert [name for name, same in results if not same] == []
-    assert sorted(redix.__all__) == sorted(name for name, _ in results)
-    assert set(redix.__all__) <= set(dir(redix))
+
+
+def test_readme_library_example_runs():
+    exec(compile(library_example(), str(README), "exec"), {})
 
 
 def test_decompose_stays_the_function_after_its_module_loads():
@@ -249,3 +198,8 @@ def test_unknown_name_is_an_attribute_error():
         redix.no_such_export
     with pytest.raises(ImportError):
         from redix import no_such_export  # noqa: F401
+    # a name outside the documented API is imported from its module only
+    with pytest.raises(AttributeError):
+        redix.bass0
+    with pytest.raises(ImportError):
+        from redix import parse_ideal_text  # noqa: F401

@@ -6,21 +6,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from redix import (
-    Monomial,
-    MonomialIdeal,
-    MonomialPrime,
-    RingContext,
-    Staircase,
-    ass_by_colon_scan,
-    irredundant,
-    parse_ideal_text,
-    render_ideal_text,
-    split_decompose,
-)
 from redix.basechange import extend_polynomial
-from redix.bass import localized_ideal
+from redix.bass import MonomialPrime, ass_by_colon_scan, localized_ideal
+from redix.decompose import irredundant, split_decompose
 from redix.errors import SizeCapError
+from redix.monomial import Monomial, MonomialIdeal, RingContext
+from redix.staircase import Staircase
+from redix.textio import parse_ideal_text, render_ideal_text
 
 
 def ring(n):

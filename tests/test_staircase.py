@@ -9,12 +9,22 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from redix import (
+from redix.bass import bass0
+from redix.errors import (
+    EmptyStaircaseError,
+    InfiniteColengthError,
+    NotInStaircaseError,
+    SizeCapError,
+)
+from redix.monomial import MonomialIdeal, RingContext
+from redix.selftest import _downsets, all_staircases, run_selftest
+from redix.staircase import (
     DownsetSubmodule,
-    MonomialIdeal,
-    RingContext,
     Staircase,
+    _check_downset,
+    _principal_masks,
     dual_index_report,
+    irredundant_cover_sizes,
     maximal_elements,
     min_cover_oracle,
     principal_downset,
@@ -22,15 +32,6 @@ from redix import (
     sum_covers_iff_dual_disjoint,
     sum_irreducible_representation,
 )
-from redix.errors import (
-    EmptyStaircaseError,
-    InfiniteColengthError,
-    NotInStaircaseError,
-    SizeCapError,
-)
-from redix.bass import bass0
-from redix.selftest import _downsets, all_staircases, run_selftest
-from redix.staircase import _check_downset, _principal_masks, irredundant_cover_sizes
 
 R1 = RingContext.default(1)
 R2 = RingContext.default(2)

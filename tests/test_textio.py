@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from redix import (
-    ExtField,
-    PrimeField,
+from redix.abelian import MAX_ORDER
+from redix.errors import ParseError, SizeCapError
+from redix.gfpoly import MAX_POLY_DEGREE, ExtField, PrimeField, UniPoly, _cap_trial_divisors
+from redix.textio import (
+    MAX_DIGITS,
     parse_change_descriptor,
     parse_field_spec,
     parse_group_text,
@@ -21,10 +23,6 @@ from redix import (
     render_ideal_text,
     render_poly_text,
 )
-from redix.abelian import MAX_ORDER
-from redix.errors import ParseError, SizeCapError
-from redix.gfpoly import MAX_POLY_DEGREE, UniPoly, _cap_trial_divisors
-from redix.textio import MAX_DIGITS
 
 
 def test_ideal_basic_forms():
