@@ -16,7 +16,8 @@ the report says whether every irredundant representation had one length.
 Its only primitive is the join, read off the table the lattice build
 already fills: the index of S + <a> for every subgroup S and element a.
 Each subgroup is the sum of the cyclic subgroups of the elements that
-first reached it, so a join is that table folded over those elements.
+first reached it, so a join is that table folded over those elements,
+and the census reads one row of joins per subgroup it reaches.
 
 Sum-irreducibility is read off the lattice of subgroups as bitmasks
 over the elements: a subgroup is a sum of two strictly smaller ones
@@ -282,8 +283,10 @@ class SubgroupLattice:
     and _gens[j] lists the elements g1, ..., gk added along the path
     that first reached subs[j], so subs[j] = <g1> + ... + <gk>.  Sums of
     subgroups are associative, so subs[i] + subs[j] is subs[i] + <g1>,
-    then + <g2>, and so on: join(i, j) folds row i over _gens[j], for
-    any j, cyclic or not.
+    then + <g2>, and so on: row i folded over _gens[j], for any j,
+    cyclic or not.  join_row(i, hs) is that fold for each h in hs, the
+    row the census of joins reads for node i, with hs its sum-irreducible
+    atoms.
     """
 
     def __init__(self, group: FiniteAbelianGroup):
@@ -335,12 +338,16 @@ class SubgroupLattice:
     def __len__(self) -> int:
         return len(self.subs)
 
-    def join(self, i: int, j: int) -> int:
-        """Index of subs[i] + subs[j]: row i folded over the generators of subs[j]."""
-        closure = self._closure
-        for g in self._gens[j]:
-            i = closure[i][g]
-        return i
+    def join_row(self, i: int, hs) -> list[int]:
+        """Index of subs[i] + subs[h] for each h in hs: row i folded over the generators of subs[h]."""
+        closure, gens = self._closure, self._gens
+        row = []
+        for h in hs:
+            k = i
+            for g in gens[h]:
+                k = closure[k][g]
+            row.append(k)
+        return row
 
     def is_sum_irreducible_index(self, h: int) -> bool:
         """No two strictly smaller subgroups join to subs[h].
@@ -408,9 +415,7 @@ def sum_reducibility_index_bruteforce(group: FiniteAbelianGroup) -> SumIndexRepo
     hist, samples, deferred, irredundant_deep = census(
         lat.trivial_index,
         lat.full_index,
-        len(irr),
-        group.order.bit_length() - 1,
-        lambda j, i: lat.join(j, irr[i]),
+        lambda j: lat.join_row(j, irr),
         SAMPLE_CAP,
     )
     if not hist:

@@ -3,8 +3,9 @@
 The exhaustive index oracles (sums of subgroups, unions of staircase
 downsets, meets of submodules) ask one question: which families of
 atoms carry a start node to the top, and do all irredundant ones have
-the same length?  `step(node, i)` combines a node with atom i and
-returns the node itself when the atom does not escape it.
+the same length?  The caller hands over one row per node: `row_of(j)[i]`
+combines node j with atom i, and is j itself when the atom does not
+escape it.  The atoms are the m positions of the start node's row.
 
 A family is progressive when its atoms come in increasing index order
 and each escapes the combination of the earlier ones.  Every
@@ -13,6 +14,18 @@ the others is inside that of the earlier ones) and is visited once, so
 the least depth of a progressive cover is the index and the count there
 is the number of minimum covers.  Combinations depend only on the
 running node, so the counting pass memoizes on (node, last index).
+
+Lemma (packed counts): the counting row of (node, last) is one int
+whose lane d, the m + 1 bits from bit d*(m + 1), counts the progressive
+chains that carry the node to the top with d more atoms, all above
+last.  A progressive chain is a set of atoms, so a lane holds at most
+C(m, d) < 2^m chains and never carries into the next: a node's row is
+the sum of its children's rows plus its count of top children, shifted
+one lane up.  A sum of rows, and of counts in lane 0, whose chains are
+distinct sets holds at most 2^m chains in a lane, which never carries
+either, so the walk below adds the rows of the prefixes it settles and
+its counts of deep top children into one packed int, read out once, at
+the end.
 
 One depth-first walk then takes the first `sample_cap` minimum covers
 and, only when deeper covers exist, checks that each is redundant.  It
@@ -24,9 +37,17 @@ redundant are red = OR of same(o, j) over those others o.  That is the
 per-child test "child in [rows[o][i] for o in others]" unchanged,
 because the child is rows[j][i].  Children that reach the top are
 settled in bulk from a per-node mask tops[j]: deeper than the minimum,
-each is one deep cover, counted by a popcount, and it is irredundant
-exactly when its bit is outside red; at the minimum depth they are the
-samples, taken in index order until `sample_cap` are held.
+each is one deep cover, counted by a popcount; at the minimum depth
+they are the samples, taken in index order until `sample_cap` are held.
+
+Lemma (top children): a child rows[j][i] that is the top is redundant
+exactly when i is in tops[o] for some other o.  Row o agrees with row j
+at i exactly when rows[o][i] is the top, and o is not the top itself
+(it is the combination of part of a family that has not reached it), so
+that is i in tops[o].  The deep covers among node j's top children are
+thus checked by one AND with the complement of the OR of tops[o], and
+the same(o, j) masks are built only when other children remain to be
+pruned.
 
 Lemma (monotone redundancy): if F - s combines to the same node as F,
 and F lies in G, then G - s combines to that of F - s with G - F, which
@@ -39,11 +60,26 @@ progressive, one below the minimum.  So pruning drops no sample, every
 deep cover is counted once, as a leaf or under its shortest redundant
 prefix, and the count must match the counting pass.  Every cover under
 a redundant prefix is itself redundant, hence deeper than the minimum,
-so the walk adds the memoized total of the prefix's counting row.  A
-deep leaf has an irredundant prefix, so its own redundancy is the
-check.  No irredundant deep cover is the executable form of the claim
-that every irredundant cover has the same length (the bookkeeping is
-the "crit/uncov" idea of Murakami-Uno, Discrete Appl. Math. 170, 2014).
+so the walk adds the prefix's counting row.  A prefix whose counting
+row is 0 has no cover under it, so nothing to sample, count or check,
+and the walk skips it.  Once the samples are in, it also skips a prefix
+whose row has no lane past the minimum: every cover under it is a
+minimum cover, with nothing left to take or check.  A deep leaf has an
+irredundant prefix, so its own redundancy is the check.
+
+Lemma (deep leaves): take a child c = rows[j][i] whose prefix (the
+chain to j, then i) has length k >= r0, the minimum, and whose counting
+row has lane 1 only: every cover under c is a top child of c, of length
+k + 1 > r0.  Visiting c would count them (lane 1 is their number, so
+the parent adds the row) and test them against the tops of c's others,
+which are j and rows[o][i] for the others o of j; c's other children
+have empty rows and would be skipped.  So the parent settles c in
+place: the top children of c above i outside tops[j] |
+OR(tops[rows[o][i]]) are its irredundant deep covers.
+
+No irredundant deep cover is the executable form of the claim that
+every irredundant cover has the same length (the bookkeeping is the
+"crit/uncov" idea of Murakami-Uno, Discrete Appl. Math. 170, 2014).
 """
 
 from __future__ import annotations
@@ -60,13 +96,20 @@ class Census(NamedTuple):
     irredundant_deep: frozenset[int]  # depths of irredundant deep covers
 
 
-def census(
-    start: int, top: int, m: int, max_depth: int, step: Callable[[int, int], int], sample_cap: int
-) -> Census:
-    """Progressive covers of top from start by atoms 0..m-1 (see module doc).
+def _lanes(packed: int, width: int) -> list[int]:
+    """The lanes of a packed count, lane d from bit d*width."""
+    full = (1 << width) - 1
+    lanes = []
+    while packed:
+        lanes.append(packed & full)
+        packed >>= width
+    return lanes
 
-    Nodes are ints (lattice indices or bitmasks), start is not top, and
-    no progressive chain from start is longer than max_depth.
+
+def census(start: int, top: int, row_of: Callable[[int], list[int]], sample_cap: int) -> Census:
+    """Progressive covers of top from start by the atoms of row_of(start) (see module doc).
+
+    Nodes are ints (lattice indices or bitmasks) and start is not top.
     """
     rows: dict[int, list[int]] = {}
     avails: dict[int, int] = {}
@@ -74,7 +117,7 @@ def census(
 
     def ensure(j: int) -> None:
         if j not in rows:
-            rows[j] = row = [step(j, i) for i in range(m)]
+            rows[j] = row = row_of(j)
             avail = ends = 0
             for i, child in enumerate(row):
                 if child != j:
@@ -83,19 +126,18 @@ def census(
                         ends |= 1 << i
             avails[j], tops[j] = avail, ends
 
-    memo: dict[int, tuple[int, ...]] = {}
+    ensure(start)
+    width = len(rows[start]) + 1
+    memo: dict[int, int] = {}
 
-    def counts_below(j: int, last: int) -> tuple[int, ...]:
-        """counts_below(j, last)[d] = progressive covers using d more atoms."""
-        key = j * (m + 1) + last + 1
-        got = memo.get(key)
-        if got is not None:
-            return got
-        counts = [0] * (max_depth + 1)
+    def counts_below(j: int, last: int) -> int:
+        """Packed counting row of (j, last): lane d counts covers using d more atoms.
+
+        The rows of children are memoized under child * width + i + 1.
+        """
         row = rows[j]
         ends = tops[j] >> (last + 1)
-        if ends:
-            counts[1] = ends.bit_count()
+        total = ends.bit_count()
         av = (avails[j] >> (last + 1)) ^ ends
         base = last + 1
         while av:
@@ -103,25 +145,24 @@ def census(
             av ^= lsb
             i = base + lsb.bit_length() - 1
             child = row[i]
-            ensure(child)
-            for d, c in enumerate(counts_below(child, i)):
-                if c:
-                    counts[d + 1] += c
-        out = tuple(counts)
-        memo[key] = out
-        return out
+            key = child * width + i + 1
+            got = memo.get(key)
+            if got is None:
+                ensure(child)
+                got = memo[key] = counts_below(child, i)
+            total += got
+        return total << width
 
-    ensure(start)
-    hist = {d: c for d, c in enumerate(counts_below(start, -1)) if c and d >= 1}
+    hist = {d: c for d, c in enumerate(_lanes(counts_below(start, -1), width)) if c}
     if not hist:
         return Census(hist, (), 0, frozenset())
     r0 = min(hist)
     deep = max(hist) > r0
+    leaf = 1 << 2 * width  # counting rows below this hold lane 1 only
     samples: list[tuple[int, ...]] = []
-    deferred = 0
+    deferred = 0  # packed: deep top children in lane 0, settled prefixes' counting rows
     irredundant_deep: set[int] = set()
     same: dict[int, dict[int, int]] = {}
-    totals: dict[int, int] = {}
 
     def walk(j: int, last: int, chain: tuple[int, ...], others: tuple[int, ...]) -> None:
         """Sample minimum covers in DFS order; check deep covers if any exist.
@@ -135,55 +176,62 @@ def census(
         combination escapes any subfamily's.
         """
         nonlocal deferred
-        if not deep and len(samples) >= sample_cap:
-            return
         row = rows[j]
         av = avails[j] >> (last + 1) << (last + 1)
         depth = len(chain) + 1
-        red = 0
-        agree = same.get(j)
-        if agree is None:
-            agree = same[j] = {}
-        for o in others:
-            got = agree.get(o)
-            if got is None:
-                ro = rows[o]
-                got = agree[o] = sum(1 << i for i, child in enumerate(row) if ro[i] == child)
-            red |= got
         ends = av & tops[j]
         if ends:
             av ^= ends
             if depth > r0:
                 deferred += ends.bit_count()
-                if ends & ~red:
+                for o in others:
+                    ends &= ~tops[o]
+                if ends:
                     irredundant_deep.add(depth)
             else:  # depth == r0: none is shallower
                 while ends and len(samples) < sample_cap:
                     lsb = ends & -ends
                     ends ^= lsb
                     samples.append(chain + (lsb.bit_length() - 1,))
-        pruned = av & red
-        av ^= pruned
-        while pruned:
-            lsb = pruned & -pruned
-            pruned ^= lsb
-            i = lsb.bit_length() - 1
-            key = row[i] * (m + 1) + i + 1  # counts_below(row[i], i), built by the counting pass
-            total = totals.get(key)
-            if total is None:
-                total = totals[key] = sum(memo[key])
-            deferred += total
-        if not deep and depth >= r0:
-            return
+        if deep and av and others:  # without deep covers, every redundant prefix is dead
+            red = 0
+            agree = same.get(j)
+            if agree is None:
+                agree = same[j] = {}
+            for o in others:
+                got = agree.get(o)
+                if got is None:
+                    ro = rows[o]
+                    got = agree[o] = sum(1 << i for i, child in enumerate(row) if ro[i] == child)
+                red |= got
+            pruned = av & red
+            av ^= pruned
+            while pruned:
+                lsb = pruned & -pruned
+                pruned ^= lsb
+                i = lsb.bit_length() - 1
+                deferred += memo[row[i] * width + i + 1]
+        shallow = 1 << max(r0 - depth + 1, 1) * width  # rows below this hold no deep cover
         while av:
-            if not deep and len(samples) >= sample_cap:
-                return
             lsb = av & -av
             av ^= lsb
             i = lsb.bit_length() - 1
-            walk(row[i], i, chain + (i,), tuple([rows[o][i] for o in others] + [j]))
+            child = row[i]
+            total = memo[child * width + i + 1]
+            if not total or total < shallow and len(samples) >= sample_cap:
+                continue  # a dead prefix, or one holding only minimum covers with the samples in
+            if depth >= r0 and total < leaf:  # a deep leaf, settled here
+                deferred += total
+                ends = tops[child] >> (i + 1) << (i + 1) & ~tops[j]
+                for o in others:
+                    ends &= ~tops[rows[o][i]]
+                if ends:
+                    irredundant_deep.add(depth + 1)
+                continue
+            walk(child, i, chain + (i,), tuple([rows[o][i] for o in others] + [j]))
 
     walk(start, -1, (), ())
+    deferred = sum(_lanes(deferred, width))
     expected = sum(c for d, c in hist.items() if d > r0)
     if deferred != expected:
         raise VerificationError(

@@ -136,23 +136,7 @@ def cmd_basechange(args) -> dict:
     text = _read_input(args)
     if descriptor[0] == "field":
         poly = textio.parse_poly_text(text)
-        _, source, target = descriptor
-        if source is not None:
-            src_field = textio.parse_field_spec(source)
-            if src_field.render() != poly.field.render():
-                raise ParseError(
-                    f"descriptor source {src_field.render()} does not match"
-                    f" the polynomial's field {poly.field.render()}"
-                )
-        ext = textio.parse_field_spec(target)
-        if not isinstance(ext, gfpoly.ExtField):
-            raise ParseError(
-                f"target {target} is not a proper extension field"
-            )
-        if ext.base.p != poly.field.p:
-            raise ParseError(
-                f"target {ext.render()} does not extend {poly.field.render()}"
-            )
+        ext = textio.parse_field_change(args.change, poly.field)
         rep = gfpoly.field_extension_report(poly, ext)
         inputs = {"polynomial": textio.render_poly_text(poly)}
     else:

@@ -514,9 +514,7 @@ def hypersurface_index_bruteforce(f: UniPoly) -> int:
         )
     irreducible, full = _meet_irreducible_submodules(f)
     # the zero submodule is the mask of element 0, the zero vector
-    hist, _, _, deep = census(
-        full, 1, len(irreducible), f.degree, lambda n, i: n & irreducible[i], 0
-    )
+    hist, _, _, deep = census(full, 1, lambda n: [n & x for x in irreducible], 0)
     if not hist:
         raise VerificationError("no irreducible decomposition of zero found")
     sizes = {min(hist)} | deep

@@ -223,7 +223,7 @@ def irredundant_cover_sizes(g: Staircase) -> set[int]:
     if g.size > ALL_COVERS_CAP:
         raise SizeCapError(f"staircase size {g.size} exceeds cap {ALL_COVERS_CAP}")
     masks = _principal_masks(g)
-    found = census(0, (1 << g.size) - 1, len(masks), g.size, lambda a, i: a | masks[i], 0)
+    found = census(0, (1 << g.size) - 1, lambda a: [a | x for x in masks], 0)
     return {min(found.histogram)} | found.irredundant_deep
 
 

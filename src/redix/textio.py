@@ -460,6 +460,41 @@ def parse_change_descriptor(descriptor: str):
     raise ParseError(f"unknown descriptor {head!r}", 1, 1)
 
 
+def parse_field_change(descriptor: str, field):
+    """The target field of a `field:SRC->DST` descriptor, for a polynomial over `field`.
+
+    `descriptor` is one `parse_change_descriptor` reads as a field change.
+    Both specs are parsed in place from the descriptor's one token stream,
+    so an error column is a column of the descriptor as typed.  The
+    source, when given, must be `field`; the target must be a proper
+    extension field of the same characteristic.
+    """
+    ts = _Tokens(descriptor, 1)
+    items = ts.items
+    # `field` and `:` come first; the arrow is the first `-` with a `>` right after it
+    arrow = next(
+        k
+        for k in range(2, ts.end - 1)
+        if items[k][0] == "-" and items[k + 1][0] == ">" and items[k + 1][2] == items[k][2] + 1
+    )
+    if arrow > 2:
+        ts.pos, ts.end, ts.end_col = 2, arrow, items[arrow][2]
+        source = _parse_field(ts)
+        if source.render() != field.render():
+            raise ParseError(
+                f"descriptor source {source.render()} does not match"
+                f" the polynomial's field {field.render()}"
+            )
+    ts.pos, ts.end, ts.end_col = arrow + 2, len(items), len(descriptor) + 1
+    target_text = descriptor[ts.peek()[2] - 1 :].strip()
+    target = _parse_field(ts)
+    if not isinstance(target, gfpoly.ExtField):
+        raise ParseError(f"target {target_text} is not a proper extension field")
+    if target.base.p != field.p:
+        raise ParseError(f"target {target.render()} does not extend {field.render()}")
+    return target
+
+
 def render_change_descriptor(change) -> str:
     if change[0] == "extend":
         return f"extend:{change[1]}"

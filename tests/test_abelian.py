@@ -124,10 +124,11 @@ def _orbit_mask(group, a):
 def test_closure_table_matches_sum_sets():
     for group in abelian_group_classes(32):
         lat = subgroup_lattice(group)
+        rows = [lat.join_row(i, range(len(lat))) for i in range(len(lat))]
         for i in range(len(lat)):
             for j in range(i, len(lat)):
                 expected = _sum_set_join(lat, i, j)
-                assert lat.join(i, j) == lat.join(j, i) == expected, (group.render(), i, j)
+                assert rows[i][j] == rows[j][i] == expected, (group.render(), i, j)
         cyclic = lat._closure[lat.trivial_index]
         for a in range(group.order):
             orbit = _orbit_mask(group, a)
@@ -246,6 +247,24 @@ def test_bruteforce_reports_pinned():
     assert _members(rep) == [[[0, 16], c1, c] for c in tail] + [
         [[0, 16], c2, c] for c in (c4, c5, c6, c7)
     ]
+
+
+def test_heaviest_censuses_pinned():
+    # the two costliest searches of the sweep: the deepest walk, and the
+    # largest counting pass with no deep cover at all
+    rep = sum_reducibility_index_bruteforce(G(2, 2, 2, 2, 4))
+    assert (rep.index, rep.minimum_count, rep.deferred_checked) == (5, 567168, 2433536)
+    assert rep.cover_histogram == {5: 567168, 6: 2433536}
+    assert rep.equicardinal
+    lines = [[0, 4], [0, 8], [0, 16], [0, 32]]
+    assert _members(rep) == [lines + [[0, 1, 2, 3]]] + [
+        lines + [[0, 2, k, k + 2]] for k in range(5, 46, 4)
+    ]
+    rep = sum_reducibility_index_bruteforce(G(2, 2, 2, 2, 2, 2))
+    assert (rep.index, rep.minimum_count, rep.deferred_checked) == (6, 27998208, 0)
+    assert rep.cover_histogram == {6: 27998208}
+    assert rep.equicardinal
+    assert _members(rep) == [[[0, 1], [0, 2], [0, 4], [0, 8], [0, 16], [0, k]] for k in range(32, 44)]
 
 
 def _progressive_covers(lat):

@@ -2,7 +2,7 @@
 
 from collections import Counter
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from redix.census import census
@@ -12,7 +12,7 @@ def test_census_reports_an_irredundant_deep_cover():
     # {0b011, 0b100} covers 0b111 with two atoms, and {0b100, 0b001, 0b010}
     # covers it with three, none of which can be dropped
     atoms = (0b011, 0b100, 0b001, 0b010)
-    found = census(0, 0b111, len(atoms), 3, lambda acc, i: acc | atoms[i], 12)
+    found = census(0, 0b111, lambda acc: [acc | a for a in atoms], 12)
     assert found.histogram == {2: 1, 3: 1}
     assert found.samples == ((0, 1),)
     assert (found.deferred, found.irredundant_deep) == (1, {3})
@@ -56,12 +56,19 @@ def _families(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_families(), st.sampled_from((0, 1, 12)))
+# 0b11 alone covers, so the deep leaf 0b01 is settled in its parent as redundant
+@example((0, 0b11, [0b01, 0b11]), 12)
+# 0b11 alone covers, and the deep leaf 0b10 is settled with {0b10, 0b01} irredundant
+@example((0, 0b11, [0b10, 0b11, 0b01]), 12)
+# 0b10 as the first member leaves no atom above it: a dead prefix
+@example((0, 0b11, [0b01, 0b10]), 12)
+# no samples to take: the prefix 0b101 holds only the minimum cover and is
+# skipped, while the deep cover {0b001, 0b101, 0b010} is still checked
+@example((0, 0b111, [0b001, 0b101, 0b010]), 0)
 def test_census_matches_recursive_reference(family, sample_cap):
     start, top, atoms = family
     assume(start != top)
-    found = census(
-        start, top, len(atoms), bin(top).count("1"), lambda acc, i: acc | atoms[i], sample_cap
-    )
+    found = census(start, top, lambda acc: [acc | a for a in atoms], sample_cap)
     covers = _progressive_covers(start, top, atoms)
     assert found.histogram == Counter(map(len, covers))
     r0 = min(map(len, covers))

@@ -189,10 +189,14 @@ def test_superscript_digit_is_a_positioned_parse_error(capsys, argv, stderr):
         ),
         (
             ["basechange", "f: x^2+1 over GF(2)", "field:->GF(4)=t^2+t"],
-            "input error: modulus t^2+t is not irreducible (line 1, column 4)\n",
+            "input error: modulus t^2+t is not irreducible (line 1, column 12)\n",
+        ),
+        (
+            ["basechange", "f: x^2+1 over GF(2)", " field: GF(4)=t^2+t -> GF(16)"],
+            "input error: modulus t^2+t is not irreducible (line 1, column 12)\n",
         ),
     ],
-    ids=["polynomial", "descriptor"],
+    ids=["polynomial", "descriptor", "descriptor-source"],
 )
 def test_reducible_modulus_is_named_in_its_variable(capsys, argv, stderr):
     code, out, err = run(capsys, *argv)
