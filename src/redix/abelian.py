@@ -28,10 +28,18 @@ cyclic subgroups <a> for a in the subgroup, so the OR runs over the
 subgroup's members, not over the lattice, and <a> is the zero
 subgroup's row of the closure table.
 
+Inside, a subgroup is its mask and its index in the lattice; the
+lattice build checks each subgroup it finds closed under addition
+before it keeps the mask.  `Subgroup` objects, with their member sets,
+are built only where a report hands subgroups out: the samples of the
+search, the mismatches of the characterization, the primary parts of
+the secondary representation and the argument of `quotient_group`.
+
 Each of these facts is computed once per isomorphism class: groups are
-hashable by their factors, and the addition table, the subgroup lattice
-(with its sum-irreducible subgroups) and the search report are cached
-on that key.
+hashable by their factors, and the addition table (one `bytes` row per
+element: every element index is below MAX_ORDER = 64), the subgroup
+lattice (with its sum-irreducible subgroups) and the search report are
+cached on that key.
 """
 
 from __future__ import annotations
@@ -154,7 +162,7 @@ class FiniteAbelianGroup:
         return sum(c * s for c, s in zip(coords, self._strides))
 
     @cached_property
-    def add_table(self) -> list[list[int]]:
+    def add_table(self) -> list[bytes]:
         return _add_table(self)
 
     def add(self, a: int, b: int) -> int:
@@ -200,12 +208,13 @@ class FiniteAbelianGroup:
 
 
 @cache
-def _add_table(group: FiniteAbelianGroup) -> list[list[int]]:
+def _add_table(group: FiniteAbelianGroup) -> list[bytes]:
     """Addition table, shared by every instance with the same factors.
 
     Row a starts as the identity row and adds a's digit factor by
     factor: for digit c of factor q at stride s, entry x with digit d
     there moves by s * ((d + c) % q - d), read off a per-digit shift list.
+    Each row is kept as bytes, since no element index reaches 256.
     """
     n = group.order
     digits = [[(x // s) % q for x in range(n)] for q, s in zip(group.factors, group._strides)]
@@ -217,8 +226,27 @@ def _add_table(group: FiniteAbelianGroup) -> list[list[int]]:
             if c:
                 shift = [s * ((d + c) % q - d) for d in range(q)]
                 row = [x + shift[d] for x, d in zip(row, dig)]
-        table.append(row)
+        table.append(bytes(row))
     return table
+
+
+def _members(mask: int) -> list[int]:
+    """The set bits of mask, ascending: the elements of a subgroup's mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _check_closed(table: list[bytes], members, mask: int) -> None:
+    """Raise unless every sum of two of members, whose mask is mask, is in mask."""
+    for a in members:
+        row = table[a]
+        for b in members:
+            if not mask >> row[b] & 1:
+                raise ValueError("member set is not closed under addition")
 
 
 @dataclass(frozen=True)
@@ -231,12 +259,11 @@ class Subgroup:
     def __post_init__(self):
         if 0 not in self.members:
             raise ValueError("a subgroup contains zero")
-        table = self.group.add_table
-        for a in self.members:
-            row = table[a]
-            for b in self.members:
-                if row[b] not in self.members:
-                    raise ValueError("member set is not closed under addition")
+        _check_closed(self.group.add_table, self.members, self.mask)
+
+    @staticmethod
+    def of_mask(group: FiniteAbelianGroup, mask: int) -> "Subgroup":
+        return Subgroup(group, frozenset(_members(mask)))
 
     @cached_property
     def mask(self) -> int:
@@ -249,18 +276,6 @@ class Subgroup:
     def size(self) -> int:
         return len(self.members)
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.size == 1
-
-    @cached_property
-    def is_cyclic(self) -> bool:
-        return any(self.group.element_order(a) == self.size for a in self.members)
-
-    @property
-    def is_prime_power_order(self) -> bool:
-        return self.size > 1 and len(_prime_power_split(self.size)) == 1
-
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
 
@@ -269,7 +284,7 @@ class Subgroup:
 
 
 class SubgroupLattice:
-    """Every subgroup, canonically ordered, with its coset-closure table.
+    """Every subgroup as a bitmask, canonically ordered, with its coset-closure table.
 
     Built by coset closure from the zero subgroup: each subgroup S found
     is grown by one element g at a time.  S + <g> is the union of the
@@ -277,12 +292,20 @@ class SubgroupLattice:
     depends only on g mod S, so S is grown once per coset, the union is
     an OR of coset masks, and results are deduplicated by mask.  Every
     subgroup is a join of cyclic ones, hence reached from zero by such
-    steps, so nothing is missed.
+    steps, so nothing is missed.  Each subgroup found is checked closed
+    under addition, on the member list the build holds, before its mask
+    is kept.
 
-    The closure is kept: _closure[i][a] is the index of subs[i] + <a>,
+    Subgroup i is masks[i] over the elements (sorted by size, then by
+    members), and index_of maps a mask back to i.  The lattice holds no
+    `Subgroup`: subgroup(i) builds one for a report to hand out, checked
+    again by its constructor, and keeps it, so the reports of one group
+    share it.
+
+    The closure is kept: _closure[i][a] is the index of subgroup i + <a>,
     and _gens[j] lists the elements g1, ..., gk added along the path
-    that first reached subs[j], so subs[j] = <g1> + ... + <gk>.  Sums of
-    subgroups are associative, so subs[i] + subs[j] is subs[i] + <g1>,
+    that first reached subgroup j, so it is <g1> + ... + <gk>.  Sums of
+    subgroups are associative, so subgroup i + subgroup j is i + <g1>,
     then + <g2>, and so on: row i folded over _gens[j], for any j,
     cyclic or not.  join_row(i, hs) is that fold for each h in hs, the
     row the census of joins reads for node i, with hs its sum-irreducible
@@ -293,7 +316,8 @@ class SubgroupLattice:
         self.group = group
         table = group.add_table
         n = group.order
-        found = {1: [0]}  # mask -> sorted member list
+        _check_closed(table, [0], 1)  # the zero subgroup, checked like the rest
+        found = {1: [0]}  # mask -> sorted member list, checked closed
         gens: dict[int, tuple[int, ...]] = {1: ()}
         rows: dict[int, list[int]] = {}  # mask of S -> mask of S + <a>, per element a
         frontier = [1]
@@ -321,25 +345,33 @@ class SubgroupLattice:
                         cur = table[cur][g]
                     out.append(mask)
                     if mask not in found:
-                        found[mask] = [a for a in range(n) if mask >> a & 1]
+                        members = _members(mask)
+                        _check_closed(table, members, mask)
+                        found[mask] = members
                         gens[mask] = gens[s_mask] + (g,)
                         grown.append(mask)
                 rows[s_mask] = [out[k] for k in coset_of]
             frontier = grown
-        sets = sorted(found.values(), key=lambda s: (len(s), s))
-        self.subs = [Subgroup(group, frozenset(s)) for s in sets]
-        self.masks = [h.mask for h in self.subs]
+        self.masks = sorted(found, key=lambda m: (len(found[m]), found[m]))
         self.index_of = index_of = {m: i for i, m in enumerate(self.masks)}
         self._closure = [[index_of[m] for m in rows[mask]] for mask in self.masks]
         self._gens = [gens[mask] for mask in self.masks]
         self.trivial_index = index_of[1]
-        self.full_index = index_of[(1 << group.order) - 1]
+        self.full_index = index_of[(1 << n) - 1]
+        self._subgroups: dict[int, Subgroup] = {}
 
     def __len__(self) -> int:
-        return len(self.subs)
+        return len(self.masks)
+
+    def subgroup(self, h: int) -> Subgroup:
+        """Subgroup h as a `Subgroup`, built on first use and kept."""
+        sub = self._subgroups.get(h)
+        if sub is None:
+            sub = self._subgroups[h] = Subgroup.of_mask(self.group, self.masks[h])
+        return sub
 
     def join_row(self, i: int, hs) -> list[int]:
-        """Index of subs[i] + subs[h] for each h in hs: row i folded over the generators of subs[h]."""
+        """Index of subgroup i + subgroup h for each h in hs: row i folded over h's generators."""
         closure, gens = self._closure, self._gens
         row = []
         for h in hs:
@@ -350,24 +382,25 @@ class SubgroupLattice:
         return row
 
     def is_sum_irreducible_index(self, h: int) -> bool:
-        """No two strictly smaller subgroups join to subs[h].
+        """No two strictly smaller subgroups join to subgroup h.
 
-        That holds exactly when subs[h] has one lower cover, i.e. its
+        That holds exactly when subgroup h has one lower cover, i.e. its
         proper subgroups have a greatest element M: two of them then join
-        inside M, while two distinct maximal ones A, B join to subs[h],
-        since A < A + B.  And a greatest M exists exactly when the union
-        of the proper subgroups is itself a proper subgroup (it is M).
-        Every element a of a proper subgroup K has <a> inside K, so <a> is
-        not subs[h]; and each such <a> is itself a proper subgroup.  So
-        the union is that of the cyclic <a> != subs[h] over a in subs[h],
-        one OR per member; <a> is the zero subgroup's closure row at a.
+        inside M, while two distinct maximal ones A, B join to h, since
+        A < A + B.  And a greatest M exists exactly when the union of the
+        proper subgroups is itself a proper subgroup (it is M).  Every
+        element a of a proper subgroup K has <a> inside K, so <a> is not
+        subgroup h; and each such <a> is itself a proper subgroup.  So
+        the union is that of the cyclic <a> != h over the set bits a of
+        masks[h], one OR per member; <a> is the zero subgroup's closure
+        row at a.
         """
         if h == self.trivial_index:
             raise TrivialGroupError("the zero subgroup is excluded by convention")
         masks = self.masks
         cyclic = self._closure[self.trivial_index]
         union = 0
-        for a in self.subs[h].members:
+        for a in _members(masks[h]):
             if cyclic[a] != h:
                 union |= masks[cyclic[a]]
         return union != masks[h] and union in self.index_of
@@ -376,7 +409,7 @@ class SubgroupLattice:
     def sum_irreducible_indices(self) -> tuple[int, ...]:
         return tuple(
             h
-            for h in range(len(self.subs))
+            for h in range(len(self.masks))
             if h != self.trivial_index and self.is_sum_irreducible_index(h)
         )
 
@@ -421,7 +454,7 @@ def sum_reducibility_index_bruteforce(group: FiniteAbelianGroup) -> SumIndexRepo
     if not hist:
         raise VerificationError("no sum-irreducible family covers the group")
     r0 = min(hist)
-    sample_subs = tuple(tuple(lat.subs[irr[i]] for i in chain) for chain in samples)
+    sample_subs = tuple(tuple(lat.subgroup(irr[i]) for i in chain) for chain in samples)
     return SumIndexReport(group, r0, hist[r0], sample_subs, hist, deferred, not irredundant_deep)
 
 
@@ -608,8 +641,8 @@ def quotient_monotonicity_report(group: FiniteAbelianGroup) -> QuotientMonotonic
     agree = True
     inherited = True
     count = 0
-    for sub in subgroup_lattice(group).subs:
-        q = quotient_group(group, sub)
+    for mask in subgroup_lattice(group).masks:
+        q = quotient_group(group, Subgroup.of_mask(group, mask))
         brute = sum_reducibility_index_bruteforce(q).index
         if brute != sum_index_formula(q):
             agree = False
@@ -638,15 +671,18 @@ def characterization_report(group: FiniteAbelianGroup) -> CharacterizationReport
     irreducible = set(lat.sum_irreducible_indices)
     bad = []
     count = 0
-    for h in range(len(lat.subs)):
+    for h, mask in enumerate(lat.masks):
         if h == lat.trivial_index:
             continue
-        sub = lat.subs[h]
+        size = mask.bit_count()
         lattice_side = h in irreducible
-        structure_side = sub.is_cyclic and sub.is_prime_power_order
+        # cyclic of prime-power order: |S| is a prime power and some member has order |S|
+        structure_side = len(_prime_power_split(size)) == 1 and any(
+            group.element_order(a) == size for a in _members(mask)
+        )
         count += 1
         if lattice_side != structure_side:
-            bad.append(sub)
+            bad.append(lat.subgroup(h))
     return CharacterizationReport(group, count, tuple(bad))
 
 

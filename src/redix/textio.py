@@ -433,31 +433,48 @@ def render_poly_text(f) -> str:
 
 
 def parse_change_descriptor(descriptor: str):
-    """`extend:k`, `invert:vars`, or `field:SRC->DST` to a tagged tuple."""
+    """`extend:k`, `invert:vars`, or `field:SRC->DST` to a tagged tuple.
+
+    An error column is a column of the descriptor as typed.
+    """
     s = descriptor.strip()
     head, sep, rest = s.partition(":")
     head = head.strip()
     if not sep:
-        raise ParseError("descriptors look like extend:k, invert:vars, field:...->...", 1, 1)
+        raise ParseError(
+            "descriptors look like extend:k, invert:vars, field:...->...", 1, _indent(descriptor) + 1
+        )
+    start = descriptor.index(":") + 2  # column of rest[0]
     if head == "extend":
         digits = rest.strip()
-        count = _decimal(digits, 1, len(head) + 2) if digits.isdecimal() else 0
+        col = start + _indent(rest)
+        count = _decimal(digits, 1, col) if digits.isdecimal() else 0
         if count < 1:
-            raise ParseError("extend takes a positive variable count", 1, len(head) + 2)
+            raise ParseError("extend takes a positive variable count", 1, col)
         return ("extend", count)
     if head == "invert":
-        names = tuple(n.strip() for n in rest.split(",") if n.strip())
-        for n in names:
-            if not re.fullmatch(r"[A-Za-z_]\w*", n):
-                raise ParseError(f"{n!r} is not a variable name", 1, 1)
-        return ("invert", names)
+        names = []
+        for piece in rest.split(","):
+            name = piece.strip()
+            if name:
+                if not re.fullmatch(r"[A-Za-z_]\w*", name):
+                    raise ParseError(f"{name!r} is not a variable name", 1, start + _indent(piece))
+                names.append(name)
+            start += len(piece) + 1
+        return ("invert", tuple(names))
     if head == "field":
         left, arrow, right = rest.partition("->")
         if not arrow or not right.strip():
-            raise ParseError("field descriptors look like field:GF(p)->GF(p^k)", 1, 1)
+            col = start + len(left) + 2 if arrow else start + _indent(rest)
+            raise ParseError("field descriptors look like field:GF(p)->GF(p^k)", 1, col)
         src = left.strip() or None
         return ("field", src, right.strip())
-    raise ParseError(f"unknown descriptor {head!r}", 1, 1)
+    raise ParseError(f"unknown descriptor {head!r}", 1, _indent(descriptor) + 1)
+
+
+def _indent(text: str) -> int:
+    """Number of blanks text starts with."""
+    return len(text) - len(text.lstrip())
 
 
 def parse_field_change(descriptor: str, field):

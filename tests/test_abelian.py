@@ -13,6 +13,8 @@ import pytest
 import redix
 from redix.abelian import (
     FiniteAbelianGroup,
+    Subgroup,
+    SubgroupLattice,
     _add_table,
     abelian_group_classes,
     additivity_report,
@@ -82,14 +84,17 @@ def _subgroups_by_cyclic_closure(group):
 
 def test_add_table_matches_coordinate_reference():
     for group in abelian_group_classes(64):
-        assert _add_table(group) == _add_table_by_coords(group), group.render()
+        table = _add_table(group)
+        assert all(type(row) is bytes for row in table), group.render()
+        assert [list(row) for row in table] == _add_table_by_coords(group), group.render()
 
 
 def test_lattice_matches_cyclic_closure_reference():
     for group in abelian_group_classes(64):
         lat = subgroup_lattice(group)
         expected = _subgroups_by_cyclic_closure(group)
-        assert [sub.members for sub in lat.subs] == expected, group.render()
+        members = [{a for a in range(group.order) if m >> a & 1} for m in lat.masks]
+        assert members == expected, group.render()
         assert lat.masks == [sum(1 << a for a in s) for s in expected], group.render()
 
 
@@ -100,13 +105,53 @@ def test_subgroup_counts():
     assert len(subgroup_lattice(G(8))) == 4
 
 
+def _held_objects(value):
+    """value and everything inside its lists, tuples, sets and dicts."""
+    yield value
+    if isinstance(value, dict):
+        value = [*value.keys(), *value.values()]
+    if isinstance(value, (list, tuple, set, frozenset)):
+        for item in value:
+            yield from _held_objects(item)
+
+
+def test_lattice_holds_masks_until_a_subgroup_is_asked_for():
+    group = G(2, 4)
+    lat = SubgroupLattice(group)
+    assert lat.sum_irreducible_indices  # the census's reads build no Subgroup either
+    lat.join_row(lat.trivial_index, range(len(lat)))
+    assert not any(isinstance(x, Subgroup) for x in _held_objects(vars(lat)))
+    sub = lat.subgroup(lat.full_index)
+    assert sub.members == frozenset(range(group.order))
+    assert lat.subgroup(lat.full_index) is sub
+    for h, mask in enumerate(lat.masks):
+        assert lat.subgroup(h).mask == mask
+    held = [x for x in _held_objects(vars(lat)) if isinstance(x, Subgroup)]
+    assert len(held) == len(lat)
+
+
+def test_lattice_build_checks_each_subgroup_closed():
+    # in Z/8, 2 + 4 = 6 inside <2>; the build grows <2> from zero along
+    # 2, 4, 6 and never reads the entry at (2, 4), so only the closure
+    # check on <2> can see it point outside
+    group = FiniteAbelianGroup((8,))
+    rows = [bytearray(row) for row in _add_table(group)]
+    rows[2][4] = 1
+    vars(group)["add_table"] = [bytes(row) for row in rows]
+    with pytest.raises(ValueError, match="^member set is not closed under addition$"):
+        SubgroupLattice(group)
+    assert len(SubgroupLattice(FiniteAbelianGroup((8,)))) == 4
+
+
 def _sum_set_join(lat, i, j):
     """Reference: the join as the elementwise sum set, a subgroup in the abelian case."""
     table = lat.group.add_table
+    elements = range(lat.group.order)
+    left, right = ([a for a in elements if m >> a & 1] for m in (lat.masks[i], lat.masks[j]))
     mask = 0
-    for a in lat.subs[i].members:
+    for a in left:
         row = table[a]
-        for b in lat.subs[j].members:
+        for b in right:
             mask |= 1 << row[b]
     return lat.index_of[mask]
 
@@ -197,10 +242,10 @@ def test_sum_irreducibility_classification():
     lat = subgroup_lattice(G(2, 2))
     assert not lat.is_sum_irreducible_index(lat.full_index)  # Klein group is a sum of two lines
     lat6 = subgroup_lattice(G(6))
-    for h, sub in enumerate(lat6.subs):
-        if len(sub.members) == 6:
+    for h, mask in enumerate(lat6.masks):
+        if mask.bit_count() == 6:
             assert not lat6.is_sum_irreducible_index(h)
-        elif len(sub.members) in (2, 3):
+        elif mask.bit_count() in (2, 3):
             assert lat6.is_sum_irreducible_index(h)
     report = characterization_report(G(2, 4))
     assert report.passed
@@ -368,7 +413,7 @@ def test_irreducibility_decided_once_per_subgroup(monkeypatch):
 
 
 def _joins_from_two_smaller(lat, h):
-    """Reference: some two subgroups strictly inside subs[h] join to it."""
+    """Reference: some two subgroups strictly inside subgroup h join to it."""
     inside = [k for k in range(len(lat)) if k != h and not lat.masks[k] & ~lat.masks[h]]
     return any(_sum_set_join(lat, a, b) == h for a, b in itertools.combinations(inside, 2))
 
@@ -400,12 +445,16 @@ def test_secondary_representation_once_per_group():
 
 def test_quotients():
     g = G(4)
-    subs = sorted(subgroup_lattice(g).subs, key=lambda s: len(s.members))
+    lat = subgroup_lattice(g)
+    subs = sorted((lat.subgroup(h) for h in range(len(lat))), key=lambda s: len(s.members))
     q = quotient_group(g, subs[1])  # mod the order-2 subgroup
     assert q.factors == (2,)
     klein = G(2, 2)
+    lat = subgroup_lattice(klein)
     diag = next(
-        s for s in subgroup_lattice(klein).subs if len(s.members) == 2 and 3 in s.members
+        s
+        for s in map(lat.subgroup, range(len(lat)))
+        if len(s.members) == 2 and 3 in s.members
     )
     assert quotient_group(klein, diag).factors == (2,)
 

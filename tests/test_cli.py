@@ -203,6 +203,25 @@ def test_reducible_modulus_is_named_in_its_variable(capsys, argv, stderr):
     assert (code, out, err) == (2, "", stderr)
 
 
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (
+            ["basechange", "ideal: x, y", "invert:x,1y"],
+            "input error: '1y' is not a variable name (line 1, column 10)\n",
+        ),
+        (
+            ["basechange", "f: x^2+1 over GF(2)", "field:GF(2)=>GF(4)"],
+            "input error: field descriptors look like field:GF(p)->GF(p^k) (line 1, column 7)\n",
+        ),
+    ],
+    ids=["invert", "field"],
+)
+def test_descriptor_errors_point_into_the_descriptor(capsys, argv, stderr):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", stderr)
+
+
 def test_over_long_digit_run_is_a_positioned_parse_error(capsys):
     # refused before int() sees it, whatever Python's int-string limit
     code, out, err = run(capsys, "decompose", f"ideal: x^{'9' * 5000}")

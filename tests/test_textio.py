@@ -240,6 +240,24 @@ def test_change_descriptors():
         parse_change_descriptor("shrink:2")
 
 
+@pytest.mark.parametrize(
+    "text, message, col",
+    [
+        ("invert:x,1y", "'1y' is not a variable name", 10),
+        ("invert: x , 2z", "'2z' is not a variable name", 13),
+        ("field:GF(2)=>GF(4)", "field descriptors look like field:GF(p)->GF(p^k)", 7),
+        ("field:GF(2)->", "field descriptors look like field:GF(p)->GF(p^k)", 14),
+        ("  extend: 0", "extend takes a positive variable count", 11),
+        (" shrink:2", "unknown descriptor 'shrink'", 2),
+    ],
+    ids=["invert", "invert-blanks", "field-arrow", "field-target", "extend-blanks", "head"],
+)
+def test_descriptor_error_columns_are_columns_as_typed(text, message, col):
+    with pytest.raises(ParseError) as info:
+        parse_change_descriptor(text)
+    assert str(info.value) == f"{message} (line 1, column {col})"
+
+
 _LONG = "9" * (MAX_DIGITS + 1)
 
 
