@@ -68,6 +68,13 @@ def _socle_report(ideal: monomial.MonomialIdeal) -> bass.BassReport:
     return bass.reducibility_index_by_bass(ideal)
 
 
+def _prime_ideal(ring: monomial.RingContext, support) -> monomial.MonomialIdeal:
+    """The prime generated by the variables with indices in `support`."""
+    n = ring.n
+    variables = ((0,) * i + (1,) + (0,) * (n - i - 1) for i in support)
+    return monomial.MonomialIdeal.of(ring, variables)
+
+
 def extend_polynomial(ideal: monomial.MonomialIdeal, extra: int) -> monomial.MonomialIdeal:
     """The same generators in a ring with `extra` new variables t1, t2, ... appended last."""
     if extra < 0:
@@ -97,10 +104,9 @@ def extension_report(ideal: monomial.MonomialIdeal, extra: int) -> BaseChangeRep
     before = _socle_report(ideal)
     fibers = []
     formula = 0
-    for prime, mu0, _ in before.entries:
-        extended_prime = bass.MonomialPrime(prime.support, extended.ring).as_ideal()
-        fib = decompose(extended_prime).count
-        fibers.append(PrimeFiber(prime.render(), mu0, fib))
+    for support, mu0, _ in before.entries:
+        fib = decompose(_prime_ideal(extended.ring, support)).count
+        fibers.append(PrimeFiber(bass.render_prime(ideal.ring, support), mu0, fib))
         formula += mu0 * fib
     direct = decompose(extended).count
     t = max((f.fiber_index for f in fibers), default=1)
@@ -146,16 +152,15 @@ def localization_report(ideal: monomial.MonomialIdeal, inverted) -> BaseChangeRe
 
     fibers = []
     formula = 0
-    for prime, mu0, _ in before.entries:
-        if prime.support & inverted:
+    for support, mu0, _ in before.entries:
+        if support & inverted:
             fib = 0
         else:
             # the prime survives; its image in the localized ring is the
             # prime on the same variables, a domain quotient
-            image_support = [keep.index(i) for i in sorted(prime.support)]
-            image = bass.MonomialPrime(frozenset(image_support), local.ring).as_ideal()
+            image = _prime_ideal(local.ring, (keep.index(i) for i in support))
             fib = decompose(image).count
-        fibers.append(PrimeFiber(prime.render(), mu0, fib))
+        fibers.append(PrimeFiber(bass.render_prime(ideal.ring, support), mu0, fib))
         formula += mu0 * fib
     direct = 0 if local.is_unit else decompose(local).count
     t = max((f.fiber_index for f in fibers), default=1)

@@ -1,11 +1,14 @@
 """Associated primes and socle dimensions of monomial quotients.
 
 Every associated prime of R/I for a monomial ideal I is generated by a
-subset S of the variables.  Localizing at that prime amounts to setting
-the variables outside S to 1; the resulting ideal lives in the ring on
-the S variables.  The socle dimension after localizing (the 0-th Bass
-number, written mu0) counts monomials u in the S variables with u
-outside the localized ideal but x_i * u inside it for every i in S.
+subset S of the variables, and is recorded as S, the frozenset of their
+indices.  Localizing at that prime amounts to setting the variables
+outside S to 1; the resulting ideal lives in the ring on the S
+variables.  The socle dimension after localizing (the 0-th Bass number,
+written mu0) counts monomials u in the S variables with u outside the
+localized ideal but x_i * u inside it for every i in S.  The scans
+return supports and exponent tuples; `render_prime` and the callers'
+renderers turn them into text.
 
 Both scans test their definitions on the breakpoint grid of the
 generators, the exponents g_i - 1 (Miller-Sturmfels, GTM 227, ch. 5),
@@ -23,33 +26,14 @@ from dataclasses import dataclass
 from operator import le
 
 from .errors import UnitIdealError
-from .monomial import Monomial, MonomialIdeal, RingContext, minimal_exponents
+from .monomial import MonomialIdeal, RingContext, minimal_exponents
 
 
-@dataclass(frozen=True)
-class MonomialPrime:
-    """Prime generated by the variables with indices in `support`."""
-
-    support: frozenset[int]
-    ring: RingContext
-
-    def __post_init__(self):
-        for i in self.support:
-            if not 0 <= i < self.ring.n:
-                raise ValueError("variable index out of range")
-
-    def as_ideal(self) -> MonomialIdeal:
-        n = self.ring.n
-        variables = ((0,) * i + (1,) + (0,) * (n - i - 1) for i in self.support)
-        return MonomialIdeal.of(self.ring, variables)
-
-    def sort_key(self):
-        return tuple(sorted(self.support))
-
-    def render(self) -> str:
-        if not self.support:
-            return "(0)"
-        return "(" + ", ".join(self.ring.names[i] for i in sorted(self.support)) + ")"
+def render_prime(ring: RingContext, support) -> str:
+    """The prime on the variables with indices in `support`, `(0)` when it is empty."""
+    if not support:
+        return "(0)"
+    return "(" + ", ".join(ring.names[i] for i in sorted(support)) + ")"
 
 
 def localized_ideal(ideal: MonomialIdeal, support) -> MonomialIdeal:
@@ -63,11 +47,12 @@ def localized_ideal(ideal: MonomialIdeal, support) -> MonomialIdeal:
     return MonomialIdeal.of(sub, (tuple(e[i] for i in keep) for e in ideal.exponents))
 
 
-def bass0(ideal: MonomialIdeal, support) -> tuple[int, tuple[Monomial, ...]]:
-    """Socle dimension at the prime on `support`, with witness monomials.
+def bass0(ideal: MonomialIdeal, support) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Socle dimension at the prime on `support`, with witness exponents.
 
     Returns 0 (no witnesses) for primes that are not associated.  The
-    witnesses live in the localized ring, in lex order.  A witness u is
+    witnesses are exponent tuples in lex order, over the variables of
+    `support` in index order (the localized ring).  A witness u is
     outside the ideal with u + e_i inside for every i, so some generator
     g lies below u + e_i but not below u: g_i = u_i + 1, and u_i is on
     the grid {g_i - 1 : g_i >= 1}.
@@ -88,14 +73,11 @@ def bass0(ideal: MonomialIdeal, support) -> tuple[int, tuple[Monomial, ...]]:
         if not inside(u)
         and all(inside(u[:i] + (u[i] + 1,) + u[i + 1 :]) for i in range(n))
     ]
-    if not witnesses:
-        return 0, ()
-    sub = ideal.ring.subring(keep)
-    return len(witnesses), tuple(Monomial(u, sub) for u in witnesses)
+    return len(witnesses), tuple(witnesses)
 
 
-def ass_by_colon_scan(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
-    """Brute-force route: the primes of the form (I : u) for monomials u.
+def ass_by_colon_scan(ideal: MonomialIdeal) -> frozenset[frozenset[int]]:
+    """Brute-force route: the supports of the primes (I : u) for monomials u.
 
     (I : u) is generated by the (g - u)+; it is prime exactly when its
     minimal generators are variables ((0) when I is zero).  The grid
@@ -118,21 +100,21 @@ def ass_by_colon_scan(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
         quot = minimal_exponents(tuple(max(a - b, 0) for a, b in zip(g, u)) for g in gens)
         if all(sum(e) == 1 for e in quot):
             found.add(frozenset(e.index(1) for e in quot))
-    return frozenset(MonomialPrime(s, ideal.ring) for s in found)
+    return frozenset(found)
 
 
 @dataclass(frozen=True)
 class BassReport:
-    """Socle dimensions by prime and the index they sum to."""
+    """Socle dimensions by prime support, in order of sorted support, and their sum."""
 
     ideal: MonomialIdeal
-    entries: tuple[tuple[MonomialPrime, int, tuple[Monomial, ...]], ...]
+    entries: tuple[tuple[frozenset[int], int, tuple[tuple[int, ...], ...]], ...]
     index: int
 
     @property
     def socle_counts(self) -> dict[frozenset[int], int]:
         """Socle dimension by prime support."""
-        return {prime.support: count for prime, count, _ in self.entries}
+        return {support: count for support, count, _ in self.entries}
 
 
 def reducibility_index_by_bass(ideal: MonomialIdeal) -> BassReport:
@@ -142,14 +124,12 @@ def reducibility_index_by_bass(ideal: MonomialIdeal) -> BassReport:
     """
     if ideal.is_unit:
         raise UnitIdealError("the unit ideal has index 0 by convention; not computed here")
-    entries = []
-    total = 0
+    found = []
     for r in range(ideal.ring.n + 1):
         for subset in itertools.combinations(range(ideal.ring.n), r):
             count, wits = bass0(ideal, subset)
             if count:
-                prime = MonomialPrime(frozenset(subset), ideal.ring)
-                entries.append((prime, count, wits))
-                total += count
-    entries.sort(key=lambda e: e[0].sort_key())
-    return BassReport(ideal, tuple(entries), total)
+                found.append((subset, count, wits))
+    found.sort()
+    entries = tuple((frozenset(s), count, wits) for s, count, wits in found)
+    return BassReport(ideal, entries, sum(count for _, count, _ in entries))

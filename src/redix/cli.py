@@ -14,7 +14,8 @@ human rendering is derived from the same document.  Reports go to
 stdout, diagnostics to stderr.
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
-3 size-cap error.  Identical inputs and seed produce byte-identical
+3 size-cap error; a reader that closes stdout early does not change
+the code.  Identical inputs and seed produce byte-identical
 reports; wall-clock timing is only included under `--timing` because
 it would break that guarantee.
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -67,12 +69,13 @@ def _document(command: str, options: dict, inputs: dict, results: dict) -> dict:
 
 
 def cmd_decompose(args) -> dict:
-    from .decompose import decompose
+    from .decompose import decompose, render_component
 
     ideal = textio.parse_ideal_text(_read_input(args))
+    ring = ideal.ring
     dec = decompose(ideal, strategy="random", seed=args.seed)
     socle = bass.reducibility_index_by_bass(ideal)
-    ass_socle = frozenset(prime for prime, _, _ in socle.entries)
+    ass_socle = frozenset(support for support, _, _ in socle.entries)
     ass_colon = bass.ass_by_colon_scan(ideal)
     checks = [
         ["splitting count equals socle sum", dec.count == socle.index],
@@ -87,19 +90,19 @@ def cmd_decompose(args) -> dict:
     ]
     results = {
         "ir": dec.count,
-        "components": [c.render() for c in sorted(dec.components, key=lambda c: c.bounds)],
-        "associated_primes": sorted(p.render() for p in ass_socle),
+        "components": [render_component(ring, c) for c in sorted(dec.components)],
+        "associated_primes": sorted(bass.render_prime(ring, s) for s in ass_socle),
         "socle": {
             "index": socle.index,
             "per_prime": [
                 {
-                    "prime": prime.render(),
+                    "prime": bass.render_prime(ring, support),
                     "dimension": count,
-                    "witnesses": [w.render() for w in witnesses],
+                    "witnesses": [
+                        monomial.Monomial(w, ring.subring(support)).render() for w in witnesses
+                    ],
                 }
-                for prime, count, witnesses in sorted(
-                    socle.entries, key=lambda e: sorted(e[0].support)
-                )
+                for support, count, witnesses in socle.entries
             ],
         },
         "checks": checks,
@@ -571,10 +574,18 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     if args.timing:
         doc["timing"] = round(time.perf_counter() - started, 6)
-    if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(render_human(doc), end="")
+    try:
+        if args.format == "json":
+            print(json.dumps(doc, indent=2, sort_keys=True))
+        else:
+            print(render_human(doc), end="")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early, which says nothing about the report; the
+        # interpreter flushes stdout again at exit, into the null device now
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if not doc["results"].get("verdict", True):
         print("verification failure: see report", file=sys.stderr)
         return EXIT_VERIFICATION

@@ -1,9 +1,11 @@
 """Irreducible decomposition of monomial ideals by splitting one generator at a time.
 
 An irreducible monomial ideal is generated by pure powers of a subset of
-the variables; it is recorded as a bounds vector, entry 0 meaning the
+the variables; a component is its bounds tuple, entry 0 meaning the
 variable is absent.  A monomial lies in the component when some bound is
 met: u is inside exactly when u_i >= bounds_i for some i with bounds_i >= 1.
+The tuples are all the routes read; `component_ideal` and
+`render_component` turn one into an ideal or text at the boundary.
 
 The splitter starts from the zero ideal and adds the generators one at a
 time, keeping the irredundant components of the ideal generated so far.
@@ -31,41 +33,17 @@ from .monomial import MonomialIdeal, RingContext, minimal_exponents
 
 
 @dataclass(frozen=True)
-class IrreducibleComponent:
-    """Bounds vector of a pure-power ideal.  All zero only for the zero ideal."""
-
-    bounds: tuple[int, ...]
-    ring: RingContext
-
-    def __post_init__(self):
-        if len(self.bounds) != self.ring.n:
-            raise ValueError("bounds length does not match ring")
-        if any(b < 0 for b in self.bounds):
-            raise ValueError("negative bound")
-
-    def support(self) -> frozenset[int]:
-        return frozenset(i for i, b in enumerate(self.bounds) if b)
-
-    def as_ideal(self) -> MonomialIdeal:
-        return MonomialIdeal.of(self.ring, _pure_powers(self.bounds))
-
-    def render(self) -> str:
-        ideal = self.as_ideal()
-        return "0" if ideal.is_zero else f"({ideal.render()})"
-
-
-@dataclass(frozen=True)
 class Decomposition:
-    """Irredundant irreducible decomposition, components sorted by bounds."""
+    """Irredundant irreducible decomposition, bounds tuples sorted descending."""
 
     ideal: MonomialIdeal
-    components: tuple[IrreducibleComponent, ...]
+    components: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(set(c.bounds for c in self.components)) != len(self.components):
+        if len(set(self.components)) != len(self.components):
             raise ValueError("duplicate components")
         for c in self.components:
-            if not any(c.bounds) and len(self.components) != 1:
+            if not any(c) and len(self.components) != 1:
                 raise ValueError("all-zero component in a nontrivial decomposition")
 
     @property
@@ -75,16 +53,27 @@ class Decomposition:
     def counts_by_support(self) -> dict[frozenset[int], int]:
         """Number of components on each variable support, in component order."""
         out: dict[frozenset[int], int] = {}
-        for comp in self.components:
-            sup = comp.support()
+        for bounds in self.components:
+            sup = frozenset(i for i, b in enumerate(bounds) if b)
             out[sup] = out.get(sup, 0) + 1
         return out
 
 
+def component_ideal(ring: RingContext, bounds) -> MonomialIdeal:
+    """The ideal generated by the pure powers x_i^b_i, b_i >= 1, of a component."""
+    return MonomialIdeal.of(ring, _pure_powers(bounds))
+
+
+def render_component(ring: RingContext, bounds) -> str:
+    """A component as text: its generators in parentheses, `0` for the zero ideal."""
+    ideal = component_ideal(ring, bounds)
+    return "0" if ideal.is_zero else f"({ideal.render()})"
+
+
 def split_decompose(
     ideal: MonomialIdeal, strategy: str = "first", seed: int | None = None
-) -> tuple[IrreducibleComponent, ...]:
-    """Irreducible components reached by adding the generators one at a time.
+) -> tuple[tuple[int, ...], ...]:
+    """Irreducible components, as bounds tuples, reached by adding the generators one at a time.
 
     Starts from the zero ideal, whose one component has all bounds 0.
     For each generator m, a component containing m is kept, and any
@@ -117,7 +106,7 @@ def split_decompose(
             else:
                 grown.extend(c[:i] + (e,) + c[i + 1 :] for i, e in enumerate(m) if e)
         comps = _containing_none(grown)
-    return tuple(IrreducibleComponent(b, ideal.ring) for b in comps)
+    return tuple(comps)
 
 
 def _containing_none(bounds) -> list[tuple[int, ...]]:
@@ -143,21 +132,28 @@ def _containing_none(bounds) -> list[tuple[int, ...]]:
 
 
 def irredundant(candidates, ideal: MonomialIdeal) -> Decomposition:
-    """Prune candidates whose removal preserves the intersection.
+    """Prune candidate bounds tuples whose removal preserves the intersection.
 
-    Raises InvalidCandidatesError unless the candidates intersect to the
-    ideal.  Pruning never changes the intersection, so validity is
-    checked once on the pruned set.
+    Raises ValueError for a tuple that is not a component of the ideal's
+    ring (wrong length or a negative bound), and InvalidCandidatesError
+    unless the candidates intersect to the ideal.  Pruning never changes
+    the intersection, so validity is checked once on the pruned set.
     """
-    by_bounds = {c.bounds: c for c in candidates}
-    comps = [by_bounds[b] for b in _containing_none(by_bounds)]
-    inter = _intersect_components(comps, ideal.ring.n)
+    n = ideal.ring.n
+    cands = tuple(candidates)
+    for c in cands:
+        if len(c) != n:
+            raise ValueError("bounds length does not match ring")
+        if any(b < 0 for b in c):
+            raise ValueError("negative bound")
+    comps = _containing_none(cands)
+    inter = _intersect_components(comps, n)
     if inter != ideal.exponents:
         shown = MonomialIdeal.of(ideal.ring, inter)
         raise InvalidCandidatesError(
             f"candidates intersect to ({shown.render()}), not ({ideal.render()})"
         )
-    return Decomposition(ideal, tuple(sorted(comps, key=lambda c: c.bounds, reverse=True)))
+    return Decomposition(ideal, tuple(sorted(comps, reverse=True)))
 
 
 def _pure_powers(bounds) -> list[tuple[int, ...]]:
@@ -170,7 +166,7 @@ def _intersect_components(comps, n: int) -> tuple[tuple[int, ...], ...]:
     """Generator exponents of the intersection; the unit ideal when comps is empty."""
     out = ((0,) * n,)
     for c in comps:
-        pure = _pure_powers(c.bounds)
+        pure = _pure_powers(c)
         out = minimal_exponents(tuple(map(max, a, p)) for a in out for p in pure)
     return out
 

@@ -35,7 +35,7 @@ def test_criterion_2_uniqueness_across_strategies(full_selftest):
     R = RingContext.default(2)
     I = MonomialIdeal.from_gens(R, [R.monomial(3, 0), R.monomial(2, 2), R.monomial(0, 4)])
     frozen = {
-        frozenset(c.bounds for c in decompose(I, strategy=st, seed=sd).components)
+        frozenset(decompose(I, strategy=st, seed=sd).components)
         for st, sd in strategies
     }
     ok = s.failure_count == 0 and s.checks == 2000 and len(frozen) == 1

@@ -67,16 +67,20 @@ def test_reports_are_byte_identical(capsys):
         assert first == second, argv
 
 
-def run_module(*argv, timeout=30):
-    """`python -m redix.cli ARGV` in a child process; a hang fails the test."""
+def module_env() -> dict:
+    """The environment under which a child process imports this redix."""
     src = str(Path(redix.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
+def run_module(*argv, timeout=30):
+    """`python -m redix.cli ARGV` in a child process; a hang fails the test."""
     return subprocess.run(
         [sys.executable, "-m", "redix.cli", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=module_env(),
         timeout=timeout,
     )
 
@@ -85,6 +89,24 @@ def test_module_entry_point_returns_exit_code():
     proc = run_module("abelian", "group: Z/128")
     assert proc.returncode == 3
     assert "size cap" in proc.stderr
+
+
+def test_reader_closing_stdout_early_keeps_the_verdict_exit_code():
+    # the 1.98 MB document outgrows the pipe buffer, so writing it meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "redix.cli", "dual", "ideal: x^30, y^30, z^30", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=module_env(),
+    )
+    try:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 0, err
+    assert b"Traceback" not in err
 
 
 def test_huge_cyclic_order_is_refused_before_factoring():

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from redix.bass import ass_by_colon_scan, reducibility_index_by_bass
-from redix.decompose import IrreducibleComponent, decompose, irredundant, split_decompose
+from redix.decompose import (
+    component_ideal,
+    decompose,
+    irredundant,
+    render_component,
+    split_decompose,
+)
 from redix.errors import InvalidCandidatesError, UnitIdealError
 from redix.monomial import MonomialIdeal, RingContext, minimal_exponents
 from redix.textio import parse_ideal_text
@@ -20,7 +26,7 @@ def ideal(*exps):
 
 
 def bounds(dec):
-    return sorted(c.bounds for c in dec.components)
+    return sorted(dec.components)
 
 
 def test_frozen_two_component_example():
@@ -28,7 +34,8 @@ def test_frozen_two_component_example():
     dec = decompose(I)
     assert dec.count == 2
     assert bounds(dec) == [(1, 3), (2, 1)]  # (x, y^3) and (x^2, y)
-    assert {c.render() for c in dec.components} == {"(x, y^3)", "(x^2, y)"}
+    assert dec.components == ((2, 1), (1, 3))  # sorted descending
+    assert [render_component(R2, c) for c in dec.components] == ["(x^2, y)", "(x, y^3)"]
 
 
 def test_frozen_embedded_prime_example():
@@ -48,6 +55,7 @@ def test_zero_ideal_is_irreducible():
     dec = decompose(MonomialIdeal.zero(R2))
     assert dec.count == 1
     assert bounds(dec) == [(0, 0)]
+    assert render_component(R2, (0, 0)) == "0"
 
 
 def test_unit_ideal_rejected():
@@ -69,20 +77,26 @@ def gen_exponents(ideal):
 
 def test_irredundant_prunes_and_validates():
     I = ideal((2, 0), (1, 1))
-    keep_both = [
-        IrreducibleComponent((1, 0), R2),  # (x)
-        IrreducibleComponent((2, 1), R2),  # (x^2, y)
-    ]
-    kept = irredundant(keep_both, I).components
-    assert sorted(c.bounds for c in kept) == [(1, 0), (2, 1)]
+    keep_both = [(1, 0), (2, 1)]  # (x) and (x^2, y)
+    assert irredundant(keep_both, I).components == ((2, 1), (1, 0))
 
     # (x, y^2) contains the ideal, so it prunes away
-    padded = keep_both + [IrreducibleComponent((1, 2), R2)]
-    kept = irredundant(padded, I).components
-    assert sorted(c.bounds for c in kept) == [(1, 0), (2, 1)]
+    padded = keep_both + [(1, 2)]
+    assert irredundant(padded, I).components == ((2, 1), (1, 0))
 
     with pytest.raises(InvalidCandidatesError):
-        irredundant([IrreducibleComponent((1, 0), R2)], I)
+        irredundant([(1, 0)], I)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [((1, 0, 2), "bounds length does not match ring"), ((2, -1), "negative bound")],
+    ids=["length", "negative"],
+)
+def test_irredundant_refuses_a_tuple_that_is_not_a_component(bad, message):
+    I = ideal((2, 0), (1, 1))
+    with pytest.raises(ValueError, match=message):
+        irredundant([(1, 0), (2, 1), bad], I)
 
 
 @st.composite
@@ -103,16 +117,17 @@ def random_ideals(draw):
 @settings(max_examples=150, deadline=None)
 def test_components_intersect_to_the_ideal(ideal):
     dec = decompose(ideal)
-    meet = dec.components[0].as_ideal()
+    R = ideal.ring
+    meet = component_ideal(R, dec.components[0])
     for comp in dec.components[1:]:
-        meet = meet.intersect(comp.as_ideal())
+        meet = meet.intersect(component_ideal(R, comp))
     assert gen_exponents(meet) == gen_exponents(ideal)
     # irredundant: dropping any component changes the intersection
     for skip in range(dec.count if dec.count > 1 else 0):
         rest = [c for i, c in enumerate(dec.components) if i != skip]
-        meet = rest[0].as_ideal()
+        meet = component_ideal(R, rest[0])
         for comp in rest[1:]:
-            meet = meet.intersect(comp.as_ideal())
+            meet = meet.intersect(component_ideal(R, comp))
         assert gen_exponents(meet) != gen_exponents(ideal)
 
 
@@ -151,9 +166,9 @@ def proper_ideals(draw):
 def test_routes_agree_on_random_ideals(ideal):
     dec = decompose(ideal)
     assert dec.count == reducibility_index_by_bass(ideal).index
-    supports = {c.support() for c in dec.components}
-    assert supports == {p.support for p, _, _ in reducibility_index_by_bass(ideal).entries}
-    assert supports == {p.support for p in ass_by_colon_scan(ideal)}
+    supports = set(dec.counts_by_support())
+    assert supports == {s for s, _, _ in reducibility_index_by_bass(ideal).entries}
+    assert supports == ass_by_colon_scan(ideal)
     for strategy, seed in (("last", None), ("random", 0), ("random", 1)):
         assert bounds(decompose(ideal, strategy=strategy, seed=seed)) == bounds(dec)
 
@@ -224,7 +239,7 @@ def ideals_up_to_five_variables(draw):
 @settings(max_examples=150, deadline=None)
 def test_split_matches_recursive_reference(ideal):
     for strategy, seed in STRATEGIES:
-        got = {c.bounds for c in split_decompose(ideal, strategy, seed)}
+        got = set(split_decompose(ideal, strategy, seed))
         assert got == split_reference(ideal, strategy, seed)
 
 
@@ -233,14 +248,14 @@ def test_split_matches_recursive_reference(ideal):
 def test_irredundant_keeps_every_split_candidate(ideal):
     for strategy, seed in STRATEGIES:
         raw = split_decompose(ideal, strategy, seed)
-        assert sorted(c.bounds for c in raw) == bounds(irredundant(raw, ideal))
+        assert sorted(raw) == bounds(irredundant(raw, ideal))
 
 
 @st.composite
 def irreducible_and_two_ideals(draw):
     n = draw(st.integers(1, 3))
     R = RingContext.default(n)
-    q = IrreducibleComponent(draw(st.tuples(*[st.integers(0, 4)] * n)), R).as_ideal()
+    q = component_ideal(R, draw(st.tuples(*[st.integers(0, 4)] * n)))
 
     def some_ideal():
         gens = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=4))
@@ -274,7 +289,7 @@ def test_seven_variable_row_has_88_components_under_every_strategy():
     for strategy, seed in STRATEGIES:
         raw = split_decompose(I, strategy, seed)
         assert len(raw) == 88
-        outcomes.add(frozenset(c.bounds for c in decompose(I, strategy, seed).components))
+        outcomes.add(frozenset(decompose(I, strategy, seed).components))
     assert len(outcomes) == 1 and len(next(iter(outcomes))) == 88
 
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from redix.basechange import extend_polynomial
-from redix.bass import MonomialPrime, ass_by_colon_scan, localized_ideal
-from redix.decompose import irredundant, split_decompose
+from redix.bass import ass_by_colon_scan, bass0, localized_ideal, reducibility_index_by_bass
+from redix.decompose import component_ideal, decompose, irredundant, split_decompose
 from redix.errors import SizeCapError
 from redix.monomial import Monomial, MonomialIdeal, RingContext
 from redix.staircase import Staircase
@@ -115,20 +115,30 @@ def test_tuple_routes_build_no_monomial(monkeypatch):
     ideal = MonomialIdeal.of(R, [(2, 0, 0), (1, 1, 0), (0, 3, 1), (0, 0, 2)])
     box = MonomialIdeal.of(R, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)])
     staircase = Staircase.from_ideal(box)
-    built = []
+    built, rings = [], []
     post_init = Monomial.__post_init__
     monkeypatch.setattr(Monomial, "__post_init__", lambda m: built.append(m) or post_init(m))
+    ring_post_init = RingContext.__post_init__
+    monkeypatch.setattr(
+        RingContext, "__post_init__", lambda r: rings.append(r) or ring_post_init(r)
+    )
+    # the socle scan, the colon scan and splitting build no ring and no monomial
+    assert bass0(ideal, (0, 2)) == (1, ((0, 0),))  # the prime (x, z), witness 1
+    reducibility_index_by_bass(ideal)
+    ass_by_colon_scan(ideal)
+    decompose(ideal)
+    assert (built, rings) == ([], [])
     comps = split_decompose(ideal)
     irredundant(comps, ideal)
-    ass_by_colon_scan(ideal)
     localized_ideal(ideal, {0, 2})
-    comps[0].as_ideal()
-    MonomialPrime(frozenset({0, 1}), R).as_ideal()
+    component_ideal(R, comps[0])
+    component_ideal(R, (1, 1, 0))  # the prime (x, y)
     extend_polynomial(ideal, 2)
     staircase.ideal()
     assert built == []
-    R.monomial(0, 0, 0)  # the counter does see a construction
-    assert len(built) == 1
+    R.monomial(0, 0, 0)  # the counters do see a construction
+    R.subring((0,))
+    assert len(built) == 1 and len(rings) == 3  # localized, extended, subring
 
 
 @given(ideals())

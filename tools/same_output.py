@@ -7,8 +7,11 @@ and 7, and `selftest --scope all --seed 42`, each once with `--format
 json` and once in the default human format, as `python -m redix.cli
 ...` in a fresh process with PYTHONHASHSEED=0 and PYTHONPATH set to one
 of the two directories.  EXTRA holds field-extension reports that the
-corpus, with its single one into GF(8), lacks.  Compares stdout, stderr
-and exit code of each request and exits 1 if any differ, 0 if none do.
+corpus, with its single one into GF(8), lacks, and monomial reports that
+pin renderings the corpus never reaches: the zero component, the prime
+(0), the witness 1, witnesses in two subrings and a fiber of index 0.
+Compares stdout, stderr and exit code of each request and exits 1 if
+any differ, 0 if none do.
 Only the standard library is used, and the corpus is read, never
 written.
 """
@@ -36,6 +39,14 @@ EXTRA = (
     ["basechange", "f: -x^3 + (2)*x + 1 over GF(3)", "field:->GF(9)"],
     # bracketed sums over an extension field, refused with exit 2
     ["basechange", "f: (t+1)*x^2 + (-t)*x + t^2 over GF(4)=t^2+t+1", "field:->GF(16)"],
+    # the zero ideal: component 0, prime (0) and witness 1
+    ["decompose", "ring: x, y; ideal:"],
+    # primes (x) and (x, y), with witnesses in the rings on x and on x, y
+    ["decompose", "ideal: x^2, x*y"],
+    # one fiber, labelled (0)
+    ["basechange", "ring: x, y; ideal:", "extend:1"],
+    # inverting y sends the fiber at (x, y) to the zero ring: index 0
+    ["basechange", "ideal: x^2, x*y", "invert:y"],
 )
 
 
