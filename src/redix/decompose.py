@@ -19,6 +19,9 @@ make this work:
   one of its members, so a component is redundant exactly when it
   contains another one (_containing_none).
 
+`decompose` checks the split's components once, by intersecting them
+back to the ideal; `irredundant` prunes arbitrary candidates first.
+
 The strategy only orders the generators; every strategy must reach the
 same irredundant decomposition, and the test suites drive several.
 """
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import le
 
 from .errors import InvalidCandidatesError, UnitIdealError
 from .monomial import MonomialIdeal, RingContext, minimal_exponents
@@ -77,13 +81,33 @@ def split_decompose(
 
     Starts from the zero ideal, whose one component has all bounds 0.
     For each generator m, a component containing m is kept, and any
-    other C is replaced by C + (x_i^m_i) for each i in the support of m,
-    which sets bound i to m_i (m lies outside C, so m_i is below each
-    bound of C).  This is right because I + (m) is the intersection of
-    the C + (m) by distributivity, and each C + (m) is the intersection
-    of the C + (x_i^m_i), since (m) is the intersection of the (x_i^m_i).
-    Only the candidates containing no other one are kept after each step
-    (see _containing_none), so every component returned is irredundant.
+    other C is replaced by C[i<-m_i] = C + (x_i^m_i) for each i in the
+    support of m, which sets bound i to m_i (m lies outside C, so m_i is
+    below each bound of C).  This is right because I + (m) is the
+    intersection of the C + (m) by distributivity, and each C + (m) is
+    the intersection of the C + (x_i^m_i), since (m) is the intersection
+    of the (x_i^m_i).  A candidate containing another one is redundant
+    (see _containing_none) and dropped, so the components kept after
+    each step are the containment-minimal ones: irredundant, and none
+    contains another.
+
+    Not every pair needs a containment test.  Let K be the old
+    components that contain m.
+
+    - No member D of K contains a candidate: D contains C[i<-m_i], which
+      contains C, would make D contain the old component C.  So K is
+      kept without a test.
+    - C[i<-m_i] contains C'[j<-m_j] only when i = j: for j != i,
+      x_j^m_j lies in C[i<-m_i] only when 1 <= c_j <= m_j, which would
+      put m in C.
+    - C[i<-m_i] contains D in K only when d_i = 0 or d_i >= m_i, since
+      x_i^d_i must lie in it when d_i >= 1.
+
+    So each candidate is compared only with the same-i candidates and
+    with the members of K that pass the d_i filter.  The same facts show
+    the output has no duplicates: two old components that agree off i
+    would contain one another, and a candidate equal to a D in K would
+    be contained in D.
 
     The strategy orders the generators: "first" keeps the canonical
     order, "last" reverses it and "random" shuffles it with the seed.
@@ -97,16 +121,26 @@ def split_decompose(
         random.Random(seed or 0).shuffle(gens)
     elif strategy != "first":
         raise ValueError(f"unknown strategy {strategy!r}")
-    comps = [(0,) * ideal.ring.n]
+    # an absent variable's bound is held as `top`, above every exponent
+    # of the ideal: m lies in C when any(map(le, c, m)), and C contains D
+    # when all(map(le, c, d))
+    top = 1 + max(map(max, gens), default=0)
+    comps = [(top,) * ideal.ring.n]
     for m in gens:
-        grown = []
+        kept, missed = [], []
         for c in comps:
-            if any(b and e >= b for b, e in zip(c, m)):
-                grown.append(c)
-            else:
-                grown.extend(c[:i] + (e,) + c[i + 1 :] for i, e in enumerate(m) if e)
-        comps = _containing_none(grown)
-    return tuple(comps)
+            (kept if any(map(le, c, m)) else missed).append(c)
+        if not missed:
+            continue
+        comps = kept[:]
+        for i, e in enumerate(m):
+            if e:
+                cands = [c[:i] + (e,) + c[i + 1 :] for c in missed]
+                rivals = [d for d in kept if d[i] >= e] + cands
+                comps += [
+                    c for c in cands if not any(d is not c and all(map(le, c, d)) for d in rivals)
+                ]
+    return tuple([tuple([b if b != top else 0 for b in c]) for c in comps])
 
 
 def _containing_none(bounds) -> list[tuple[int, ...]]:
@@ -146,8 +180,12 @@ def irredundant(candidates, ideal: MonomialIdeal) -> Decomposition:
             raise ValueError("bounds length does not match ring")
         if any(b < 0 for b in c):
             raise ValueError("negative bound")
-    comps = _containing_none(cands)
-    inter = _intersect_components(comps, n)
+    return _validated(_containing_none(cands), ideal)
+
+
+def _validated(comps, ideal: MonomialIdeal) -> Decomposition:
+    """Comps as the ideal's Decomposition; InvalidCandidatesError unless they intersect to it."""
+    inter = _intersect_components(comps, ideal.ring.n)
     if inter != ideal.exponents:
         shown = MonomialIdeal.of(ideal.ring, inter)
         raise InvalidCandidatesError(
@@ -163,17 +201,36 @@ def _pure_powers(bounds) -> list[tuple[int, ...]]:
 
 
 def _intersect_components(comps, n: int) -> tuple[tuple[int, ...], ...]:
-    """Generator exponents of the intersection; the unit ideal when comps is empty."""
+    """Generator exponents of the intersection; the unit ideal when comps is empty.
+
+    J /\\ C is generated by the lcm(a, x_i^c_i) over the generators a of J
+    and the pure powers of C.  A generator a that already lies in C has
+    a_i >= c_i >= 1 for some i, so lcm(a, x_i^c_i) = a and every other
+    lcm is a multiple of a: a is kept as it is.  Only the generators
+    outside C are expanded, one lcm per pure power, which raises a_i to
+    c_i since a_i < c_i there.  This is the check on split_decompose, so
+    it shares no code with it, though the two loops look alike.
+    """
     out = ((0,) * n,)
     for c in comps:
-        pure = _pure_powers(c)
-        out = minimal_exponents(tuple(map(max, a, p)) for a in out for p in pure)
+        pure = [(i, b) for i, b in enumerate(c) if b]
+        inside, grown = [], []
+        for a in out:
+            if any(a[i] >= b for i, b in pure):
+                inside.append(a)
+            else:
+                grown.extend(a[:i] + (b,) + a[i + 1 :] for i, b in pure)
+        # the generators inside C keep their lex-descending order
+        out = minimal_exponents(inside + grown) if grown else tuple(inside)
     return out
 
 
 def decompose(
     ideal: MonomialIdeal, strategy: str = "first", seed: int | None = None
 ) -> Decomposition:
-    """Irredundant irreducible decomposition of the ideal."""
-    return irredundant(split_decompose(ideal, strategy, seed), ideal)
+    """Irredundant irreducible decomposition of the ideal.
 
+    The split's components are irredundant by construction, so they are
+    not pruned again; they are only checked to intersect to the ideal.
+    """
+    return _validated(split_decompose(ideal, strategy, seed), ideal)

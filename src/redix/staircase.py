@@ -26,9 +26,11 @@ The checks on downsets of one staircase run thousands of times in a row
 (every downset of every small staircase), so they read two neighbour
 tables that the staircase builds on first read, `Staircase._neighbours`:
 each member's immediate divisors and each member's x_i multiples inside
-the staircase.  Building a staircase and finding its maximal elements
-stay on tuple arithmetic, so a large staircase that is only rendered
-never builds tables.
+the staircase.  Quotient indices read downsets as bitmasks over the
+sorted members, against a third table that holds each member's
+multiples as such a mask, `Staircase._multiple_masks`.  Building a
+staircase and finding its maximal elements stay on tuple arithmetic, so
+a large staircase that is only rendered never builds tables.
 """
 
 from __future__ import annotations
@@ -103,6 +105,13 @@ class Staircase:
                     multiples[e].append(up)
                     divisors[up].append(e)
         return divisors, multiples
+
+    @cached_property
+    def _multiple_masks(self) -> dict[tuple[int, ...], tuple[int, int]]:
+        """Each member's bit over the sorted members, and the mask of its x_i multiples."""
+        bit = {e: 1 << k for k, e in enumerate(sorted(self.exponents))}
+        multiples = self._neighbours[1]
+        return {e: (b, sum(bit[u] for u in multiples[e])) for e, b in bit.items()}
 
 
 def maximal_elements(g: Staircase) -> frozenset[tuple[int, ...]]:
@@ -242,23 +251,35 @@ def sum_covers_iff_dual_disjoint(
     return left, right
 
 
-def quotient_index(g: Staircase, b: DownsetSubmodule) -> int:
-    """Sum-reducibility index of (dual module)/B.
+def quotient_indices(g: Staircase, masks) -> list[int]:
+    """Sum-reducibility index of (dual module)/B for each downset mask b.
 
-    The quotient has basis G minus B with the inherited action, and its
-    generators are the elements of G minus B with no x_i multiple in G
-    minus B; they are counted here on that basis alone.  Since B is a
-    downset, G minus B is an upset of G: a multiple inside G of an
-    element outside B is outside B too.  So these are exactly the
-    corners of G that escaped B, which is what makes the count at most
-    the index of the dual; the count never uses that, or the comparison
-    with the corner count would prove nothing.  For B = G the quotient
-    is zero and the index is 0.  Multiples are looked up in G's table of
-    x_i multiples inside G.
+    Bit k of a mask stands for the k-th member of G in sorted order, the
+    order `_downsets` uses.  The quotient by B has basis G minus B, the
+    mask full ^ b, with the inherited action, and its generators are the
+    members of that basis with no x_i multiple in it: those whose mask
+    of x_i multiples inside G misses full ^ b.  They are counted on that
+    basis alone.  Since B is a downset, G minus B is an upset of G: a
+    multiple inside G of an element outside B is outside B too.  So
+    these are exactly the corners of G that escaped B, which is what
+    makes the count at most the index of the dual; the count never uses
+    that, or the comparison with the corner count would prove nothing.
+    For B = G the quotient is zero and the index is 0.  The masks are
+    taken as given: a caller passes masks of downsets.
     """
-    multiples = g._neighbours[1]
-    rest = g.exponents - b.members
-    return sum(1 for e in rest if rest.isdisjoint(multiples[e]))
+    table = g._multiple_masks.values()
+    full = (1 << len(table)) - 1
+    out = []
+    for b in masks:
+        rest = full ^ b
+        out.append(sum(1 for k, up in table if rest & k and not rest & up))
+    return out
+
+
+def quotient_index(g: Staircase, b: DownsetSubmodule) -> int:
+    """Sum-reducibility index of (dual module)/B; see quotient_indices."""
+    table = g._multiple_masks
+    return quotient_indices(g, [sum(table[e][0] for e in b.members)])[0]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ left empty when the polynomial already pins it down).
 A group or polynomial text is exactly one line (after ';' splits and
 comments), its keyword optional; a second line is refused before the
 first is parsed.  Each line is tokenized once, and every error column
-is a column of that input line, also inside a polynomial's field spec.
+is a column of the physical input line as typed, also past a ';' or
+'/' and inside a polynomial's field spec.
 
 A polynomial term's degree or a `t^e` exponent above
 `gfpoly.MAX_POLY_DEGREE` is refused with SizeCapError before any
@@ -72,21 +73,23 @@ def _decimal(digits: str, line_no: int, col: int) -> int:
 class _Tokens:
     """Token stream over one logical line, tracking source position.
 
-    A grammar may narrow the stream to the tokens before index `end`;
-    the end of the stream is then reported at column `end_col`.
+    The line starts `offset` characters into its physical line, so every
+    column is a column of the physical line.  A grammar may narrow the
+    stream to the tokens before index `end`; the end of the stream is
+    then reported at column `end_col`.
     """
 
-    def __init__(self, text: str, line_no: int):
+    def __init__(self, text: str, line_no: int, offset: int = 0):
         self.line = line_no
         self.items = []
         for m in _TOKEN_RE.finditer(text):
             s = m.group()
             # isdecimal is what \d+ and int() accept; isdigit would also take a lone '²'
             kind = "INT" if s[0].isdecimal() else "NAME" if s[0].isalpha() or s[0] == "_" else s
-            self.items.append((kind, s, m.start() + 1))
+            self.items.append((kind, s, offset + m.start() + 1))
         self.pos = 0
         self.end = len(self.items)
-        self.end_col = len(text) + 1
+        self.end_col = offset + len(text) + 1
 
     def peek(self):
         if self.pos < self.end:
@@ -119,14 +122,16 @@ class _Tokens:
 
 
 def _logical_lines(text: str, extra_separators: str = ""):
-    """(line_no, content) pairs; line_no counts physical lines from 1."""
+    """Tokens of each nonblank logical line; line numbers count physical lines from 1."""
     for no, physical in enumerate(text.splitlines() or [""], start=1):
         body = physical.split("#", 1)[0]
         for sep in ";" + extra_separators:
             body = body.replace(sep, "\n")
+        offset = 0  # where the piece starts in the physical line
         for piece in body.split("\n"):
             if piece.strip():
-                yield no, piece
+                yield _Tokens(piece, no, offset)
+            offset += len(piece) + 1
 
 
 def _keyword(ts: _Tokens):
@@ -140,13 +145,12 @@ def _keyword(ts: _Tokens):
 def _payload_line(text: str, keyword: str, what: str) -> _Tokens:
     """The one line of a group or polynomial text, past its optional keyword."""
     payload = None
-    for line_no, content in _logical_lines(text):
-        ts = _Tokens(content, line_no)
+    for ts in _logical_lines(text):
         word = _keyword(ts)
         if word not in (None, keyword):
-            raise ParseError(f"unknown section {word!r}", line_no, 1)
+            raise ParseError(f"unknown section {word!r}", ts.line, ts.items[0][2])
         if payload is not None:
-            raise ParseError(f"more than one {what} line", line_no, 1)
+            raise ParseError(f"more than one {what} line", ts.line, ts.items[0][2])
         payload = ts
     if payload is None:
         raise ParseError(f"no {what} given", 1, 1)
@@ -192,29 +196,30 @@ def parse_ideal_text(text: str) -> monomial.MonomialIdeal:
     """Monomial ideal from the `ring:`/`ideal:` grammar."""
     ring_names = None
     sym_gens = []  # each generator: list of (name, exponent, line, col)
-    for line_no, content in _logical_lines(text, extra_separators="/"):
-        ts = _Tokens(content, line_no)
+    for ts in _logical_lines(text, extra_separators="/"):
         word = _keyword(ts)
         if word == "ring":
             if ring_names is not None:
-                raise ParseError("duplicate ring line", line_no, 1)
-            ring_names = tuple(
-                _separated(ts, ",", "a comma", lambda t: t.take("NAME", "a variable name")[0])
-            )
+                raise ParseError("duplicate ring line", ts.line, ts.items[0][2])
+            names = _separated(ts, ",", "a comma", lambda t: t.take("NAME", "a variable name"))
+            seen = set()
+            for name, col in names:  # a repeated name is refused at its own token
+                if name in seen:
+                    raise ParseError("variable names must be distinct", ts.line, col)
+                seen.add(name)
+            ring_names = tuple(name for name, _ in names)
         elif word == "ideal" or word is None:
             if not ts.done:  # an empty body means no generators
                 sym_gens.extend(_separated(ts, ",", "a comma", _parse_monomial))
         else:
-            raise ParseError(f"unknown section {word!r}", line_no, 1)
+            raise ParseError(f"unknown section {word!r}", ts.line, ts.items[0][2])
     if ring_names is None:
         seen = {name for gen in sym_gens for name, _, _, _ in gen}
         ring_names = tuple(sorted(seen))
         if not ring_names:
             raise ParseError("the ideal names no variable and there is no ring line", 1, 1)
-    try:
-        ring = monomial.RingContext(ring_names)
-    except ValueError as exc:
-        raise ParseError(str(exc), 1, 1) from None
+    # name tokens are valid names and the ring line's are distinct
+    ring = monomial.RingContext(ring_names)
     index = {name: i for i, name in enumerate(ring_names)}
     gens = []
     for gen in sym_gens:

@@ -202,6 +202,12 @@ def test_superscript_digit_is_a_positioned_parse_error(capsys, argv, stderr):
     assert (code, out, err) == (2, "", stderr)
 
 
+def test_error_column_counts_from_the_start_of_the_line(capsys):
+    code, out, err = run(capsys, "decompose", "ring: x, y;  ideal: x, y; ideal: x*z")
+    assert (code, out) == (2, "")
+    assert err == "input error: variable 'z' is not in the ring (line 1, column 36)\n"
+
+
 @pytest.mark.parametrize(
     "argv, stderr",
     [

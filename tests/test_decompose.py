@@ -1,9 +1,10 @@
 """Splitting decomposition: frozen answers, uniqueness, candidate pruning."""
 
+import importlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from redix.bass import ass_by_colon_scan, reducibility_index_by_bass
@@ -16,8 +17,11 @@ from redix.decompose import (
 )
 from redix.errors import InvalidCandidatesError, UnitIdealError
 from redix.monomial import MonomialIdeal, RingContext, minimal_exponents
+from redix.selftest import run_selftest
 from redix.textio import parse_ideal_text
 
+# the package exports the function `decompose`, which shadows the module
+decompose_module = importlib.import_module("redix.decompose")
 R2 = RingContext.default(2)
 
 
@@ -235,7 +239,25 @@ def ideals_up_to_five_variables(draw):
     return MonomialIdeal.from_gens(R, [R.monomial(*e) for e in gens])
 
 
+def _ideal(*exps):
+    return MonomialIdeal.of(RingContext.default(len(exps[0])), exps)
+
+
+# each reaches one branch of split_decompose's lemma in canonical order.
+# Adding y*z to (x) /\ (z), the candidate (x, z) contains the kept (z),
+# whose z bound passes the filter.
+KEPT_WITNESS = _ideal((1, 0, 1), (0, 1, 1))
+# Adding y^2 to (x) /\ (y), the kept (y) has y bound 1 < 2: the filter skips it.
+FILTER_SKIPS = _ideal((1, 1), (0, 2))
+# Adding y*z to (x) /\ (z^2), the candidate (x, z) contains the same-i
+# candidate (z).
+SAME_I = _ideal((1, 0, 2), (0, 1, 1))
+
+
 @given(ideals_up_to_five_variables())
+@example(KEPT_WITNESS)
+@example(FILTER_SKIPS)
+@example(SAME_I)
 @settings(max_examples=150, deadline=None)
 def test_split_matches_recursive_reference(ideal):
     for strategy, seed in STRATEGIES:
@@ -244,6 +266,9 @@ def test_split_matches_recursive_reference(ideal):
 
 
 @given(ideals_up_to_five_variables())
+@example(KEPT_WITNESS)
+@example(FILTER_SKIPS)
+@example(SAME_I)
 @settings(max_examples=150, deadline=None)
 def test_irredundant_keeps_every_split_candidate(ideal):
     for strategy, seed in STRATEGIES:
@@ -291,6 +316,53 @@ def test_seven_variable_row_has_88_components_under_every_strategy():
         assert len(raw) == 88
         outcomes.add(frozenset(decompose(I, strategy, seed).components))
     assert len(outcomes) == 1 and len(next(iter(outcomes))) == 88
+
+
+EIGHT_VARIABLES = (
+    "ideal: e^2*f*g^5*h^2, b^5*c^3*d^3*g^6*h^2, a^7*b^4*c^5*e^4*g*h^7, a^3*b^9*d^4*h^9,"
+    " b^6*d^5*e^4*g^2*h^5, b^5*c^9*e^4*g^3, d^4*e^4*f^7*g^8*h^7, a^8*b^7*d^4*g^3*h^4,"
+    " a^2*d^9*e^9*f*g^3*h^9, a^6*d^6*e^4, b^9*d^7*e^3*g^7*h^9, a^2*c^5*d^2*e^5*f*h,"
+    " a^2*d^7*e^8*f^4*g^2*h^7, b^5*c^8*d^4*f, b^7*c^2*d^6*g^4, d^6*e^9*f^4*g^2"
+)
+
+
+def test_eight_variable_row_has_243_components_under_every_strategy():
+    I = parse_ideal_text(EIGHT_VARIABLES)
+    outcomes = set()
+    for strategy, seed in STRATEGIES:
+        raw = split_decompose(I, strategy, seed)
+        assert len(raw) == 243
+        outcomes.add(frozenset(decompose(I, strategy, seed).components))
+    assert len(outcomes) == 1 and len(next(iter(outcomes))) == 243
+
+
+def test_socle_agreement_catches_a_split_with_a_redundant_component(monkeypatch):
+    # decompose no longer re-prunes the split's output, so a redundant
+    # component would raise the count; the socle cross-check must see it
+    split = decompose_module.split_decompose
+
+    def padded(ideal, strategy="first", seed=None):
+        comps = split(ideal, strategy, seed)
+        # the maximal ideal contains every component; the zero ideal's
+        # one component must stay alone, so it is left as it is
+        maximal = (1,) * ideal.ring.n
+        return comps if maximal in comps or not any(comps[0]) else comps + (maximal,)
+
+    monkeypatch.setattr(decompose_module, "split_decompose", padded)
+    (result,) = run_selftest(scope="index-socle-agreement", seed=0).results
+    assert result.failure_count > 0
+
+
+def test_a_split_that_drops_a_component_is_refused(monkeypatch):
+    split = decompose_module.split_decompose
+
+    def dropping(ideal, strategy="first", seed=None):
+        return tuple(c for c in split(ideal, strategy, seed) if c != (2, 1))
+
+    monkeypatch.setattr(decompose_module, "split_decompose", dropping)
+    with pytest.raises(InvalidCandidatesError) as info:
+        decompose(ideal((2, 0), (1, 1)))
+    assert str(info.value) == "candidates intersect to (x), not (x^2, x*y)"
 
 
 def test_unknown_strategy_rejected():

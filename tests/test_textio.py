@@ -63,6 +63,32 @@ def test_ideal_errors_carry_positions():
         parse_ideal_text("ideal: x^^2")
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (
+            parse_ideal_text,
+            "ring: x, y;  ideal: x, y; ideal: x*z",
+            "variable 'z' is not in the ring (line 1, column 36)",
+        ),
+        (parse_ideal_text, "ring: x, y; ideal: x^²", "expected an exponent, got '²' (line 1, column 22)"),
+        (parse_ideal_text, "ring: x, x; ideal: x", "variable names must be distinct (line 1, column 10)"),
+        (parse_ideal_text, "ideal: x\nring: x, y, x", "variable names must be distinct (line 2, column 13)"),
+        (parse_ideal_text, "ring: x; ring: y; ideal: x", "duplicate ring line (line 1, column 10)"),
+        (parse_ideal_text, "ideal: x / foo: y", "unknown section 'foo' (line 1, column 12)"),
+        (parse_group_text, "group: Z/2; group: Z/3", "more than one group line (line 1, column 13)"),
+        (parse_group_text, ";group: Z/0", "cyclic order must be positive (line 1, column 11)"),
+        (parse_poly_text, "f: x; g: y over GF(2)", "unknown section 'g' (line 1, column 7)"),
+    ],
+    ids=["ring", "symbol", "repeat", "repeat-line-2", "ring-twice", "section", "group-twice", "group", "poly"],
+)
+def test_error_columns_count_on_the_physical_line(parse, text, message):
+    # columns past a ';' or '/' separator count from the start of the line as typed
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("text", ["", "ideal:", "ideal: 1", "# nothing\nideal: 1*1"])
 def test_ideal_with_no_variables_refused(text):
     # no zero-variable ring comes out of the grammar, so every echo parses back
