@@ -45,6 +45,7 @@ cached on that key.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import prod
@@ -293,8 +294,13 @@ class SubgroupLattice:
     an OR of coset masks, and results are deduplicated by mask.  Every
     subgroup is a join of cyclic ones, hence reached from zero by such
     steps, so nothing is missed.  Each subgroup found is checked closed
-    under addition, on the member list the build holds, before its mask
-    is kept.
+    under addition, on its member list, before its mask is kept.
+
+    The build numbers subgroups as it finds them and keeps, per subgroup
+    S, its coset labels (element -> coset number, as `bytes`: the order
+    is at most 64) and the number of S + <g> for one g per coset; it
+    sorts once at the end and fills each closure row with one lookup per
+    coset, not one per element.
 
     Subgroup i is masks[i] over the elements (sorted by size, then by
     members), and index_of maps a mask back to i.  The lattice holds no
@@ -309,7 +315,12 @@ class SubgroupLattice:
     then + <g2>, and so on: row i folded over _gens[j], for any j,
     cyclic or not.  join_row(i, hs) is that fold for each h in hs, the
     row the census of joins reads for node i, with hs its sum-irreducible
-    atoms.
+    atoms.  Closure rows are compact arrays, of bytes up to 256
+    subgroups and of 16-bit entries above (the rank-six elementary
+    2-group has 2,825).  Reading a 16-bit entry above 256 makes a new
+    int, so join_row hands out the lattice's own int for each index,
+    _ints[k], and returns an exact-size tuple: a census row then costs
+    8 bytes per entry.
     """
 
     def __init__(self, group: FiniteAbelianGroup):
@@ -317,47 +328,58 @@ class SubgroupLattice:
         table = group.add_table
         n = group.order
         _check_closed(table, [0], 1)  # the zero subgroup, checked like the rest
-        found = {1: [0]}  # mask -> sorted member list, checked closed
-        gens: dict[int, tuple[int, ...]] = {1: ()}
-        rows: dict[int, list[int]] = {}  # mask of S -> mask of S + <a>, per element a
-        frontier = [1]
-        while frontier:
-            grown = []
-            for s_mask in frontier:
-                s_list = found[s_mask]
-                coset_of = [-1] * n
-                coset_masks: list[int] = []
-                reps = []
-                for g in range(n):
-                    if coset_of[g] < 0:
-                        k = len(coset_masks)
-                        row = table[g]
-                        coset = [row[s] for s in s_list]
-                        for a in coset:
-                            coset_of[a] = k
-                        coset_masks.append(sum(1 << a for a in coset))
-                        reps.append(g)
-                out = [s_mask]  # reps[0] = 0 stands for S itself
-                for g in reps[1:]:
-                    mask, cur = s_mask, g
-                    while coset_of[cur]:
-                        mask |= coset_masks[coset_of[cur]]
-                        cur = table[cur][g]
-                    out.append(mask)
-                    if mask not in found:
-                        members = _members(mask)
-                        _check_closed(table, members, mask)
-                        found[mask] = members
-                        gens[mask] = gens[s_mask] + (g,)
-                        grown.append(mask)
-                rows[s_mask] = [out[k] for k in coset_of]
-            frontier = grown
-        self.masks = sorted(found, key=lambda m: (len(found[m]), found[m]))
-        self.index_of = index_of = {m: i for i, m in enumerate(self.masks)}
-        self._closure = [[index_of[m] for m in rows[mask]] for mask in self.masks]
-        self._gens = [gens[mask] for mask in self.masks]
-        self.trivial_index = index_of[1]
-        self.full_index = index_of[(1 << n) - 1]
+        masks = [1]  # subgroup t, numbered as found, is masks[t]
+        members = [[0]]  # and members[t] its sorted member list, checked closed
+        found = {1: 0}  # mask -> number
+        gens: list[tuple[int, ...]] = [()]
+        labels: list[bytes] = []  # labels[t][a]: the coset of subgroup t holding element a
+        joins: list[list[int]] = []  # joins[t][k]: the number of subgroup t + <g>, g in coset k
+        for t, s_mask in enumerate(masks):  # grows as subgroups are found: breadth first
+            s_list = members[t]
+            coset_of = bytearray(b"\xff") * n  # no element index or coset number reaches 255
+            coset_masks: list[int] = []
+            reps = []
+            for g in range(n):
+                if coset_of[g] == 255:
+                    k = len(coset_masks)
+                    row = table[g]
+                    coset = [row[s] for s in s_list]
+                    for a in coset:
+                        coset_of[a] = k
+                    coset_masks.append(sum(1 << a for a in coset))
+                    reps.append(g)
+            out = [t]  # reps[0] = 0 stands for S itself
+            for g in reps[1:]:
+                mask, cur = s_mask, g
+                while coset_of[cur]:
+                    mask |= coset_masks[coset_of[cur]]
+                    cur = table[cur][g]
+                u = found.get(mask)
+                if u is None:
+                    m_list = _members(mask)
+                    _check_closed(table, m_list, mask)
+                    u = found[mask] = len(masks)
+                    masks.append(mask)
+                    members.append(m_list)
+                    gens.append(gens[t] + (g,))
+                out.append(u)
+            labels.append(bytes(coset_of))
+            joins.append(out)
+        order = sorted(range(len(masks)), key=lambda t: (len(members[t]), members[t]))
+        rank = [0] * len(order)
+        for i, t in enumerate(order):
+            rank[t] = i
+        code = "B" if len(order) <= 256 else "H"
+        self.masks = [masks[t] for t in order]
+        self.index_of = {m: i for i, m in enumerate(self.masks)}
+        self._closure = []
+        for t in order:
+            at = [rank[u] for u in joins[t]]  # one lookup per coset
+            self._closure.append(array(code, map(at.__getitem__, labels[t])))
+        self._gens = [gens[t] for t in order]
+        self._ints = list(range(len(order)))
+        self.trivial_index = self.index_of[1]
+        self.full_index = self.index_of[(1 << n) - 1]
         self._subgroups: dict[int, Subgroup] = {}
 
     def __len__(self) -> int:
@@ -370,16 +392,20 @@ class SubgroupLattice:
             sub = self._subgroups[h] = Subgroup.of_mask(self.group, self.masks[h])
         return sub
 
-    def join_row(self, i: int, hs) -> list[int]:
-        """Index of subgroup i + subgroup h for each h in hs: row i folded over h's generators."""
-        closure, gens = self._closure, self._gens
+    def join_row(self, i: int, hs) -> tuple[int, ...]:
+        """Index of subgroup i + subgroup h for each h in hs: row i folded over h's generators.
+
+        Each index is the lattice's own int object for it, so the rows a
+        census keeps share their ints instead of holding one per entry.
+        """
+        closure, gens, ints = self._closure, self._gens, self._ints
         row = []
         for h in hs:
             k = i
             for g in gens[h]:
                 k = closure[k][g]
-            row.append(k)
-        return row
+            row.append(ints[k])
+        return tuple(row)
 
     def is_sum_irreducible_index(self, h: int) -> bool:
         """No two strictly smaller subgroups join to subgroup h.

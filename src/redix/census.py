@@ -77,6 +77,12 @@ have empty rows and would be skipped.  So the parent settles c in
 place: the top children of c above i outside tops[j] |
 OR(tops[rows[o][i]]) are its irredundant deep covers.
 
+The two recursive passes call themselves through their closure cells,
+a reference cycle that would keep every table alive after the census
+returns, until a cycle collection happened to run.  The census deletes
+each pass once it is done, so the tables are freed by reference
+counting when it returns.
+
 No irredundant deep cover is the executable form of the claim that
 every irredundant cover has the same length (the bookkeeping is the
 "crit/uncov" idea of Murakami-Uno, Discrete Appl. Math. 170, 2014).
@@ -84,7 +90,7 @@ every irredundant cover has the same length (the bookkeeping is the
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import VerificationError
 
@@ -106,12 +112,14 @@ def _lanes(packed: int, width: int) -> list[int]:
     return lanes
 
 
-def census(start: int, top: int, row_of: Callable[[int], list[int]], sample_cap: int) -> Census:
+def census(
+    start: int, top: int, row_of: Callable[[int], Sequence[int]], sample_cap: int
+) -> Census:
     """Progressive covers of top from start by the atoms of row_of(start) (see module doc).
 
     Nodes are ints (lattice indices or bitmasks) and start is not top.
     """
-    rows: dict[int, list[int]] = {}
+    rows: dict[int, Sequence[int]] = {}
     avails: dict[int, int] = {}
     tops: dict[int, int] = {}
 
@@ -154,6 +162,7 @@ def census(start: int, top: int, row_of: Callable[[int], list[int]], sample_cap:
         return total << width
 
     hist = {d: c for d, c in enumerate(_lanes(counts_below(start, -1), width)) if c}
+    del counts_below  # it calls itself through its cell; see the module doc
     if not hist:
         return Census(hist, (), 0, frozenset())
     r0 = min(hist)
@@ -231,6 +240,7 @@ def census(start: int, top: int, row_of: Callable[[int], list[int]], sample_cap:
             walk(child, i, chain + (i,), tuple([rows[o][i] for o in others] + [j]))
 
     walk(start, -1, (), ())
+    del walk
     deferred = sum(_lanes(deferred, width))
     expected = sum(c for d, c in hist.items() if d > r0)
     if deferred != expected:

@@ -103,13 +103,17 @@ def minimal_exponents(exps) -> tuple[tuple[int, ...], ...]:
     Deduplicated and sorted lex descending.  Every generator set in the
     package is minimalized here, so all routes share one canonical form.
     """
-    kept = []
-    # sorting by total degree first makes each divisor appear before its multiples
-    for e in sorted(set(exps), key=lambda t: (sum(t), t)):
-        if not any(all(map(le, k, e)) for k in kept):
-            kept.append(e)
-    kept.sort(reverse=True)
-    return tuple(kept)
+    kept = []  # (k, j): a kept vector and its first nonzero coordinate, 0 for the zero vector
+    # sorting by total degree puts each divisor before its multiples: equal
+    # degrees divide only when equal, and the set removed those.  k[j] > 0
+    # unless k is zero, so k[j] <= e[j] rules out most non-divisors at once
+    for e in sorted(set(exps), key=sum):
+        for k, j in kept:
+            if k[j] <= e[j] and all(map(le, k, e)):
+                break
+        else:
+            kept.append((e, next((j for j, x in enumerate(e) if x), 0)))
+    return tuple(sorted((k for k, _ in kept), reverse=True))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -167,18 +168,32 @@ def _orbit_mask(group, a):
 
 
 def test_closure_table_matches_sum_sets():
-    for group in abelian_group_classes(32):
+    for group in abelian_group_classes(64):
         lat = subgroup_lattice(group)
-        rows = [lat.join_row(i, range(len(lat))) for i in range(len(lat))]
-        for i in range(len(lat)):
-            for j in range(i, len(lat)):
-                expected = _sum_set_join(lat, i, j)
-                assert rows[i][j] == rows[j][i] == expected, (group.render(), i, j)
+        if group.order <= 32:
+            rows = [lat.join_row(i, range(len(lat))) for i in range(len(lat))]
+            for i in range(len(lat)):
+                for j in range(i, len(lat)):
+                    expected = _sum_set_join(lat, i, j)
+                    assert rows[i][j] == rows[j][i] == expected, (group.render(), i, j)
         cyclic = lat._closure[lat.trivial_index]
         for a in range(group.order):
             orbit = _orbit_mask(group, a)
             assert lat.masks[cyclic[a]] == orbit, (group.render(), a)
             assert group.element_order(a) == orbit.bit_count(), (group.render(), a)
+
+
+def test_closure_rows_are_compact_and_join_rows_share_ints():
+    for group in abelian_group_classes(64):
+        lat = subgroup_lattice(group)
+        code = "B" if len(lat) <= 256 else "H"
+        assert {(type(row), row.typecode) for row in lat._closure} == {(array, code)}
+    lat = subgroup_lattice(G(2, 2, 2, 2, 2, 2))
+    assert len(lat) == 2825 and lat._closure[0].typecode == "H"
+    for i in (lat.trivial_index, 300, lat.full_index):
+        row = lat.join_row(i, range(len(lat)))
+        assert type(row) is tuple
+        assert all(k is lat._ints[k] for k in row)
 
 
 def test_frozen_indices():

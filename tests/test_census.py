@@ -1,11 +1,17 @@
 """The census of progressive families, on a lattice small enough to read by hand."""
 
+import gc
 from collections import Counter
 
+import pytest
 from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
+from redix.abelian import FiniteAbelianGroup, subgroup_lattice
 from redix.census import census
+from redix.gfpoly import PrimeField, UniPoly, _meet_irreducible_submodules
+from redix.monomial import MonomialIdeal, RingContext
+from redix.staircase import Staircase, _principal_masks
 
 
 def test_census_reports_an_irredundant_deep_cover():
@@ -81,3 +87,36 @@ def test_census_matches_recursive_reference(family, sample_cap):
         if all(_union(start, atoms, c[:k] + c[k + 1 :]) != top for k in range(len(c)))
     }
     assert found.irredundant_deep == irredundant
+
+
+def _abelian_joins():
+    lat = subgroup_lattice(FiniteAbelianGroup.from_orders(2, 2, 4))
+    irr = lat.sum_irreducible_indices
+    return lat.trivial_index, lat.full_index, lambda j: lat.join_row(j, irr)
+
+
+def _staircase_unions():
+    ring = RingContext.default(2)
+    g = Staircase.from_ideal(MonomialIdeal.of(ring, [(3, 0), (1, 1), (0, 3)]))
+    masks = _principal_masks(g)
+    return 0, (1 << g.size) - 1, lambda a: [a | x for x in masks]
+
+
+def _hypersurface_meets():
+    # (x + 1)^2 * (x^2 + x + 1) over GF(2)
+    irreducible, full = _meet_irreducible_submodules(UniPoly.make(PrimeField(2), [1, 1, 1, 1, 1]))
+    return full, 1, lambda n: [n & x for x in irreducible]
+
+
+@pytest.mark.parametrize("caller", [_abelian_joins, _staircase_unions, _hypersurface_meets])
+def test_census_leaves_no_garbage(caller):
+    # the census's tables must go by reference counting when it returns,
+    # not wait in a reference cycle for the collector
+    start, top, row_of = caller()
+    gc.collect()
+    gc.disable()
+    try:
+        assert census(start, top, row_of, 12).histogram
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

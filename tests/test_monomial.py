@@ -3,14 +3,14 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from redix.basechange import extend_polynomial
 from redix.bass import ass_by_colon_scan, bass0, localized_ideal, reducibility_index_by_bass
 from redix.decompose import component_ideal, decompose, irredundant, split_decompose
 from redix.errors import SizeCapError
-from redix.monomial import Monomial, MonomialIdeal, RingContext
+from redix.monomial import Monomial, MonomialIdeal, RingContext, minimal_exponents
 from redix.staircase import Staircase
 from redix.textio import parse_ideal_text, render_ideal_text
 
@@ -93,6 +93,37 @@ def exponent_lists(draw, max_vars=4, max_exp=3, max_gens=5):
     vector = st.tuples(*[st.integers(0, max_exp)] * n)
     a, b = (draw(st.lists(vector, max_size=max_gens)) for _ in range(2))
     return ring(n), a, b, draw(vector)
+
+
+def _minimal_by_all_pairs(exps):
+    """Reference: each distinct vector divisible by no other one, sorted descending."""
+    distinct = set(exps)
+    return tuple(
+        sorted(
+            (
+                e
+                for e in distinct
+                if not any(k != e and all(a <= b for a, b in zip(k, e)) for k in distinct)
+            ),
+            reverse=True,
+        )
+    )
+
+
+@st.composite
+def vector_lists(draw):
+    """Exponent vectors in 0 to 5 variables, repeats and the zero vector included."""
+    n = draw(st.integers(0, 5))
+    return draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=12))
+
+
+@given(vector_lists())
+@settings(max_examples=300)
+@example([()])  # the zero-variable ring's unit ideal
+@example([(0, 0), (1, 0), (0, 2)])  # the zero vector divides every other one
+@example([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (2, 1, 0)])
+def test_minimal_exponents_matches_all_pairs_reference(exps):
+    assert minimal_exponents(exps) == _minimal_by_all_pairs(exps)
 
 
 @given(exponent_lists())
