@@ -28,12 +28,12 @@ cyclic subgroups <a> for a in the subgroup, so the OR runs over the
 subgroup's members, not over the lattice, and <a> is the zero
 subgroup's row of the closure table.
 
-Inside, a subgroup is its mask and its index in the lattice; the
+A subgroup is its mask and its index in the lattice, nothing else; the
 lattice build checks each subgroup it finds closed under addition
-before it keeps the mask.  `Subgroup` objects, with their member sets,
-are built only where a report hands subgroups out: the samples of the
-search, the mismatches of the characterization, the primary parts of
-the secondary representation and the argument of `quotient_group`.
+before it keeps the mask.  The reports hand masks out too: the samples
+of the search, the mismatches of the characterization and the primary
+parts of the secondary representation, and `quotient_group` takes one.
+Only the CLI turns a mask into text, with `render_subgroup`.
 
 Each of these facts is computed once per isomorphism class: groups are
 hashable by their factors, and the addition table (one `bytes` row per
@@ -250,38 +250,9 @@ def _check_closed(table: list[bytes], members, mask: int) -> None:
                 raise ValueError("member set is not closed under addition")
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """Subgroup given by its element set, checked closed on construction."""
-
-    group: FiniteAbelianGroup
-    members: frozenset[int]
-
-    def __post_init__(self):
-        if 0 not in self.members:
-            raise ValueError("a subgroup contains zero")
-        _check_closed(self.group.add_table, self.members, self.mask)
-
-    @staticmethod
-    def of_mask(group: FiniteAbelianGroup, mask: int) -> "Subgroup":
-        return Subgroup(group, frozenset(_members(mask)))
-
-    @cached_property
-    def mask(self) -> int:
-        m = 0
-        for a in self.members:
-            m |= 1 << a
-        return m
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-    def render(self) -> str:
-        return "{" + ", ".join(str(a) for a in self.sorted_members()) + "}"
+def render_subgroup(mask: int) -> str:
+    """The members of a subgroup's mask, ascending, in braces."""
+    return "{" + ", ".join(map(str, _members(mask))) + "}"
 
 
 class SubgroupLattice:
@@ -302,11 +273,10 @@ class SubgroupLattice:
     sorts once at the end and fills each closure row with one lookup per
     coset, not one per element.
 
-    Subgroup i is masks[i] over the elements (sorted by size, then by
-    members), and index_of maps a mask back to i.  The lattice holds no
-    `Subgroup`: subgroup(i) builds one for a report to hand out, checked
-    again by its constructor, and keeps it, so the reports of one group
-    share it.
+    The i-th subgroup is masks[i] over the elements (sorted by size,
+    then by members), and index_of maps a mask back to i.  The lattice
+    holds no member sets: the reports built on it carry these masks too,
+    and only the CLI renders a mask as its members.
 
     The closure is kept: _closure[i][a] is the index of subgroup i + <a>,
     and _gens[j] lists the elements g1, ..., gk added along the path
@@ -380,17 +350,9 @@ class SubgroupLattice:
         self._ints = list(range(len(order)))
         self.trivial_index = self.index_of[1]
         self.full_index = self.index_of[(1 << n) - 1]
-        self._subgroups: dict[int, Subgroup] = {}
 
     def __len__(self) -> int:
         return len(self.masks)
-
-    def subgroup(self, h: int) -> Subgroup:
-        """Subgroup h as a `Subgroup`, built on first use and kept."""
-        sub = self._subgroups.get(h)
-        if sub is None:
-            sub = self._subgroups[h] = Subgroup.of_mask(self.group, self.masks[h])
-        return sub
 
     def join_row(self, i: int, hs) -> tuple[int, ...]:
         """Index of subgroup i + subgroup h for each h in hs: row i folded over h's generators.
@@ -457,7 +419,7 @@ class SumIndexReport:
     group: FiniteAbelianGroup
     index: int
     minimum_count: int
-    samples: tuple[tuple[Subgroup, ...], ...]
+    samples: tuple[tuple[int, ...], ...]  # masks of the first minimum covers
     cover_histogram: dict[int, int]
     deferred_checked: int
     equicardinal: bool  # no irredundant cover is deeper than the minimum
@@ -480,8 +442,8 @@ def sum_reducibility_index_bruteforce(group: FiniteAbelianGroup) -> SumIndexRepo
     if not hist:
         raise VerificationError("no sum-irreducible family covers the group")
     r0 = min(hist)
-    sample_subs = tuple(tuple(lat.subgroup(irr[i]) for i in chain) for chain in samples)
-    return SumIndexReport(group, r0, hist[r0], sample_subs, hist, deferred, not irredundant_deep)
+    sample_masks = tuple(tuple(lat.masks[irr[i]] for i in chain) for chain in samples)
+    return SumIndexReport(group, r0, hist[r0], sample_masks, hist, deferred, not irredundant_deep)
 
 
 @dataclass(frozen=True)
@@ -490,7 +452,7 @@ class SecondaryPart:
 
     prime: int
     attached: int
-    subgroup: Subgroup
+    mask: int
     prime_nilpotent: bool
     action_split: bool
 
@@ -544,7 +506,8 @@ def secondary_representation(group: FiniteAbelianGroup) -> SecondaryReport:
             for g, k in enumerate(element_orders)
             if all(q == p for q, _ in _prime_power_split(k))
         )
-        sub = Subgroup(group, members)
+        mask = sum(1 << g for g in members)
+        _check_closed(group.add_table, members, mask)
         nilpotent = []
         split = True
         for n_act in range(order + 1):
@@ -554,18 +517,14 @@ def secondary_representation(group: FiniteAbelianGroup) -> SecondaryReport:
             elif stable != members:
                 split = False  # neither surjective nor nilpotent
         attached = min(n for n in nilpotent if n >= 2)
-        parts.append(SecondaryPart(p, attached, sub, p in nilpotent, split))
+        parts.append(SecondaryPart(p, attached, mask, p in nilpotent, split))
         sizes.append(len(members))
-        masks.append(sub.mask)
+        masks.append(mask)
     pairwise = all(
         masks[i] & masks[j] == 1 for i in range(len(masks)) for j in range(i + 1, len(masks))
     )
     direct_sum_ok = pairwise and prod(sizes) == order if parts else order == 1
     return SecondaryReport(group, tuple(parts), direct_sum_ok)
-
-
-def attached_primes(group: FiniteAbelianGroup) -> tuple[int, ...]:
-    return secondary_representation(group).attached
 
 
 @dataclass(frozen=True)
@@ -595,16 +554,20 @@ def additivity_report(group: FiniteAbelianGroup) -> AdditivityReport:
     return AdditivityReport(group, whole, parts, sum_index_formula(group))
 
 
-def quotient_group(group: FiniteAbelianGroup, sub: Subgroup) -> FiniteAbelianGroup:
-    """Isomorphism type of group/sub, recovered by order counting.
+def quotient_group(group: FiniteAbelianGroup, mask: int) -> FiniteAbelianGroup:
+    """Isomorphism type of group/S for the subgroup S with this mask, by order counting.
 
     For each prime p, counting solutions of p^k * x inside the subgroup
     pins down how many cyclic p-power factors of each size the quotient
-    has; no coset arithmetic is needed.
+    has; no coset arithmetic is needed.  A mask that lacks zero, reaches
+    past the group or is not closed under addition raises ValueError.
     """
-    if sub.group is not group and sub.group != group:
-        raise ValueError("subgroup belongs to a different group")
-    q_order = group.order // sub.size
+    if not mask & 1 or mask >> group.order:
+        raise ValueError("a subgroup mask must hold 0 and no element at or above the group order")
+    members = _members(mask)
+    _check_closed(group.add_table, members, mask)
+    size = len(members)
+    q_order = group.order // size
     factors = []
     for p, _ in _prime_power_split(q_order):
         ranks = []
@@ -612,9 +575,9 @@ def quotient_group(group: FiniteAbelianGroup, sub: Subgroup) -> FiniteAbelianGro
         k = 1
         while True:
             cnt = sum(
-                1 for g in range(group.order) if group.scalar(p**k, g) in sub.members
+                1 for g in range(group.order) if mask >> group.scalar(p**k, g) & 1
             )
-            cnt //= sub.size
+            cnt //= size
             s_k = 0
             while cnt > 1:
                 cnt //= p
@@ -668,7 +631,7 @@ def quotient_monotonicity_report(group: FiniteAbelianGroup) -> QuotientMonotonic
     inherited = True
     count = 0
     for mask in subgroup_lattice(group).masks:
-        q = quotient_group(group, Subgroup.of_mask(group, mask))
+        q = quotient_group(group, mask)
         brute = sum_reducibility_index_bruteforce(q).index
         if brute != sum_index_formula(q):
             agree = False
@@ -685,7 +648,7 @@ class CharacterizationReport:
 
     group: FiniteAbelianGroup
     subgroups_checked: int
-    mismatches: tuple[Subgroup, ...]
+    mismatches: tuple[int, ...]  # masks
 
     @property
     def passed(self) -> bool:
@@ -708,7 +671,7 @@ def characterization_report(group: FiniteAbelianGroup) -> CharacterizationReport
         )
         count += 1
         if lattice_side != structure_side:
-            bad.append(lat.subgroup(h))
+            bad.append(mask)
     return CharacterizationReport(group, count, tuple(bad))
 
 

@@ -214,7 +214,7 @@ def cmd_abelian(args) -> dict:
             "minimum_representation_count": brute.minimum_count,
             "equicardinal": brute.equicardinal,
             "sample_representation": [
-                [sub.render() for sub in rep] for rep in brute.samples[:1]
+                [abelian.render_subgroup(m) for m in rep] for rep in brute.samples[:1]
             ],
         }
         checks.append(["search index equals cyclic-factor count", brute.index == formula])
@@ -244,7 +244,7 @@ def cmd_abelian(args) -> dict:
             "parts": [
                 {
                     "prime": part.prime,
-                    "order": len(part.subgroup.members),
+                    "order": part.mask.bit_count(),
                     "prime_nilpotent": part.prime_nilpotent,
                     "action_split": part.action_split,
                 }

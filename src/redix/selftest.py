@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from .abelian import (
     abelian_group_classes,
     additivity_report,
-    attached_primes,
     characterization_report,
     prime_divisors,
     quotient_monotonicity_report,
@@ -442,7 +441,7 @@ def _suite_abelian_attached_bound(seed: int, rec: _Recorder) -> None:
         if group.is_trivial:
             continue
         index = sum_reducibility_index_bruteforce(group).index
-        att = attached_primes(group)
+        att = secondary_representation(group).attached
         rec.check(
             index >= len(att), "{}: index {} below attached count {}", group, index, len(att)
         )

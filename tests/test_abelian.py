@@ -7,6 +7,8 @@ import subprocess
 import sys
 from array import array
 from collections import Counter
+from dataclasses import is_dataclass
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -14,15 +16,15 @@ import pytest
 import redix
 from redix.abelian import (
     FiniteAbelianGroup,
-    Subgroup,
     SubgroupLattice,
     _add_table,
+    _members,
     abelian_group_classes,
     additivity_report,
-    attached_primes,
     characterization_report,
     quotient_group,
     quotient_monotonicity_report,
+    render_subgroup,
     secondary_representation,
     subgroup_lattice,
     sum_index_formula,
@@ -107,8 +109,10 @@ def test_subgroup_counts():
 
 
 def _held_objects(value):
-    """value and everything inside its lists, tuples, sets and dicts."""
+    """value and everything inside its lists, tuples, sets, dicts and dataclass fields."""
     yield value
+    if is_dataclass(value):
+        value = vars(value)
     if isinstance(value, dict):
         value = [*value.keys(), *value.values()]
     if isinstance(value, (list, tuple, set, frozenset)):
@@ -116,19 +120,20 @@ def _held_objects(value):
             yield from _held_objects(item)
 
 
-def test_lattice_holds_masks_until_a_subgroup_is_asked_for():
+def test_lattice_and_reports_hold_masks_not_member_sets():
     group = G(2, 4)
     lat = SubgroupLattice(group)
-    assert lat.sum_irreducible_indices  # the census's reads build no Subgroup either
+    assert lat.sum_irreducible_indices
     lat.join_row(lat.trivial_index, range(len(lat)))
-    assert not any(isinstance(x, Subgroup) for x in _held_objects(vars(lat)))
-    sub = lat.subgroup(lat.full_index)
-    assert sub.members == frozenset(range(group.order))
-    assert lat.subgroup(lat.full_index) is sub
-    for h, mask in enumerate(lat.masks):
-        assert lat.subgroup(h).mask == mask
-    held = [x for x in _held_objects(vars(lat)) if isinstance(x, Subgroup)]
-    assert len(held) == len(lat)
+    search = sum_reducibility_index_bruteforce(group)
+    char = characterization_report(group)
+    sec = secondary_representation(group)
+    for value in (vars(lat), search, char, sec):
+        assert not any(isinstance(x, frozenset) for x in _held_objects(value))
+    assert all(type(m) is int for chain in search.samples for m in chain)
+    assert [type(part.mask) for part in sec.parts] == [int]
+    assert render_subgroup(lat.masks[lat.full_index]) == "{0, 1, 2, 3, 4, 5, 6, 7}"
+    assert render_subgroup(1) == "{0}"
 
 
 def test_lattice_build_checks_each_subgroup_closed():
@@ -204,8 +209,8 @@ def test_frozen_indices():
     assert sum_reducibility_index_bruteforce(G(8)).index == 1
     rep = sum_reducibility_index_bruteforce(G(4, 9))
     assert rep.index == 2 and rep.equicardinal
-    assert attached_primes(G(4, 9)) == (2, 3)
-    assert attached_primes(G(30)) == (2, 3, 5)
+    assert secondary_representation(G(4, 9)).attached == (2, 3)
+    assert secondary_representation(G(30)).attached == (2, 3, 5)
     assert sum_index_formula(G(30)) == 3
 
 
@@ -266,8 +271,8 @@ def test_sum_irreducibility_classification():
     assert report.passed
 
 
-def _members(report):
-    return [[sorted(sub.members) for sub in rep] for rep in report.samples]
+def _sample_members(report):
+    return [[_members(mask) for mask in rep] for rep in report.samples]
 
 
 def test_bruteforce_reports_pinned():
@@ -276,7 +281,7 @@ def test_bruteforce_reports_pinned():
     rep = sum_reducibility_index_bruteforce(G(2, 4))
     assert (rep.index, rep.minimum_count, rep.deferred_checked) == (2, 5, 7)
     assert rep.cover_histogram == {2: 5, 3: 7}
-    assert _members(rep) == [
+    assert _sample_members(rep) == [
         [[0, 4], [0, 1, 2, 3]],
         [[0, 4], [0, 2, 5, 7]],
         [[0, 6], [0, 1, 2, 3]],
@@ -286,7 +291,7 @@ def test_bruteforce_reports_pinned():
     rep = sum_reducibility_index_bruteforce(G(2, 2, 2))
     assert (rep.index, rep.minimum_count, rep.deferred_checked) == (3, 28, 0)
     assert rep.cover_histogram == {3: 28}
-    assert _members(rep) == [
+    assert _sample_members(rep) == [
         [[0, 1], [0, a], [0, b]]
         for a, b in [(2, 4), (2, 5), (2, 6), (2, 7), (3, 4), (3, 5)]
         + [(3, 6), (3, 7), (4, 6), (4, 7), (5, 6), (5, 7)]
@@ -296,7 +301,7 @@ def test_bruteforce_reports_pinned():
     assert rep.cover_histogram == {2: 12, 3: 41, 4: 41}
     c1, c2, c4 = [0, 1, 2, 3], [0, 2, 9, 11], [0, 4, 8, 12]
     c5, c6, c7 = [0, 5, 10, 15], [0, 6, 8, 14], [0, 7, 10, 13]
-    assert _members(rep) == [
+    assert _sample_members(rep) == [
         [c1, c4], [c1, c5], [c1, c6], [c1, c7], [c2, c4], [c2, c5],
         [c2, c6], [c2, c7], [c4, c5], [c4, c7], [c5, c6], [c6, c7],
     ]
@@ -304,7 +309,7 @@ def test_bruteforce_reports_pinned():
     assert (rep.index, rep.minimum_count, rep.deferred_checked) == (3, 320, 3566)
     assert rep.cover_histogram == {3: 320, 4: 1500, 5: 2066}
     tail = [c4, c5, c6, c7, [0, 8, 20, 28], [0, 8, 22, 30], [0, 10, 21, 31], [0, 10, 23, 29]]
-    assert _members(rep) == [[[0, 16], c1, c] for c in tail] + [
+    assert _sample_members(rep) == [[[0, 16], c1, c] for c in tail] + [
         [[0, 16], c2, c] for c in (c4, c5, c6, c7)
     ]
 
@@ -317,14 +322,14 @@ def test_heaviest_censuses_pinned():
     assert rep.cover_histogram == {5: 567168, 6: 2433536}
     assert rep.equicardinal
     lines = [[0, 4], [0, 8], [0, 16], [0, 32]]
-    assert _members(rep) == [lines + [[0, 1, 2, 3]]] + [
+    assert _sample_members(rep) == [lines + [[0, 1, 2, 3]]] + [
         lines + [[0, 2, k, k + 2]] for k in range(5, 46, 4)
     ]
     rep = sum_reducibility_index_bruteforce(G(2, 2, 2, 2, 2, 2))
     assert (rep.index, rep.minimum_count, rep.deferred_checked) == (6, 27998208, 0)
     assert rep.cover_histogram == {6: 27998208}
     assert rep.equicardinal
-    assert _members(rep) == [[[0, 1], [0, 2], [0, 4], [0, 8], [0, 16], [0, k]] for k in range(32, 44)]
+    assert _sample_members(rep) == [[[0, 1], [0, 2], [0, 4], [0, 8], [0, 16], [0, k]] for k in range(32, 44)]
 
 
 def _progressive_covers(lat):
@@ -394,6 +399,7 @@ def test_irredundant_deep_cover_is_reported_not_raised(capsys, monkeypatch):
     sum_reducibility_index_bruteforce.cache_clear()
     try:
         rep = sum_reducibility_index_bruteforce(G(2, 2))
+        char = characterization_report(G(2, 2))
         code = main(["abelian", "group: Z/2 + Z/2", "--format", "json"])
         out = capsys.readouterr().out
     finally:
@@ -401,6 +407,7 @@ def test_irredundant_deep_cover_is_reported_not_raised(capsys, monkeypatch):
         sum_reducibility_index_bruteforce.cache_clear()
     assert (rep.index, rep.cover_histogram, rep.deferred_checked) == (1, {1: 1, 2: 6}, 6)
     assert rep.equicardinal is False
+    assert [_members(mask) for mask in char.mismatches] == [[0, 1, 2, 3]]
     results = json.loads(out)["results"]
     assert results["bruteforce"]["equicardinal"] is False
     assert dict(results["checks"])["all irredundant representations equicardinal"] is False
@@ -449,7 +456,50 @@ def test_secondary_representation():
     assert rep.passed
     for part in rep.parts:
         assert part.prime_nilpotent and part.action_split
-    assert [len(p.subgroup.members) for p in rep.parts] == [4, 3]
+    assert [p.mask.bit_count() for p in rep.parts] == [4, 3]
+
+
+def _is_power_of(n, p):
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def _order_by_coords(group, a):
+    return lcm(*(q // gcd(c, q) for c, q in zip(group.coords(a), group.factors)))
+
+
+def test_secondary_parts_are_the_primary_components():
+    for group in abelian_group_classes(64):
+        if group.is_trivial:
+            continue
+        rep = secondary_representation(group)
+        assert [part.prime for part in rep.parts] == list(group.primes)
+        for part in rep.parts:
+            expected = sum(
+                1 << a
+                for a in range(group.order)
+                if _is_power_of(_order_by_coords(group, a), part.prime)
+            )
+            assert part.mask == expected, (group.render(), part.prime)
+
+
+def test_secondary_representation_checks_each_part_closed(monkeypatch):
+    # with element 1 of Z/2 + Z/3 read as order 2, the 2-part is {0, 1, 3},
+    # and 1 + 1 = 2 lies outside it
+    true_order = FiniteAbelianGroup.element_order
+    monkeypatch.setattr(
+        FiniteAbelianGroup,
+        "element_order",
+        lambda self, a: 2 if a == 1 else true_order(self, a),
+    )
+    group = FiniteAbelianGroup((2, 3))
+    secondary_representation.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="^member set is not closed under addition$"):
+            secondary_representation(group)
+    finally:
+        secondary_representation.cache_clear()
 
 
 def test_secondary_representation_once_per_group():
@@ -461,17 +511,48 @@ def test_secondary_representation_once_per_group():
 def test_quotients():
     g = G(4)
     lat = subgroup_lattice(g)
-    subs = sorted((lat.subgroup(h) for h in range(len(lat))), key=lambda s: len(s.members))
-    q = quotient_group(g, subs[1])  # mod the order-2 subgroup
+    q = quotient_group(g, lat.masks[1])  # masks are sorted by size: the order-2 subgroup
     assert q.factors == (2,)
     klein = G(2, 2)
     lat = subgroup_lattice(klein)
-    diag = next(
-        s
-        for s in map(lat.subgroup, range(len(lat)))
-        if len(s.members) == 2 and 3 in s.members
-    )
+    diag = next(m for m in lat.masks if m.bit_count() == 2 and m >> 3 & 1)
     assert quotient_group(klein, diag).factors == (2,)
+
+
+def _coset_orders(group, mask):
+    """Reference: the order of each coset g + S in group/S, the least k with k*g in S."""
+    table = group.add_table
+    members = _members(mask)
+    seen = 0
+    orders = Counter()
+    for g in range(group.order):
+        if seen >> g & 1:
+            continue
+        for s in members:
+            seen |= 1 << table[g][s]
+        k, cur = 1, g
+        while not mask >> cur & 1:
+            cur = table[cur][g]
+            k += 1
+        orders[k] += 1
+    return orders
+
+
+def test_quotient_group_matches_coset_reference():
+    checked = 0
+    for group in abelian_group_classes(32):
+        for mask in subgroup_lattice(group).masks:
+            q = quotient_group(group, mask)
+            orders = Counter(q.element_order(a) for a in range(q.order))
+            assert orders == _coset_orders(group, mask), (group.render(), _members(mask))
+            checked += 1
+    assert checked == 1030
+    z4 = G(4)
+    with pytest.raises(ValueError, match="^member set is not closed under addition$"):
+        quotient_group(z4, 0b11)
+    for mask in (0b10001, 0):  # an element past the group; the empty set
+        with pytest.raises(ValueError, match="^a subgroup mask must hold 0 and no element at"):
+            quotient_group(z4, mask)
 
 
 def test_quotient_monotonicity_and_inheritance():
