@@ -10,9 +10,13 @@ localized ideal but x_i * u inside it for every i in S.  The scans
 return supports and exponent tuples; `render_prime` and the callers'
 renderers turn them into text.
 
-Both scans test their definitions on the breakpoint grid of the
+The socle side is one depth-first walk over the breakpoint grid of the
 generators, the exponents g_i - 1 (Miller-Sturmfels, GTM 227, ch. 5),
-so no loop depends on exponent size; each docstring proves its grid.
+with one more choice per coordinate, "inverted", so a single walk finds
+the socle of every prime at once; `_socle_walk` proves its grid, its
+prunes and its order.  The colon scan tests its definition on the grid
+extended by the largest exponents, and its docstring proves that grid.
+No loop depends on exponent size.
 
 The sum of mu0 over all primes equals the reducibility index; the code
 here computes it without ever running the splitting decomposition, so
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import le
+from operator import itemgetter
 
 from .errors import UnitIdealError
 from .monomial import MonomialIdeal, RingContext, minimal_exponents
@@ -47,32 +51,118 @@ def localized_ideal(ideal: MonomialIdeal, support) -> MonomialIdeal:
     return MonomialIdeal.of(sub, (tuple(e[i] for i in keep) for e in ideal.exponents))
 
 
+def _socle_walk(ideal: MonomialIdeal, keep=None) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Socle witnesses of every prime, or of the prime on `keep` alone, by support.
+
+    The walk decides the coordinates 0..n-1 in order, depth first, over
+    the minimal generators g.  Coordinate k either takes a value u_k on
+    its grid {g_k - 1 : g_k >= 1}, ascending, or is inverted: k is
+    outside the support S, and x_k becomes 1.  A leaf's finite
+    coordinates form a monomial u of the ring on S.  With `keep` given,
+    exactly the coordinates in `keep` are finite.  Two generator
+    bitmasks are carried:
+
+    - `below`: the g with g_l <= u_l on every decided finite l (an
+      inverted coordinate passes every generator);
+    - `cands[k]`, for each finite k: the g with g_k = u_k + 1 and
+      g_l <= u_l on the other decided finite l.
+
+    Once all n coordinates are decided, u is outside the localized ideal
+    exactly when `below` is empty.  Then u + e_k is inside exactly when
+    `cands[k]` is not: a generator below u + e_k and not below u has
+    g_k = u_k + 1.  So the witnesses at S are the leaves with finite
+    coordinates S, an empty `below` and no empty `cands[k]`.
+
+    Grid: if u is a witness at S, each k in S has a generator of the
+    localized ideal below u + e_k but not below u.  It is the image of
+    some g with g_k = u_k + 1 >= 1, so u_k is on the grid.
+
+    Prune (a): when `below` holds a generator that is zero on every
+    undecided coordinate, that generator lies below every completion,
+    finite or inverted, so no leaf under the node is outside the ideal.
+    `fits[d]` holds the generators zero on the coordinates d and above;
+    at depth n it holds them all, and the prune is the test `below`
+    empty.  Prune (b): deciding a later coordinate ANDs its mask into
+    every `cands[k]` (inverting changes none), so an empty `cands[k]`
+    stays empty at every leaf under the node.
+
+    Order: the children of a node are visited inverted first, then by
+    ascending value, each subtree before the next child.  Two leaves at
+    the same S first differ at some k in S, and the one with the smaller
+    u_k is visited first, so the witnesses of each support come in lex
+    order.  The stack is explicit, so the depth is not bound by the
+    recursion limit.
+    """
+    gens = ideal.exponents
+    n = ideal.ring.n
+    found: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    if ideal.is_unit:
+        return found
+    full = (1 << len(gens)) - 1
+    cols = [[] for _ in range(n)]  # cols[k]: (g_k, bit of g) for g_k >= 1
+    fits = [0] * (n + 1)
+    for j, g in enumerate(gens):
+        last = 0
+        for k, e in enumerate(g):
+            if e:
+                cols[k].append((e, 1 << j))
+                last = k + 1
+        fits[last] |= 1 << j
+    for d in range(n):
+        fits[d + 1] |= fits[d]
+    # grid[k]: (u_k, the g with g_k <= u_k, the g with g_k == u_k + 1), ascending
+    grid = []
+    for col in cols:
+        le = full ^ sum(bit for _, bit in col)
+        row = []
+        for e, group in itertools.groupby(sorted(col), key=itemgetter(0)):
+            eq = sum(bit for _, bit in group)
+            row.append((e - 1, le, eq))
+            le |= eq
+        grid.append(row)
+    stack = [(0, full, (), (), ())]
+    while stack:
+        d, below, cands, u, support = stack.pop()
+        if d == n:
+            found.setdefault(support, []).append(u)
+            continue
+        end = fits[d + 1]
+        kids = []
+        if keep is None or d not in keep:
+            if not below & end:
+                kids.append((d + 1, below, cands, u, support))
+        if keep is None or d in keep:
+            for v, le, eq in grid[d]:
+                inner = below & le
+                if inner & end:
+                    break  # prune (a), for this value and every larger one
+                cand = below & eq
+                if not cand:
+                    continue  # prune (b) at k = d
+                shrunk = tuple([c & le for c in cands])
+                if 0 in shrunk:
+                    continue  # prune (b) at an earlier k
+                kids.append((d + 1, inner, shrunk + (cand,), u + (v,), support + (d,)))
+        stack.extend(reversed(kids))
+    return found
+
+
 def bass0(ideal: MonomialIdeal, support) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Socle dimension at the prime on `support`, with witness exponents.
 
     Returns 0 (no witnesses) for primes that are not associated.  The
     witnesses are exponent tuples in lex order, over the variables of
-    `support` in index order (the localized ring).  A witness u is
-    outside the ideal with u + e_i inside for every i, so some generator
-    g lies below u + e_i but not below u: g_i = u_i + 1, and u_i is on
-    the grid {g_i - 1 : g_i >= 1}.
+    `support` in index order (the localized ring).  An index out of
+    range or repeated in `support` raises ValueError.
     """
     keep = sorted(support)
-    gens = minimal_exponents(tuple(e[i] for i in keep) for e in ideal.exponents)
-    if len(gens) == 1 and not any(gens[0]):
-        return 0, ()  # localizes to the unit ideal
-
-    def inside(v):
-        return any(all(map(le, g, v)) for g in gens)
-
-    n = len(keep)
-    grid = [sorted({g[i] - 1 for g in gens if g[i]}) for i in range(n)]
-    witnesses = [
-        u
-        for u in itertools.product(*grid)
-        if not inside(u)
-        and all(inside(u[:i] + (u[i] + 1,) + u[i + 1 :]) for i in range(n))
-    ]
+    n = ideal.ring.n
+    for pos, i in enumerate(keep):
+        if not 0 <= i < n:
+            raise ValueError(f"support index {i} out of range for {n} variables")
+        if pos and keep[pos - 1] == i:
+            raise ValueError(f"support index {i} repeated")
+    witnesses = _socle_walk(ideal, frozenset(keep)).get(tuple(keep), [])
     return len(witnesses), tuple(witnesses)
 
 
@@ -118,18 +208,14 @@ class BassReport:
 
 
 def reducibility_index_by_bass(ideal: MonomialIdeal) -> BassReport:
-    """Sum of socle dimensions over all primes, found by subset scan.
+    """Sum of socle dimensions over all primes, found by one socle walk.
 
     Never consults the splitting decomposition.
     """
     if ideal.is_unit:
         raise UnitIdealError("the unit ideal has index 0 by convention; not computed here")
-    found = []
-    for r in range(ideal.ring.n + 1):
-        for subset in itertools.combinations(range(ideal.ring.n), r):
-            count, wits = bass0(ideal, subset)
-            if count:
-                found.append((subset, count, wits))
-    found.sort()
-    entries = tuple((frozenset(s), count, wits) for s, count, wits in found)
+    entries = tuple(
+        (frozenset(support), len(witnesses), tuple(witnesses))
+        for support, witnesses in sorted(_socle_walk(ideal).items())
+    )
     return BassReport(ideal, entries, sum(count for _, count, _ in entries))

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import le
 
-from .bass import reducibility_index_by_bass
+from .bass import bass0, reducibility_index_by_bass
 from .census import census
 from .decompose import decompose
 from .errors import (
@@ -315,8 +315,8 @@ def dual_index_report(ideal: MonomialIdeal) -> DualIndexReport:
     """Index of a finite-colength ideal against the dual-side counts.
 
     The socle dimension at the top prime (all variables) is read from
-    the same socle scan as the socle sum, never from the corners, so it
-    stays a second route to the dual generator count.
+    `bass0`, the socle walk restricted to that prime, never from the
+    corners, so it stays a second route to the dual generator count.
     """
     g = Staircase.from_ideal(ideal)
     if not g.exponents:
@@ -334,7 +334,7 @@ def dual_index_report(ideal: MonomialIdeal) -> DualIndexReport:
         corners=maximal_elements(g),
         ir_decomposition=ir_dec,
         ir_socle_formula=socle.index,
-        top_socle=socle.socle_counts.get(frozenset(range(ideal.ring.n)), 0),
+        top_socle=bass0(ideal, range(ideal.ring.n))[0],
         min_cover=cover,
         completion_note=note,
     )

@@ -1,15 +1,18 @@
 """Socle dimensions, associated primes, and the summed index."""
 
 import itertools
+from operator import le
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
+import pytest
 
 from redix.bass import ass_by_colon_scan, bass0, reducibility_index_by_bass
 from redix.decompose import decompose
 from redix.monomial import MonomialIdeal, RingContext, minimal_exponents
 
 R2 = RingContext.default(2)
+R3 = RingContext.default(3)
 
 
 def ideal(*exps):
@@ -38,6 +41,27 @@ def test_zero_ideal_prime():
     assert decompose(I).components == ((0, 0),)
     assert bass0(I, ()) == (1, ((),))  # the witness 1 of the field
     assert reducibility_index_by_bass(I).index == 1
+
+
+def test_zero_variable_ring():
+    field = RingContext.default(2).subring(())
+    assert bass0(MonomialIdeal.zero(field), ()) == (1, ((),))
+    assert bass0(MonomialIdeal.unit(field), ()) == (0, ())
+    assert reducibility_index_by_bass(MonomialIdeal.zero(field)).index == 1
+
+
+@pytest.mark.parametrize(
+    "support, message",
+    [
+        ((0, 0), "support index 0 repeated"),
+        ((-1,), "support index -1 out of range for 2 variables"),
+        ((2,), "support index 2 out of range for 2 variables"),
+    ],
+)
+def test_bad_support_is_refused(support, message):
+    I = ideal((2, 0), (1, 1), (0, 3))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bass0(I, support)
 
 
 def test_ass_routes_agree_frozen():
@@ -136,3 +160,53 @@ def test_grid_scans_match_box_references(ideal):
             assert count == len(reference)
             assert witnesses == reference
     assert ass_by_colon_scan(ideal) == colon_scan_box_reference(ideal)
+
+
+def socle_grid_reference(ideal):
+    """Socle entries by one grid scan per variable subset.
+
+    Each scan projects and minimalizes the generators, then tests every
+    point of the breakpoint grid {g_i - 1 : g_i >= 1} of the localized
+    ideal against the definition of a witness.
+    """
+    n = ideal.ring.n
+    found = []
+    for r in range(n + 1):
+        for keep in itertools.combinations(range(n), r):
+            gens = minimal_exponents(tuple(e[i] for i in keep) for e in ideal.exponents)
+            if len(gens) == 1 and not any(gens[0]):
+                continue  # localizes to the unit ideal
+
+            def inside(v):
+                return any(all(map(le, g, v)) for g in gens)
+
+            grid = [sorted({g[i] - 1 for g in gens if g[i]}) for i in range(r)]
+            witnesses = tuple(
+                u
+                for u in itertools.product(*grid)
+                if not inside(u)
+                and all(inside(u[:i] + (u[i] + 1,) + u[i + 1 :]) for i in range(r))
+            )
+            if witnesses:
+                found.append((keep, len(witnesses), witnesses))
+    found.sort()
+    return tuple((frozenset(keep), count, witnesses) for keep, count, witnesses in found)
+
+
+@given(random_ideals(max_vars=5))
+# the zero ideal: its one witness is the leaf with every coordinate inverted
+@example(MonomialIdeal.zero(R2))
+# prune (a): inverting x leaves x^2 below every completion, and so does u_y = 2 for y^3
+@example(ideal((2, 0), (1, 1), (0, 3)))
+# prune (b): after u_x = 0, inverting y and u_z = 0 leave x*z^2, the one generator with
+# g_x = 1, above u_z
+@example(MonomialIdeal.of(R3, [(0, 1, 1), (1, 0, 2)]))
+@settings(max_examples=200, deadline=None)
+def test_socle_walk_matches_grid_reference(ideal):
+    report = reducibility_index_by_bass(ideal)
+    assert report.entries == socle_grid_reference(ideal)
+    counts = {support: (count, witnesses) for support, count, witnesses in report.entries}
+    n = ideal.ring.n
+    for r in range(n + 1):
+        for subset in itertools.combinations(range(n), r):
+            assert bass0(ideal, subset) == counts.get(frozenset(subset), (0, ()))

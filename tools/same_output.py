@@ -9,9 +9,10 @@ json` and once in the default human format, as `python -m redix.cli
 of the two directories.  EXTRA holds field-extension reports that the
 corpus, with its single one into GF(8), lacks, and monomial reports that
 pin renderings the corpus never reaches: the zero component, the prime
-(0), the witness 1, witnesses in two subrings and a fiber of index 0;
-and abelian reports the corpus never reaches: the trivial group, three
-primary parts, a search above the quotient-scan cap and a skipped search.
+(0), the witness 1, witnesses in two subrings, a fiber of index 0 and
+witness order across six primes in four variables; and abelian reports
+the corpus never reaches: the trivial group, three primary parts, a
+search above the quotient-scan cap and a skipped search.
 Compares stdout, stderr and exit code of each request and exits 1 if
 any differ, 0 if none do.
 Only the standard library is used, and the corpus is read, never
@@ -49,6 +50,10 @@ EXTRA = (
     ["basechange", "ring: x, y; ideal:", "extend:1"],
     # inverting y sends the fiber at (x, y) to the zero ring: index 0
     ["basechange", "ideal: x^2, x*y", "invert:y"],
+    # six primes in four variables, three witnesses at (w, x, y) in lex order
+    ["decompose", "ideal: x^3*y, x*y^2*z^2, y^3*z*w, z^2*w^3, x^2*w"],
+    # the same ideal with y inverted: three of the six fibers are zero
+    ["basechange", "ideal: x^3*y, x*y^2*z^2, y^3*z*w, z^2*w^3, x^2*w", "invert:y"],
     # the trivial group: an empty sample and no secondary representation
     ["abelian", "group: Z/1"],
     # three primary parts, and sample members of two digits
