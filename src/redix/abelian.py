@@ -153,21 +153,9 @@ class FiniteAbelianGroup:
             s[i] = s[i + 1] * self.factors[i + 1]
         return tuple(s)
 
-    def coords(self, idx: int) -> tuple[int, ...]:
-        out = []
-        for q, s in zip(self.factors, self._strides):
-            out.append((idx // s) % q)
-        return tuple(out)
-
-    def index(self, coords) -> int:
-        return sum(c * s for c, s in zip(coords, self._strides))
-
     @cached_property
     def add_table(self) -> list[bytes]:
         return _add_table(self)
-
-    def add(self, a: int, b: int) -> int:
-        return self.add_table[a][b]
 
     @cached_property
     def _multiples(self) -> list[list[int]]:

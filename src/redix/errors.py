@@ -59,10 +59,6 @@ class InvalidCandidatesError(RedixError):
     """A candidate component list does not intersect to the stated ideal."""
 
 
-class NotInStaircaseError(RedixError):
-    """The monomial does not belong to the staircase."""
-
-
 class EmptyStaircaseError(RedixError):
     """The staircase is empty (unit ideal), so the module is zero."""
 

@@ -81,9 +81,6 @@ class Monomial:
     def support(self) -> frozenset[int]:
         return frozenset(i for i, e in enumerate(self.exponents) if e)
 
-    def divides(self, other: "Monomial") -> bool:
-        return all(map(le, self.exponents, other.exponents))
-
     def render(self) -> str:
         parts = []
         for name, e in zip(self.ring.names, self.exponents):
@@ -141,10 +138,6 @@ class MonomialIdeal:
         return MonomialIdeal.of(ring, exps)
 
     @staticmethod
-    def zero(ring: RingContext) -> "MonomialIdeal":
-        return MonomialIdeal(ring, ())
-
-    @staticmethod
     def unit(ring: RingContext) -> "MonomialIdeal":
         return MonomialIdeal(ring, ((0,) * ring.n,))
 
@@ -161,22 +154,10 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return len(self.exponents) == 1 and not any(self.exponents[0])
 
-    def contains(self, u: Monomial) -> bool:
-        """Monomial membership: some generator divides u."""
-        return any(all(map(le, g, u.exponents)) for g in self.exponents)
-
     def colon(self, u: Monomial) -> "MonomialIdeal":
         """(I : u) = (g / gcd(g, u) for g in gens)."""
         quot = (tuple(max(a - b, 0) for a, b in zip(g, u.exponents)) for g in self.exponents)
         return MonomialIdeal.of(self.ring, quot)
-
-    def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """Pairwise lcms of generators, then minimalize."""
-        if self.ring != other.ring:
-            raise ValueError("ideals over different rings")
-        return MonomialIdeal.of(
-            self.ring, (tuple(map(max, a, b)) for a in self.exponents for b in other.exponents)
-        )
 
     def max_exponents(self) -> tuple[int, ...]:
         """Per-variable maximum exponent over the generators (0 if absent)."""

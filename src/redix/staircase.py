@@ -42,12 +42,7 @@ from operator import le
 from .bass import bass0, reducibility_index_by_bass
 from .census import census
 from .decompose import decompose
-from .errors import (
-    EmptyStaircaseError,
-    NotInStaircaseError,
-    SizeCapError,
-    VerificationError,
-)
+from .errors import EmptyStaircaseError, SizeCapError, VerificationError
 from .monomial import Monomial, MonomialIdeal, RingContext
 
 MIN_COVER_CAP = 25
@@ -143,32 +138,6 @@ class DownsetSubmodule:
     @property
     def size(self) -> int:
         return len(self.members)
-
-
-def principal_downset(g: Staircase, u: tuple[int, ...]) -> DownsetSubmodule:
-    """Cyclic submodule of the dual generated by u: all divisors of u."""
-    u = tuple(u)
-    if u not in g.exponents:
-        try:
-            shown = Monomial(u, g.ring).render()
-        except (ValueError, SizeCapError):  # not an exponent vector of this ring
-            shown = str(u)
-        raise NotInStaircaseError(f"{shown} is not a standard monomial here")
-    members = frozenset(e for e in g.exponents if all(map(le, e, u)))
-    return DownsetSubmodule(g, members)
-
-
-def sum_irreducible_representation(
-    g: Staircase,
-) -> tuple[tuple[DownsetSubmodule, ...], int]:
-    """One principal downset per maximal element; their union is everything."""
-    if not g.exponents:
-        raise EmptyStaircaseError("the unit ideal leaves an empty staircase")
-    parts = tuple(principal_downset(g, u) for u in sorted(maximal_elements(g)))
-    covered = frozenset().union(*(p.members for p in parts))
-    if covered != g.exponents:
-        raise VerificationError("principal downsets of maximal elements fail to cover")
-    return parts, len(parts)
 
 
 def _principal_masks(g: Staircase) -> list[int]:
@@ -276,12 +245,6 @@ def quotient_indices(g: Staircase, masks) -> list[int]:
     return out
 
 
-def quotient_index(g: Staircase, b: DownsetSubmodule) -> int:
-    """Sum-reducibility index of (dual module)/B; see quotient_indices."""
-    table = g._multiple_masks
-    return quotient_indices(g, [sum(table[e][0] for e in b.members)])[0]
-
-
 @dataclass(frozen=True)
 class DualIndexReport:
     """The index of I and of its dual, by every route that applies."""
@@ -314,9 +277,11 @@ class DualIndexReport:
 def dual_index_report(ideal: MonomialIdeal) -> DualIndexReport:
     """Index of a finite-colength ideal against the dual-side counts.
 
-    The socle dimension at the top prime (all variables) is read from
-    `bass0`, the socle walk restricted to that prime, never from the
-    corners, so it stays a second route to the dual generator count.
+    The socle dimension at the top prime (all variables), `top_socle`,
+    is read from `bass0`, never from the corners.  It comes from the
+    same socle walk (`bass._socle_walk`) as `ir_socle_formula`, and the
+    top prime is the only associated prime of a finite-colength ideal,
+    so it repeats that count rather than giving a route of its own.
     """
     g = Staircase.from_ideal(ideal)
     if not g.exponents:

@@ -48,15 +48,32 @@ def test_canonical_form():
     assert G(1).is_trivial and G(1).order == 1
 
 
+def _coords(group, idx):
+    """Reference: the mixed-radix digits of an element index, the last factor fastest."""
+    out = []
+    for q in reversed(group.factors):
+        idx, c = divmod(idx, q)
+        out.append(c)
+    return tuple(reversed(out))
+
+
+def _index(group, coords):
+    """Reference: the element index of a coordinate vector, inverse to _coords."""
+    idx = 0
+    for c, q in zip(coords, group.factors):
+        idx = idx * q + c
+    return idx
+
+
 def _add_table_by_coords(group):
-    """Reference: each entry through coords and index, as the table was once built."""
+    """Reference: each entry through coordinates, as the table was once built."""
     table = []
     for a in range(group.order):
-        ca = group.coords(a)
+        ca = _coords(group, a)
         row = []
         for b in range(group.order):
-            cb = group.coords(b)
-            row.append(group.index(tuple((x + y) % q for x, y, q in zip(ca, cb, group.factors))))
+            cb = _coords(group, b)
+            row.append(_index(group, tuple((x + y) % q for x, y, q in zip(ca, cb, group.factors))))
         table.append(row)
     return table
 
@@ -466,7 +483,7 @@ def _is_power_of(n, p):
 
 
 def _order_by_coords(group, a):
-    return lcm(*(q // gcd(c, q) for c, q in zip(group.coords(a), group.factors)))
+    return lcm(*(q // gcd(c, q) for c, q in zip(_coords(group, a), group.factors)))
 
 
 def test_secondary_parts_are_the_primary_components():
@@ -585,18 +602,18 @@ def test_class_enumeration():
 def test_scalar_matches_coordinate_formula():
     for group in abelian_group_classes(64):
         for a in range(group.order):
-            coords = group.coords(a)
+            coords = _coords(group, a)
             for n in range(group.order + 2):
-                expected = group.index(tuple((n * x) % q for x, q in zip(coords, group.factors)))
+                expected = _index(group, tuple((n * x) % q for x, q in zip(coords, group.factors)))
                 assert group.scalar(n, a) == expected, (group.render(), n, a)
 
 
 def test_element_arithmetic():
     g = G(4, 3)
-    a = g.index((1, 0))
-    b = g.index((0, 1))
-    s = g.add(a, b)
-    assert g.coords(s) == (1, 1)
+    a = _index(g, (1, 0))
+    b = _index(g, (0, 1))
+    s = g.add_table[a][b]
+    assert _coords(g, s) == (1, 1)
     assert g.element_order(a) == 4
     assert g.element_order(b) == 3
     assert g.element_order(s) == 12

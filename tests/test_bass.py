@@ -36,7 +36,7 @@ def test_embedded_prime_split():
 
 
 def test_zero_ideal_prime():
-    I = MonomialIdeal.zero(R2)
+    I = MonomialIdeal.of(R2, ())
     assert ass_by_colon_scan(I) == {frozenset()}
     assert decompose(I).components == ((0, 0),)
     assert bass0(I, ()) == (1, ((),))  # the witness 1 of the field
@@ -45,9 +45,9 @@ def test_zero_ideal_prime():
 
 def test_zero_variable_ring():
     field = RingContext.default(2).subring(())
-    assert bass0(MonomialIdeal.zero(field), ()) == (1, ((),))
+    assert bass0(MonomialIdeal.of(field, ()), ()) == (1, ((),))
     assert bass0(MonomialIdeal.unit(field), ()) == (0, ())
-    assert reducibility_index_by_bass(MonomialIdeal.zero(field)).index == 1
+    assert reducibility_index_by_bass(MonomialIdeal.of(field, ())).index == 1
 
 
 @pytest.mark.parametrize(
@@ -195,7 +195,7 @@ def socle_grid_reference(ideal):
 
 @given(random_ideals(max_vars=5))
 # the zero ideal: its one witness is the leaf with every coordinate inverted
-@example(MonomialIdeal.zero(R2))
+@example(MonomialIdeal.of(R2, ()))
 # prune (a): inverting x leaves x^2 below every completion, and so does u_y = 2 for y^3
 @example(ideal((2, 0), (1, 1), (0, 3)))
 # prune (b): after u_x = 0, inverting y and u_z = 0 leave x*z^2, the one generator with

@@ -1,6 +1,8 @@
 """Selftest failure texts: built only for failing checks, exact when built."""
 
 import dataclasses
+import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -44,6 +46,17 @@ def plant_duality(monkeypatch):
         return dataclasses.replace(rep, ir_decomposition=rep.ir_decomposition + 1)
 
     monkeypatch.setattr(selftest, "dual_index_report", off_by_one)
+
+
+def plant_corners(monkeypatch):
+    bass0 = selftest.bass0
+
+    def shifted(ideal, support):
+        # the right count, every witness moved up by the first variable
+        count, witnesses = bass0(ideal, support)
+        return count, tuple((w[0] + 1,) + w[1:] for w in witnesses)
+
+    monkeypatch.setattr(selftest, "bass0", shifted)
 
 
 def plant_quotients(monkeypatch):
@@ -96,6 +109,18 @@ def plant_quotients(monkeypatch):
             ),
         ),
         (
+            plant_corners,
+            "dual-corner-counts",
+            (3813, 1271),
+            (
+                "x: socle witnesses ((1,),) vs corners ((0,),)",
+                "x^2: socle witnesses ((2,),) vs corners ((1,),)",
+                "x^3: socle witnesses ((3,),) vs corners ((2,),)",
+                "x^4: socle witnesses ((4,),) vs corners ((3,),)",
+                "x^5: socle witnesses ((5,),) vs corners ((4,),)",
+            ),
+        ),
+        (
             plant_quotients,
             "abelian-quotient-monotonicity",
             (1030, 55),
@@ -108,10 +133,18 @@ def plant_quotients(monkeypatch):
             ),
         ),
     ],
-    ids=["monomial", "univariate", "dual", "abelian"],
+    ids=["monomial", "univariate", "dual", "corners", "abelian"],
 )
 def test_planted_failure_keeps_its_text(monkeypatch, plant, suite, counts, samples):
     plant(monkeypatch)
     result = only(run_selftest(scope=suite, seed=42))
     assert (result.checks, result.failure_count) == counts
     assert result.failure_samples == samples
+
+
+def test_suite_counts_match_the_benchmark_corpus(full_selftest):
+    corpus = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.json"
+    pinned = json.loads(corpus.read_text())["selftest"]
+    assert [(r.name, r.checks, r.failure_count) for r in full_selftest.results] == [
+        (suite["name"], suite["checks_at_42"], 0) for suite in pinned
+    ]

@@ -10,12 +10,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from redix.bass import bass0
-from redix.errors import (
-    EmptyStaircaseError,
-    InfiniteColengthError,
-    NotInStaircaseError,
-    SizeCapError,
-)
+from redix.errors import EmptyStaircaseError, InfiniteColengthError, SizeCapError
 from redix.monomial import MonomialIdeal, RingContext
 from redix.selftest import _downsets, all_staircases, run_selftest
 from redix.staircase import (
@@ -27,10 +22,8 @@ from redix.staircase import (
     irredundant_cover_sizes,
     maximal_elements,
     min_cover_oracle,
-    principal_downset,
-    quotient_index,
+    quotient_indices,
     sum_covers_iff_dual_disjoint,
-    sum_irreducible_representation,
 )
 
 R1 = RingContext.default(1)
@@ -41,6 +34,16 @@ def ideal(ring, *exps):
     return MonomialIdeal.from_gens(ring, [ring.monomial(*e) for e in exps])
 
 
+def principal_downset(g, u):
+    """Reference: the members of the staircase that divide u, the dual's cyclic submodule."""
+    return frozenset(e for e in g.exponents if all(map(le, e, u)))
+
+
+def mask_of(g, members):
+    """Bit k for the k-th member of g in sorted order: a downset as quotient_indices reads it."""
+    return sum(1 << k for k, e in enumerate(sorted(g.exponents)) if e in members)
+
+
 def test_frozen_staircase():
     I = ideal(R2, (2, 0), (1, 1), (0, 3))
     g = Staircase.from_ideal(I)
@@ -49,8 +52,6 @@ def test_frozen_staircase():
     assert [m.render() for m in g.sorted_monomials()] == ["1", "y", "y^2", "x"]
     assert maximal_elements(g) == {(1, 0), (0, 2)}
     assert min_cover_oracle(g) == 2
-    parts, count = sum_irreducible_representation(g)
-    assert count == 2 and len(parts) == 2
 
 
 def test_dual_report_all_routes_agree():
@@ -73,7 +74,7 @@ def test_one_dimensional_power():
     assert min_cover_oracle(g) == 1
     # the top element generates everything
     top = next(iter(maximal_elements(g)))
-    assert principal_downset(g, top).members == g.exponents
+    assert principal_downset(g, top) == g.exponents
 
 
 def test_maximal_ideal_gives_trivial_dual():
@@ -118,26 +119,15 @@ def test_duality_suite_builds_one_staircase_and_decomposition_per_ideal(monkeypa
     assert len(built) == len(decomposed) == 139
 
 
-def test_not_in_staircase():
-    I = ideal(R2, (2, 0), (0, 2))
-    g = Staircase.from_ideal(I)
-    with pytest.raises(NotInStaircaseError, match=r"x\^5\*y\^5"):
-        principal_downset(g, (5, 5))
-
-
-def test_principal_downset_normalizes_its_argument():
-    g = Staircase.from_ideal(ideal(R2, (2, 0), (0, 2)))
-    assert principal_downset(g, [0, 0]) == principal_downset(g, (0, 0))
-    for bad in ((5,), [5, 5], (0, 0, 0), (-1, 0)):
-        with pytest.raises(NotInStaircaseError):
-            principal_downset(g, bad)
-
-
 def test_empty_staircase_has_no_representation():
     g = Staircase.from_ideal(MonomialIdeal.unit(R2))
     assert g.size == 0
     with pytest.raises(EmptyStaircaseError):
-        sum_irreducible_representation(g)
+        min_cover_oracle(g)
+    with pytest.raises(EmptyStaircaseError):
+        irredundant_cover_sizes(g)
+    with pytest.raises(EmptyStaircaseError):
+        dual_index_report(MonomialIdeal.unit(R2))
 
 
 def test_infinite_colength_rejected():
@@ -194,7 +184,7 @@ def test_cover_sizes_match_subset_reference():
 def downset_of(g, *exps):
     members = set()
     for e in exps:
-        members |= principal_downset(g, e).members
+        members |= principal_downset(g, e)
     return DownsetSubmodule(g, frozenset(members))
 
 
@@ -213,13 +203,10 @@ def test_sum_lemma_two_routes():
 def test_quotient_index_complement():
     I = ideal(R2, (2, 0), (1, 1), (0, 3))
     g = Staircase.from_ideal(I)
-    empty = DownsetSubmodule(g, frozenset())
-    assert quotient_index(g, empty) == 2
-    everything = DownsetSubmodule(g, g.exponents)
-    assert quotient_index(g, everything) == 0
+    everything = mask_of(g, g.exponents)
     # knocking out one corner leaves the other
-    one_corner = downset_of(g, (1, 0))
-    assert quotient_index(g, one_corner) == 1
+    one_corner = mask_of(g, downset_of(g, (1, 0)).members)
+    assert quotient_indices(g, [0, everything, one_corner]) == [2, 0, 1]
 
 
 def test_staircase_ideal_round_trip():
@@ -248,11 +235,10 @@ def test_quotient_index_counts_corners_outside_b(monkeypatch):
     for g in stairs:
         corners = maximal(g)
         order, masks = _downsets(g.exponents, g.size)
-        for mask in masks:
-            b = DownsetSubmodule(
-                g, frozenset(order[i] for i in range(len(order)) if mask >> i & 1)
-            )
-            assert quotient_index(g, b) == len(corners - b.members)
+        outside = [
+            len(corners - {e for i, e in enumerate(order) if mask >> i & 1}) for mask in masks
+        ]
+        assert quotient_indices(g, masks) == outside
     assert calls == []
 
 
@@ -328,7 +314,8 @@ def test_quotient_index_matches_tuple_corner_count_across_staircases(first, seco
     for k in order:
         b = downsets[k]
         g = b.staircase
-        assert quotient_index(g, b) == _corner_count(g.exponents - b.members)
+        rest = g.exponents - b.members
+        assert quotient_indices(g, [mask_of(g, b.members)]) == [_corner_count(rest)]
 
 
 @settings(max_examples=50, deadline=None)
@@ -337,8 +324,8 @@ def test_tables_are_freed_with_their_staircase(first, second):
     g = Staircase(RingContext.default(first[0]), first[1])
     h = Staircase(RingContext.default(second[0]), second[1])
     shown = repr(g)
-    quotient_index(g, DownsetSubmodule(g, frozenset()))
-    quotient_index(h, DownsetSubmodule(h, frozenset()))
+    quotient_indices(g, [0])
+    quotient_indices(h, [0])
     # the tables are no field: equality, hash and repr read only the members
     twin = Staircase(g.ring, frozenset(g.exponents))
     assert (g == twin, hash(g) == hash(twin), repr(g)) == (True, True, shown)
@@ -356,7 +343,7 @@ def test_tables_are_freed_with_their_staircase(first, second):
 def test_all_staircases_lets_go_of_each_staircase_it_passed():
     stairs = all_staircases(3, 10)
     g = next(stairs)
-    quotient_index(g, DownsetSubmodule(g, frozenset()))
+    quotient_indices(g, [0])
     ref = weakref.ref(g)
     del g
     next(stairs)
