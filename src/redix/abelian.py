@@ -40,6 +40,15 @@ hashable by their factors, and the addition table (one `bytes` row per
 element: every element index is below MAX_ORDER = 64), the subgroup
 lattice (with its sum-irreducible subgroups) and the search report are
 cached on that key.
+
+The loops over elements run as `bytes.translate` over those rows, at C
+speed: each row of the table is an earlier row translated by a unit
+row; a member set is closed when each member's row, translated by the
+set's indicator bytes, reads 1 on every member; the lattice build
+derives each new subgroup's coset labels from its parent's with one
+translate (see `SubgroupLattice`); and scalar multiplication is a row,
+`scalar_row(n)`, that the quotient count translates by a subgroup's
+indicator bytes and counts.
 """
 
 from __future__ import annotations
@@ -170,9 +179,9 @@ class FiniteAbelianGroup:
             out.append(mults)
         return out
 
-    def scalar(self, n: int, a: int) -> int:
-        mults = self._multiples[a]
-        return mults[n % len(mults)]
+    def scalar_row(self, n: int) -> bytes:
+        """Entry a is n * a, for every element a."""
+        return bytes([mults[n % len(mults)] for mults in self._multiples])
 
     def element_order(self, a: int) -> int:
         return len(self._multiples[a])
@@ -200,22 +209,25 @@ class FiniteAbelianGroup:
 def _add_table(group: FiniteAbelianGroup) -> list[bytes]:
     """Addition table, shared by every instance with the same factors.
 
-    Row a starts as the identity row and adds a's digit factor by
-    factor: for digit c of factor q at stride s, entry x with digit d
-    there moves by s * ((d + c) % q - d), read off a per-digit shift list.
-    Each row is kept as bytes, since no element index reaches 256.
+    Row 0 is the identity.  The unit row of the factor q at stride s,
+    the row of element s, raises that digit by one: entry x with digit
+    d there is x + s, or x - (q - 1) * s when d = q - 1.  Every other
+    row a is row (a - s) translated by that unit row, for s the stride
+    of a's lowest nonzero digit: a + x = s + ((a - s) + x), and a - s
+    lowers that digit by one without a borrow.  So each row after the
+    units is one `bytes.translate`, since no element index reaches 256.
     """
     n = group.order
-    digits = [[(x // s) % q for x in range(n)] for q, s in zip(group.factors, group._strides)]
-    table = []
-    for a in range(n):
-        row = list(range(n))
-        for q, s, dig in zip(group.factors, group._strides, digits):
-            c = dig[a]
-            if c:
-                shift = [s * ((d + c) % q - d) for d in range(q)]
-                row = [x + shift[d] for x, d in zip(row, dig)]
-        table.append(bytes(row))
+    steps = []  # (factor, stride, unit row as a translation table), lowest digit first
+    for q, s in reversed(tuple(zip(group.factors, group._strides))):
+        unit = bytes(x - (q - 1) * s if x // s % q == q - 1 else x + s for x in range(n))
+        steps.append((q, s, unit.ljust(256, b"\0")))
+    table = [bytes(range(n))]
+    for a in range(1, n):
+        for q, s, unit in steps:
+            if a // s % q:
+                table.append(table[a - s].translate(unit))
+                break
     return table
 
 
@@ -229,13 +241,27 @@ def _members(mask: int) -> list[int]:
     return out
 
 
-def _check_closed(table: list[bytes], members, mask: int) -> None:
-    """Raise unless every sum of two of members, whose mask is mask, is in mask."""
+def _member_bytes(members) -> bytes:
+    """Translation table of a member set: 1 at each member, 0 elsewhere."""
+    inside = bytearray(256)
     for a in members:
-        row = table[a]
-        for b in members:
-            if not mask >> row[b] & 1:
-                raise ValueError("member set is not closed under addition")
+        inside[a] = 1
+    return bytes(inside)
+
+
+def _check_closed(table: list[bytes], members) -> None:
+    """Raise unless every sum of two of members is a member.
+
+    Row a translated by the members' `_member_bytes` reads 1 at b
+    exactly when a + b is a member, so each member a costs one translate
+    and one int test that the translated row holds a 1 wherever the
+    member bytes do.
+    """
+    inside = _member_bytes(members)
+    want = int.from_bytes(inside[: len(table)], "little")
+    for a in members:
+        if int.from_bytes(table[a].translate(inside), "little") & want != want:
+            raise ValueError("member set is not closed under addition")
 
 
 def render_subgroup(mask: int) -> str:
@@ -253,13 +279,28 @@ class SubgroupLattice:
     an OR of coset masks, and results are deduplicated by mask.  Every
     subgroup is a join of cyclic ones, hence reached from zero by such
     steps, so nothing is missed.  Each subgroup found is checked closed
-    under addition, on its member list, before its mask is kept.
+    under addition before its mask is kept: one translate of the
+    addition-table row of each member by the member set's indicator
+    bytes (`_check_closed`), so the check reads every sum of two members.
 
     The build numbers subgroups as it finds them and keeps, per subgroup
     S, its coset labels (element -> coset number, as `bytes`: the order
-    is at most 64) and the number of S + <g> for one g per coset; it
-    sorts once at the end and fills each closure row with one lookup per
-    coset, not one per element.
+    is at most 64), cosets numbered by their least element, and the
+    number of S + <g> for one g per coset; it sorts once at the end and
+    fills each closure row with one lookup per coset, not one per element.
+
+    Labels are derived, not scanned.  For T = S + <g>, adding g permutes
+    the cosets of S, and the cosets of T are the orbits: x + T is the
+    union of the cosets x + t*g + S.  The least element of a coset of T
+    is the least element of the lowest-numbered coset of S in its orbit,
+    so numbering the orbits in the order of their lowest coset of S
+    numbers the cosets of T by least element, the numbering a scan of
+    the elements in ascending order gives.  So T's labels are S's labels
+    translated by coset of S -> orbit, one `bytes.translate`, and its
+    coset masks and least elements (its representatives) are those of
+    S, ORed and picked per orbit, all done once, when T is first found.
+    Those masks and representatives are only read while T is grown, and
+    are freed as soon as it has been; the labels stay for the closure.
 
     The i-th subgroup is masks[i] over the elements (sorted by size,
     then by members), and index_of maps a mask back to i.  The lattice
@@ -285,43 +326,54 @@ class SubgroupLattice:
         self.group = group
         table = group.add_table
         n = group.order
-        _check_closed(table, [0], 1)  # the zero subgroup, checked like the rest
+        _check_closed(table, [0])  # the zero subgroup, checked like the rest
         masks = [1]  # subgroup t, numbered as found, is masks[t]
         members = [[0]]  # and members[t] its sorted member list, checked closed
         found = {1: 0}  # mask -> number
         gens: list[tuple[int, ...]] = [()]
-        labels: list[bytes] = []  # labels[t][a]: the coset of subgroup t holding element a
+        # per subgroup t, cosets numbered by least element: labels[t][a] is
+        # the coset holding element a, reps[t][k] the least element of coset
+        # k and coset_masks[t][k] its mask; the last two are dropped once t
+        # is grown
+        labels: list[bytes] = [bytes(range(n))]
+        reps: list[bytes | None] = [bytes(range(n))]
+        coset_masks: list[list[int] | None] = [[1 << a for a in range(n)]]
         joins: list[list[int]] = []  # joins[t][k]: the number of subgroup t + <g>, g in coset k
         for t, s_mask in enumerate(masks):  # grows as subgroups are found: breadth first
-            s_list = members[t]
-            coset_of = bytearray(b"\xff") * n  # no element index or coset number reaches 255
-            coset_masks: list[int] = []
-            reps = []
-            for g in range(n):
-                if coset_of[g] == 255:
-                    k = len(coset_masks)
-                    row = table[g]
-                    coset = [row[s] for s in s_list]
-                    for a in coset:
-                        coset_of[a] = k
-                    coset_masks.append(sum(1 << a for a in coset))
-                    reps.append(g)
-            out = [t]  # reps[0] = 0 stands for S itself
-            for g in reps[1:]:
+            s_labels, s_reps, s_masks = labels[t], reps[t], coset_masks[t]
+            reps[t] = coset_masks[t] = None
+            out = [t]  # coset 0 is S itself
+            for g in s_reps[1:]:
                 mask, cur = s_mask, g
-                while coset_of[cur]:
-                    mask |= coset_masks[coset_of[cur]]
+                while s_labels[cur]:
+                    mask |= s_masks[s_labels[cur]]
                     cur = table[cur][g]
                 u = found.get(mask)
                 if u is None:
                     m_list = _members(mask)
-                    _check_closed(table, m_list, mask)
+                    _check_closed(table, m_list)
                     u = found[mask] = len(masks)
                     masks.append(mask)
                     members.append(m_list)
                     gens.append(gens[t] + (g,))
+                    # the cosets of S + <g>: orbits of S's cosets under + g,
+                    # numbered in the order of their lowest coset of S
+                    orbit_of = bytearray(b"\xff") * 256  # no coset number reaches 255
+                    u_reps = bytearray()
+                    u_masks = []
+                    for k, rep in enumerate(s_reps):
+                        if orbit_of[k] == 255:
+                            c, union, j = len(u_reps), 0, k
+                            while orbit_of[j] == 255:
+                                orbit_of[j] = c
+                                union |= s_masks[j]
+                                j = s_labels[table[s_reps[j]][g]]
+                            u_reps.append(rep)
+                            u_masks.append(union)
+                    labels.append(s_labels.translate(orbit_of))
+                    reps.append(bytes(u_reps))
+                    coset_masks.append(u_masks)
                 out.append(u)
-            labels.append(bytes(coset_of))
             joins.append(out)
         order = sorted(range(len(masks)), key=lambda t: (len(members[t]), members[t]))
         rank = [0] * len(order)
@@ -462,11 +514,14 @@ class SecondaryReport:
         )
 
 
-def _stable_image(group: FiniteAbelianGroup, n: int, members: frozenset[int]) -> frozenset[int]:
-    """Limit of members, n*members, n^2*members, ...; {0} exactly when n acts nilpotently."""
+def _stable_image(row: bytes, members: frozenset[int]) -> frozenset[int]:
+    """Limit of members, n*members, n^2*members, ... for row the scalar row of n.
+
+    It is {0} exactly when n acts nilpotently.
+    """
     cur = members
     while True:
-        nxt = frozenset(group.scalar(n, g) for g in cur)
+        nxt = frozenset(map(row.__getitem__, cur))
         if nxt == cur:
             return cur
         cur = nxt
@@ -485,6 +540,7 @@ def secondary_representation(group: FiniteAbelianGroup) -> SecondaryReport:
         raise TrivialGroupError("the trivial group has no secondary representation")
     order = group.order
     element_orders = [group.element_order(g) for g in range(order)]
+    rows = [group.scalar_row(n) for n in range(order + 1)]
     parts = []
     sizes = []
     masks = []
@@ -495,11 +551,11 @@ def secondary_representation(group: FiniteAbelianGroup) -> SecondaryReport:
             if all(q == p for q, _ in _prime_power_split(k))
         )
         mask = sum(1 << g for g in members)
-        _check_closed(group.add_table, members, mask)
+        _check_closed(group.add_table, members)
         nilpotent = []
         split = True
-        for n_act in range(order + 1):
-            stable = _stable_image(group, n_act, members)
+        for n_act, row in enumerate(rows):
+            stable = _stable_image(row, members)
             if stable == {0}:
                 nilpotent.append(n_act)
             elif stable != members:
@@ -553,7 +609,8 @@ def quotient_group(group: FiniteAbelianGroup, mask: int) -> FiniteAbelianGroup:
     if not mask & 1 or mask >> group.order:
         raise ValueError("a subgroup mask must hold 0 and no element at or above the group order")
     members = _members(mask)
-    _check_closed(group.add_table, members, mask)
+    _check_closed(group.add_table, members)
+    inside = _member_bytes(members)
     size = len(members)
     q_order = group.order // size
     factors = []
@@ -562,10 +619,7 @@ def quotient_group(group: FiniteAbelianGroup, mask: int) -> FiniteAbelianGroup:
         prev_s = 0
         k = 1
         while True:
-            cnt = sum(
-                1 for g in range(group.order) if mask >> group.scalar(p**k, g) & 1
-            )
-            cnt //= size
+            cnt = group.scalar_row(p**k).translate(inside).count(1) // size
             s_k = 0
             while cnt > 1:
                 cnt //= p

@@ -11,13 +11,16 @@ from dataclasses import is_dataclass
 from math import gcd, lcm
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import redix
 from redix.abelian import (
     FiniteAbelianGroup,
     SubgroupLattice,
     _add_table,
+    _check_closed,
     _members,
     abelian_group_classes,
     additivity_report,
@@ -154,9 +157,11 @@ def test_lattice_and_reports_hold_masks_not_member_sets():
 
 
 def test_lattice_build_checks_each_subgroup_closed():
-    # in Z/8, 2 + 4 = 6 inside <2>; the build grows <2> from zero along
-    # 2, 4, 6 and never reads the entry at (2, 4), so only the closure
-    # check on <2> can see it point outside
+    # in Z/8, 2 + 4 = 6 inside <2>; the build reaches <2> from zero by
+    # adding 2 and reads only entries (x, 1) and (x, 2) on the way, so
+    # only the closure check on <2>, which translates whole rows, can see
+    # the entry at (2, 4) point outside; a build without that check reads
+    # it later, numbering the cosets of <4>, and raises nothing
     group = FiniteAbelianGroup((8,))
     rows = [bytearray(row) for row in _add_table(group)]
     rows[2][4] = 1
@@ -164,6 +169,36 @@ def test_lattice_build_checks_each_subgroup_closed():
     with pytest.raises(ValueError, match="^member set is not closed under addition$"):
         SubgroupLattice(group)
     assert len(SubgroupLattice(FiniteAbelianGroup((8,)))) == 4
+
+
+GROUPS_TO_64 = list(abelian_group_classes(64))
+
+
+@st.composite
+def _member_sets(draw):
+    """A group of order <= 64 and a mask: a subgroup, one with an element flipped, or any set."""
+    group = draw(st.sampled_from(GROUPS_TO_64))
+    kind = draw(st.sampled_from(("subgroup", "flipped", "any")))
+    if kind == "any":
+        return group, draw(st.integers(0, (1 << group.order) - 1))
+    mask = draw(st.sampled_from(subgroup_lattice(group).masks))
+    if kind == "flipped":
+        mask ^= 1 << draw(st.integers(0, group.order - 1))
+    return group, mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(_member_sets())
+def test_check_closed_matches_pairwise_reference(case):
+    group, mask = case
+    table = group.add_table
+    members = _members(mask)
+    outside = any(not mask >> table[a][b] & 1 for a in members for b in members)
+    if outside:
+        with pytest.raises(ValueError, match="^member set is not closed under addition$"):
+            _check_closed(table, members)
+    else:
+        _check_closed(table, members)
 
 
 def _sum_set_join(lat, i, j):
@@ -189,7 +224,7 @@ def _orbit_mask(group, a):
     return mask
 
 
-def test_closure_table_matches_sum_sets():
+def test_closure_table_matches_sum_sets(rng):
     for group in abelian_group_classes(64):
         lat = subgroup_lattice(group)
         if group.order <= 32:
@@ -198,6 +233,12 @@ def test_closure_table_matches_sum_sets():
                 for j in range(i, len(lat)):
                     expected = _sum_set_join(lat, i, j)
                     assert rows[i][j] == rows[j][i] == expected, (group.render(), i, j)
+        else:
+            # too many pairs to check them all: a seeded sample of entries
+            for _ in range(150):
+                i, a = rng.randrange(len(lat)), rng.randrange(group.order)
+                expected = _sum_set_join(lat, i, lat.index_of[_orbit_mask(group, a)])
+                assert lat._closure[i][a] == expected, (group.render(), i, a)
         cyclic = lat._closure[lat.trivial_index]
         for a in range(group.order):
             orbit = _orbit_mask(group, a)
@@ -601,11 +642,13 @@ def test_class_enumeration():
 
 def test_scalar_matches_coordinate_formula():
     for group in abelian_group_classes(64):
-        for a in range(group.order):
-            coords = _coords(group, a)
-            for n in range(group.order + 2):
-                expected = _index(group, tuple((n * x) % q for x, q in zip(coords, group.factors)))
-                assert group.scalar(n, a) == expected, (group.render(), n, a)
+        coords = [_coords(group, a) for a in range(group.order)]
+        for n in range(group.order + 2):
+            row = group.scalar_row(n)
+            assert type(row) is bytes and len(row) == group.order, (group.render(), n)
+            for a, c in enumerate(coords):
+                expected = _index(group, tuple((n * x) % q for x, q in zip(c, group.factors)))
+                assert row[a] == expected, (group.render(), n, a)
 
 
 def test_element_arithmetic():
