@@ -9,10 +9,11 @@ structure theory predicts are recomputed from the raw subgroup lattice
 with no structure theory in the loop.
 
 The brute-force index search is a census (`census`) of progressive
-families of sum-irreducible subgroups under join.  Its counting pass
-memoizes on (join, last index), so the rank-six elementary 2-group,
-with twenty-eight million minimum representations, counts in seconds;
-the report says whether every irredundant representation had one length.
+families of sum-irreducible subgroups under join, taken largest first.
+Its counting pass memoizes on (join, last index), so the rank-six
+elementary 2-group, with twenty-eight million minimum representations,
+counts in seconds; the report says whether every irredundant
+representation had one length.
 Its only primitive is the join, read off the table the lattice build
 already fills: the index of S + <a> for every subgroup S and element a.
 Each subgroup is the sum of the cyclic subgroups of the elements that
@@ -459,30 +460,42 @@ class SumIndexReport:
     group: FiniteAbelianGroup
     index: int
     minimum_count: int
-    samples: tuple[tuple[int, ...], ...]  # masks of the first minimum covers
-    cover_histogram: dict[int, int]
-    deferred_checked: int
+    # masks of the first minimum covers found largest first, each in lattice order
+    samples: tuple[tuple[int, ...], ...]
+    cover_histogram: dict[int, int]  # progressive covers by length, atoms largest first
+    deferred_checked: int  # covers deeper than the minimum in that order, all checked
     equicardinal: bool  # no irredundant cover is deeper than the minimum
 
 
 @cache
 def sum_reducibility_index_bruteforce(group: FiniteAbelianGroup) -> SumIndexReport:
-    """Index by a census of joins (see module doc); a strict join at least doubles the order."""
+    """Index by a census of joins (see module doc); a strict join at least doubles the order.
+
+    The census takes the sum-irreducible subgroups largest first, ties in
+    lattice order, so no family adds a subgroup after one containing it.
+    The index, the minimum count and the verdict do not depend on that
+    order; the histogram past the minimum, deferred_checked and the
+    samples are those of this order, and each sample lists its masks in
+    lattice order.
+    """
     if group.is_trivial:
         return SumIndexReport(group, 0, 1, ((),), {0: 1}, 0, True)
 
     lat = subgroup_lattice(group)
-    irr = lat.sum_irreducible_indices
+    masks = lat.masks
+    atoms = sorted(lat.sum_irreducible_indices, key=lambda h: -masks[h].bit_count())
     hist, samples, deferred, irredundant_deep = census(
         lat.trivial_index,
         lat.full_index,
-        lambda j: lat.join_row(j, irr),
+        lambda j: lat.join_row(j, atoms),
         SAMPLE_CAP,
     )
     if not hist:
         raise VerificationError("no sum-irreducible family covers the group")
     r0 = min(hist)
-    sample_masks = tuple(tuple(lat.masks[irr[i]] for i in chain) for chain in samples)
+    sample_masks = tuple(
+        tuple(masks[h] for h in sorted(atoms[i] for i in chain)) for chain in samples
+    )
     return SumIndexReport(group, r0, hist[r0], sample_masks, hist, deferred, not irredundant_deep)
 
 

@@ -15,6 +15,16 @@ the least depth of a progressive cover is the index and the count there
 is the number of minimum covers.  Combinations depend only on the
 running node, so the counting pass memoizes on (node, last index).
 
+Lemma (atom order): the caller may list the atoms in any order.  The
+irredundant covers are progressive under every order, so the index,
+the number of minimum covers (each is irredundant) and the depths of
+irredundant deep covers do not depend on it; the deeper lanes of the
+histogram, the deferred count and the samples do.  An atom that comes
+after an atom containing it never escapes a family holding that one,
+so no family adds it there: listed largest first, a caller's atoms form
+no family that re-adds an atom under a member above it, and those are
+redundant deep covers the walk would otherwise check one by one.
+
 Lemma (packed counts): the counting row of (node, last) is one int
 whose lane d, the m + 1 bits from bit d*(m + 1), counts the progressive
 chains that carry the node to the top with d more atoms, all above

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 
 import redix
 from redix.abelian import (
+    SAMPLE_CAP,
     FiniteAbelianGroup,
     SubgroupLattice,
     _add_table,
@@ -33,6 +34,7 @@ from redix.abelian import (
     sum_index_formula,
     sum_reducibility_index_bruteforce,
 )
+from redix.census import census
 from redix.cli import main
 from redix.errors import SizeCapError, TrivialGroupError
 
@@ -334,17 +336,19 @@ def _sample_members(report):
 
 
 def test_bruteforce_reports_pinned():
-    # exact figures of the search, samples in depth-first order: any
-    # change to the walk order or to the deferred check shows here
+    # exact figures of the search, atoms largest first, samples in
+    # depth-first order: any change to the atom order, the walk order or
+    # the deferred check shows here; each sample lists its masks in
+    # lattice order
     rep = sum_reducibility_index_bruteforce(G(2, 4))
-    assert (rep.index, rep.minimum_count, rep.deferred_checked) == (2, 5, 7)
-    assert rep.cover_histogram == {2: 5, 3: 7}
+    assert (rep.index, rep.minimum_count, rep.deferred_checked) == (2, 5, 0)
+    assert rep.cover_histogram == {2: 5}
     assert _sample_members(rep) == [
-        [[0, 4], [0, 1, 2, 3]],
-        [[0, 4], [0, 2, 5, 7]],
-        [[0, 6], [0, 1, 2, 3]],
-        [[0, 6], [0, 2, 5, 7]],
         [[0, 1, 2, 3], [0, 2, 5, 7]],
+        [[0, 4], [0, 1, 2, 3]],
+        [[0, 6], [0, 1, 2, 3]],
+        [[0, 4], [0, 2, 5, 7]],
+        [[0, 6], [0, 2, 5, 7]],
     ]
     rep = sum_reducibility_index_bruteforce(G(2, 2, 2))
     assert (rep.index, rep.minimum_count, rep.deferred_checked) == (3, 28, 0)
@@ -355,8 +359,8 @@ def test_bruteforce_reports_pinned():
         + [(3, 6), (3, 7), (4, 6), (4, 7), (5, 6), (5, 7)]
     ]
     rep = sum_reducibility_index_bruteforce(G(4, 4))
-    assert (rep.index, rep.minimum_count, rep.deferred_checked) == (2, 12, 82)
-    assert rep.cover_histogram == {2: 12, 3: 41, 4: 41}
+    assert (rep.index, rep.minimum_count, rep.deferred_checked) == (2, 12, 5)
+    assert rep.cover_histogram == {2: 12, 3: 5}
     c1, c2, c4 = [0, 1, 2, 3], [0, 2, 9, 11], [0, 4, 8, 12]
     c5, c6, c7 = [0, 5, 10, 15], [0, 6, 8, 14], [0, 7, 10, 13]
     assert _sample_members(rep) == [
@@ -364,24 +368,25 @@ def test_bruteforce_reports_pinned():
         [c2, c6], [c2, c7], [c4, c5], [c4, c7], [c5, c6], [c6, c7],
     ]
     rep = sum_reducibility_index_bruteforce(G(2, 4, 4))
-    assert (rep.index, rep.minimum_count, rep.deferred_checked) == (3, 320, 3566)
-    assert rep.cover_histogram == {3: 320, 4: 1500, 5: 2066}
+    assert (rep.index, rep.minimum_count, rep.deferred_checked) == (3, 320, 172)
+    assert rep.cover_histogram == {3: 320, 4: 172}
     tail = [c4, c5, c6, c7, [0, 8, 20, 28], [0, 8, 22, 30], [0, 10, 21, 31], [0, 10, 23, 29]]
-    assert _sample_members(rep) == [[[0, 16], c1, c] for c in tail] + [
-        [[0, 16], c2, c] for c in (c4, c5, c6, c7)
+    assert _sample_members(rep) == [[c1, [0, 2, 17, 19], c] for c in tail] + [
+        [c1, [0, 2, 25, 27], c] for c in (c4, c5, c6, c7)
     ]
 
 
 def test_heaviest_censuses_pinned():
-    # the two costliest searches of the sweep: the deepest walk, and the
-    # largest counting pass with no deep cover at all
+    # the two costliest searches of the sweep: largest first, the search of
+    # (Z/2)^4 + Z/4 forms no deep cover, and (Z/2)^6 has the largest
+    # counting pass, with no deep cover in any order
     rep = sum_reducibility_index_bruteforce(G(2, 2, 2, 2, 4))
-    assert (rep.index, rep.minimum_count, rep.deferred_checked) == (5, 567168, 2433536)
-    assert rep.cover_histogram == {5: 567168, 6: 2433536}
+    assert (rep.index, rep.minimum_count, rep.deferred_checked) == (5, 567168, 0)
+    assert rep.cover_histogram == {5: 567168}
     assert rep.equicardinal
-    lines = [[0, 4], [0, 8], [0, 16], [0, 32]]
-    assert _sample_members(rep) == [lines + [[0, 1, 2, 3]]] + [
-        lines + [[0, 2, k, k + 2]] for k in range(5, 46, 4)
+    c1, c2 = [0, 1, 2, 3], [[0, 2, 5, 7], [0, 2, 9, 11], [0, 2, 17, 19]]
+    assert _sample_members(rep) == [[c1, *c2, [0, 2, k, k + 2]] for k in range(33, 62, 4)] + [
+        [[0, k], c1, *c2] for k in (32, 34, 36, 38)
     ]
     rep = sum_reducibility_index_bruteforce(G(2, 2, 2, 2, 2, 2))
     assert (rep.index, rep.minimum_count, rep.deferred_checked) == (6, 27998208, 0)
@@ -390,14 +395,32 @@ def test_heaviest_censuses_pinned():
     assert _sample_members(rep) == [[[0, 1], [0, 2], [0, 4], [0, 8], [0, 16], [0, k]] for k in range(32, 44)]
 
 
-def _progressive_covers(lat):
-    """Reference: every progressive cover, by plain recursion over sum-set joins."""
+def test_lattice_order_census_walks_every_deep_cover():
+    # the same atoms in lattice order, smallest first, give the deepest
+    # walk of the sweep: 2,433,536 deep covers, each proved redundant
+    lat = subgroup_lattice(G(2, 2, 2, 2, 4))
     irr = lat.sum_irreducible_indices
+    found = census(lat.trivial_index, lat.full_index, lambda j: lat.join_row(j, irr), SAMPLE_CAP)
+    assert (found.histogram, found.deferred) == ({5: 567168, 6: 2433536}, 2433536)
+    assert not found.irredundant_deep
+    lines = [[0, 4], [0, 8], [0, 16], [0, 32]]
+    assert [[_members(lat.masks[irr[i]]) for i in chain] for chain in found.samples] == [
+        lines + [[0, 1, 2, 3]]
+    ] + [lines + [[0, 2, k, k + 2]] for k in range(5, 46, 4)]
+
+
+def _search_order(lat):
+    """The search's atom order: sum-irreducible subgroups largest first, ties in lattice order."""
+    return sorted(lat.sum_irreducible_indices, key=lambda h: -lat.masks[h].bit_count())
+
+
+def _progressive_covers(lat, atoms):
+    """Reference: every progressive cover, atoms in the order given, by sum-set joins."""
     covers = []
 
     def go(j, start, chain):
-        for i in range(start, len(irr)):
-            h = irr[i]
+        for i in range(start, len(atoms)):
+            h = atoms[i]
             if lat.masks[h] & ~lat.masks[j]:
                 child = _sum_set_join(lat, j, h)
                 if child == lat.full_index:
@@ -418,25 +441,53 @@ def _join_all(lat, members):
 
 def test_deferred_walk_matches_refold_reference():
     # the walk prunes redundant prefixes; the reference re-folds every
-    # deep cover without each member in turn, as the search once did
-    deep_groups = 0
+    # deep cover without each member in turn, as the search once did, in
+    # the search's order and, through the census directly, in lattice
+    # order, which keeps far more deep covers to check
+    deep_groups = {"search": 0, "lattice": 0}
     for group in abelian_group_classes(32):
         if group.is_trivial:
             continue
         lat = subgroup_lattice(group)
-        covers = _progressive_covers(lat)
+        irr = lat.sum_irreducible_indices
         rep = sum_reducibility_index_bruteforce(group)
-        assert rep.cover_histogram == Counter(map(len, covers)), group.render()
-        deep = [c for c in covers if len(c) > rep.index]
-        assert rep.deferred_checked == len(deep), group.render()
-        for cover in deep:
-            assert any(
-                _join_all(lat, cover[:k] + cover[k + 1 :]) == lat.full_index
-                for k in range(len(cover))
-            ), (group.render(), cover)
-        assert rep.equicardinal
-        deep_groups += bool(deep)
-    assert deep_groups == 23
+        found = census(
+            lat.trivial_index, lat.full_index, lambda j: lat.join_row(j, irr), SAMPLE_CAP
+        )
+        found_samples = tuple(tuple(lat.masks[irr[i]] for i in chain) for chain in found.samples)
+        runs = {
+            "search": (
+                _search_order(lat),
+                rep.cover_histogram,
+                rep.deferred_checked,
+                rep.samples,
+                rep.equicardinal,
+            ),
+            "lattice": (
+                irr,
+                found.histogram,
+                found.deferred,
+                found_samples,
+                not found.irredundant_deep,
+            ),
+        }
+        for order, (atoms, histogram, deferred, samples, equicardinal) in runs.items():
+            covers = _progressive_covers(lat, atoms)
+            assert histogram == Counter(map(len, covers)), (order, group.render())
+            minimum = [c for c in covers if len(c) == rep.index]
+            assert samples == tuple(
+                tuple(lat.masks[h] for h in sorted(c)) for c in minimum[:SAMPLE_CAP]
+            ), (order, group.render())
+            deep = [c for c in covers if len(c) > rep.index]
+            assert deferred == len(deep), (order, group.render())
+            for cover in deep:
+                assert any(
+                    _join_all(lat, cover[:k] + cover[k + 1 :]) == lat.full_index
+                    for k in range(len(cover))
+                ), (order, group.render(), cover)
+            assert equicardinal
+            deep_groups[order] += bool(deep)
+    assert deep_groups == {"search": 3, "lattice": 23}
 
 
 def test_irredundant_deep_cover_is_reported_not_raised(capsys, monkeypatch):
@@ -463,7 +514,7 @@ def test_irredundant_deep_cover_is_reported_not_raised(capsys, monkeypatch):
     finally:
         subgroup_lattice.cache_clear()
         sum_reducibility_index_bruteforce.cache_clear()
-    assert (rep.index, rep.cover_histogram, rep.deferred_checked) == (1, {1: 1, 2: 6}, 6)
+    assert (rep.index, rep.cover_histogram, rep.deferred_checked) == (1, {1: 1, 2: 3}, 3)
     assert rep.equicardinal is False
     assert [_members(mask) for mask in char.mismatches] == [[0, 1, 2, 3]]
     results = json.loads(out)["results"]

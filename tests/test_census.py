@@ -89,6 +89,30 @@ def test_census_matches_recursive_reference(family, sample_cap):
     assert found.irredundant_deep == irredundant
 
 
+@settings(max_examples=300, deadline=None)
+@given(_families().flatmap(lambda f: st.tuples(st.just(f), st.permutations(f[2]))))
+# in index order the walk forms the deep covers {0b001, 0b111},
+# {0b010, 0b111} and {0b001, 0b010, 0b111} and must find each redundant;
+# with 0b111 first it forms no deep cover
+@example(((0, 0b111, [0b001, 0b010, 0b111]), [0b111, 0b001, 0b010]))
+def test_census_verdicts_do_not_depend_on_atom_order(case):
+    # every irredundant cover is progressive under any atom order, so the
+    # index, the minimum count and the irredundant deep depths are the same
+    (start, top, atoms), permuted = case
+    assume(start != top)
+    found, again = (
+        census(start, top, lambda acc, xs=xs: [acc | a for a in xs], 12)
+        for xs in (atoms, permuted)
+    )
+    r0 = min(found.histogram)
+    assert min(again.histogram) == r0
+    assert again.histogram[r0] == found.histogram[r0]
+    assert again.irredundant_deep == found.irredundant_deep
+    for xs, got in ((atoms, found), (permuted, again)):
+        for sample in got.samples:
+            assert len(sample) == r0 and _union(start, xs, sample) == top
+
+
 def _abelian_joins():
     lat = subgroup_lattice(FiniteAbelianGroup.from_orders(2, 2, 4))
     irr = lat.sum_irreducible_indices
