@@ -19,8 +19,14 @@ make this work:
   one of its members, so a component is redundant exactly when it
   contains another one (_containing_none).
 
-`decompose` checks the split's components once, by intersecting them
-back to the ideal; `irredundant` prunes arbitrary candidates first.
+Checks once.  `decompose` checks the split's components once, by
+intersecting them back to the ideal (`_validated`); `irredundant` prunes
+arbitrary candidates first and checks them the same way.  The
+intersection applies the split's lemma dualized, so it runs no full
+minimalization, and it shares no code with the split.  Components that
+equal a validated set need no check of their own, since equal sets
+intersect alike: the decomposition-uniqueness suite validates the
+canonical order and compares the other orders' splits with it.
 
 The strategy only orders the generators; every strategy must reach the
 same irredundant decomposition, and the test suites drive several.
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 from operator import le
 
 from .errors import InvalidCandidatesError, UnitIdealError
-from .monomial import MonomialIdeal, RingContext, minimal_exponents
+from .monomial import MonomialIdeal, RingContext
 
 
 @dataclass(frozen=True)
@@ -207,21 +213,49 @@ def _intersect_components(comps, n: int) -> tuple[tuple[int, ...], ...]:
     and the pure powers of C.  A generator a that already lies in C has
     a_i >= c_i >= 1 for some i, so lcm(a, x_i^c_i) = a and every other
     lcm is a multiple of a: a is kept as it is.  Only the generators
-    outside C are expanded, one lcm per pure power, which raises a_i to
-    c_i since a_i < c_i there.  This is the check on split_decompose, so
-    it shares no code with it, though the two loops look alike.
+    outside C are expanded, one grown lcm a[i<-c_i] per pure power,
+    which raises a_i to c_i since a_i < c_i there.
+
+    The inside generators and the grown lcms generate J /\\ C, and three
+    facts (split_decompose's lemma, dualized) say which ones are minimal
+    without a full divisibility pass.  J's generators form an antichain.
+
+    - No inside a' is divisible by a grown lcm: a <= a[i<-c_i] <= a'
+      would make a, which lies outside C, divide a'.  So the inside
+      generators are kept without a test.
+    - a[i<-c_i] is divisible by a''[j<-c_j] only when i = j: for j != i
+      the lcm needs c_j <= a_j, which would put a inside C.
+    - a[i<-c_i] is divisible by an inside a' only when a'_i <= c_i, the
+      i-th exponent of the lcm.
+
+    So each grown lcm is compared only with the other lcms of the same
+    i and with the inside generators that pass the a'_i filter.  No two
+    grown lcms coincide: for the same i, a and a'' would agree off i, so
+    one would divide the other; for i != j the second fact rules it out.
+    The result is sorted lex descending, the `minimal_exponents` order
+    that `_validated` compares against.  This is the check on
+    split_decompose, so it shares no code with it, though the two loops
+    look alike.
     """
     out = ((0,) * n,)
     for c in comps:
         pure = [(i, b) for i, b in enumerate(c) if b]
-        inside, grown = [], []
+        inside, outside = [], []
         for a in out:
-            if any(a[i] >= b for i, b in pure):
-                inside.append(a)
+            for i, b in pure:
+                if a[i] >= b:
+                    inside.append(a)
+                    break
             else:
-                grown.extend(a[:i] + (b,) + a[i + 1 :] for i, b in pure)
-        # the generators inside C keep their lex-descending order
-        out = minimal_exponents(inside + grown) if grown else tuple(inside)
+                outside.append(a)
+        if not outside:
+            continue
+        kept = inside[:]
+        for i, b in pure:
+            grown = [a[:i] + (b,) + a[i + 1 :] for a in outside]
+            rivals = [d for d in inside if d[i] <= b] + grown
+            kept += [g for g in grown if not any(d is not g and all(map(le, d, g)) for d in rivals)]
+        out = tuple(sorted(kept, reverse=True))
     return out
 
 

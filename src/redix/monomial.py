@@ -99,18 +99,30 @@ def minimal_exponents(exps) -> tuple[tuple[int, ...], ...]:
 
     Deduplicated and sorted lex descending.  Every generator set in the
     package is minimalized here, so all routes share one canonical form.
+
+    One pass in lex-ascending order suffices.  A proper divisor k of e
+    is below e where they first differ, so it comes first; a divisor
+    that was dropped has a kept divisor of its own, which divides e too.
+    So e is tested against the kept vectors only, and the kept list,
+    reversed, is already lex descending.  With j the first nonzero
+    coordinate of k, k[j] <= e[j] holds whenever k divides e, so
+    rejecting on k[j] > e[j] is exact; it settles most non-divisors
+    (pure powers in other variables, say) after one comparison.
     """
     kept = []  # (k, j): a kept vector and its first nonzero coordinate, 0 for the zero vector
-    # sorting by total degree puts each divisor before its multiples: equal
-    # degrees divide only when equal, and the set removed those.  k[j] > 0
-    # unless k is zero, so k[j] <= e[j] rules out most non-divisors at once
-    for e in sorted(set(exps), key=sum):
+    for e in sorted(set(exps)):
         for k, j in kept:
             if k[j] <= e[j] and all(map(le, k, e)):
                 break
         else:
-            kept.append((e, next((j for j, x in enumerate(e) if x), 0)))
-    return tuple(sorted((k for k, _ in kept), reverse=True))
+            for j, x in enumerate(e):
+                if x:
+                    break
+            else:
+                j = 0
+            kept.append((e, j))
+    kept.reverse()
+    return tuple([k for k, _ in kept])
 
 
 @dataclass(frozen=True)

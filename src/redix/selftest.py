@@ -32,7 +32,7 @@ from .abelian import (
 )
 from .bass import bass0, reducibility_index_by_bass
 from .basechange import extension_report, localization_report
-from .decompose import decompose
+from .decompose import decompose, split_decompose
 from .gfpoly import (
     ExtField,
     PrimeField,
@@ -235,15 +235,20 @@ def _suite_index_socle_agreement(seed: int, rec: _Recorder) -> None:
 
 
 def _suite_decomposition_uniqueness(seed: int, rec: _Recorder) -> None:
-    strategies = (("first", None), ("last", None), ("random", 0), ("random", 1))
+    # only the canonical split is validated: the other orders must give the
+    # same components, and equal sets intersect alike, so one validation
+    # covers all four; comparing sorted tuples also catches a repeat
+    strategies = (("last", None), ("random", 0), ("random", 1))
     for ideal in ideal_sample(seed, 1000, 4, 5):
-        decs = [decompose(ideal, strategy=s, seed=extra) for s, extra in strategies]
-        outcomes = [frozenset(dec.components) for dec in decs]
+        dec = decompose(ideal)
         rec.check(
-            all(o == outcomes[0] for o in outcomes),
+            all(
+                tuple(sorted(split_decompose(ideal, s, extra), reverse=True)) == dec.components
+                for s, extra in strategies
+            ),
             "{}: components differ across strategies", ideal,
         )
-        by_support = decs[0].counts_by_support()
+        by_support = dec.counts_by_support()
         socle_counts = reducibility_index_by_bass(ideal).socle_counts
         rec.check(
             by_support == socle_counts,
@@ -373,19 +378,16 @@ def _suite_downset_sum(seed: int, rec: _Recorder) -> None:
             order, masks = _downsets(g.exponents, g.size)
             full = (1 << len(order)) - 1
             bad = 0
-            pairs = 0
             for i, bm in enumerate(masks):
                 nb = full ^ bm
                 for cm in masks[i:]:
                     # sum side: the union of the two downsets is everything;
                     # dual side: the complement upsets (the quotient duals)
                     # meet in nothing
-                    covers = (bm | cm) == full
-                    duals_disjoint = (nb & (full ^ cm)) == 0
-                    if covers != duals_disjoint:
+                    if (bm | cm == full) is not (not nb & (full ^ cm)):
                         bad += 1
-                    pairs += 1
-            rec.checks += pairs - 1
+            m = len(masks)
+            rec.checks += m * (m + 1) // 2 - 1
             rec.check(bad == 0, "staircase {}: {} mismatched pairs", order, bad)
     # set-level route on the small staircases, sharing no mask logic
     for n in (1, 2):

@@ -23,14 +23,16 @@ complete, so the index of the ideal and the index of its dual agree on
 the nose; the reports state that equality and verify it numerically.
 
 The checks on downsets of one staircase run thousands of times in a row
-(every downset of every small staircase), so they read two neighbour
-tables that the staircase builds on first read, `Staircase._neighbours`:
-each member's immediate divisors and each member's x_i multiples inside
-the staircase.  Quotient indices read downsets as bitmasks over the
-sorted members, against a third table that holds each member's
-multiples as such a mask, `Staircase._multiple_masks`.  Building a
-staircase and finding its maximal elements stay on tuple arithmetic, so
-a large staircase that is only rendered never builds tables.
+(every downset of every small staircase), so `DownsetSubmodule` reads a
+table that the staircase builds on first read, `Staircase._neighbours`:
+each member's immediate divisors inside the staircase.  Quotient indices
+read downsets as bitmasks over the sorted members; `quotient_indices`
+builds each member's bit and the mask of its x_i multiples in one pass
+over those members, once per call, and keeps nothing on the staircase.
+Building a staircase and finding its maximal elements stay on tuple
+arithmetic, so a large staircase that is only rendered never builds
+tables, and `maximal_elements` shares no table with the quotient count
+it bounds.
 """
 
 from __future__ import annotations
@@ -88,25 +90,16 @@ class Staircase:
         return [Monomial(e, self.ring) for e in sorted(self.exponents)]
 
     @cached_property
-    def _neighbours(self) -> tuple[dict, dict]:
-        """Each member's immediate divisors and its x_i multiples inside the staircase."""
+    def _neighbours(self) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+        """Each member's immediate divisors inside the staircase."""
         exps = self.exponents
         divisors = {e: [] for e in exps}
-        multiples = {e: [] for e in exps}
         for e in exps:
             for i, v in enumerate(e):
                 up = e[:i] + (v + 1,) + e[i + 1 :]
                 if up in exps:
-                    multiples[e].append(up)
                     divisors[up].append(e)
-        return divisors, multiples
-
-    @cached_property
-    def _multiple_masks(self) -> dict[tuple[int, ...], tuple[int, int]]:
-        """Each member's bit over the sorted members, and the mask of its x_i multiples."""
-        bit = {e: 1 << k for k, e in enumerate(sorted(self.exponents))}
-        multiples = self._neighbours[1]
-        return {e: (b, sum(bit[u] for u in multiples[e])) for e, b in bit.items()}
+        return divisors
 
 
 def maximal_elements(g: Staircase) -> frozenset[tuple[int, ...]]:
@@ -131,7 +124,7 @@ class DownsetSubmodule:
             raise ValueError("members must lie in the staircase")
         # the staircase is a downset, so its divisor table lists every
         # immediate divisor of a member: the test of _check_downset
-        divisors = self.staircase._neighbours[0]
+        divisors = self.staircase._neighbours
         if not all(self.members.issuperset(divisors[e]) for e in self.members):
             raise ValueError("not closed under divisors")
 
@@ -236,12 +229,22 @@ def quotient_indices(g: Staircase, masks) -> list[int]:
     For B = G the quotient is zero and the index is 0.  The masks are
     taken as given: a caller passes masks of downsets.
     """
-    table = g._multiple_masks.values()
+    bit = {e: 1 << k for k, e in enumerate(sorted(g.exponents))}
+    table = []
+    for e, own in bit.items():
+        up = 0
+        for i, v in enumerate(e):
+            up |= bit.get(e[:i] + (v + 1,) + e[i + 1 :], 0)
+        table.append((own, up))
     full = (1 << len(table)) - 1
     out = []
     for b in masks:
         rest = full ^ b
-        out.append(sum(1 for k, up in table if rest & k and not rest & up))
+        count = 0
+        for k, up in table:
+            if rest & k and not rest & up:
+                count += 1
+        out.append(count)
     return out
 
 

@@ -9,6 +9,8 @@ import hypothesis.strategies as st
 
 from redix.bass import ass_by_colon_scan, reducibility_index_by_bass
 from redix.decompose import (
+    _intersect_components,
+    _validated,
     component_ideal,
     decompose,
     irredundant,
@@ -143,6 +145,64 @@ def test_components_intersect_to_the_ideal(ideal):
 
 def divides(a, b):
     return all(x <= y for x, y in zip(a, b))
+
+
+def intersect_components_reference(comps, n):
+    """Reference: the running intersection, minimalized in full at each step.
+
+    The generators of J /\\ C are those of J inside C and the lcm of
+    each one outside C with each pure power of C; `minimal_exponents`
+    keeps the minimal ones in canonical order.
+    """
+    out = ((0,) * n,)
+    for c in comps:
+        pure = [(i, b) for i, b in enumerate(c) if b]
+        inside, grown = [], []
+        for a in out:
+            if any(a[i] >= b for i, b in pure):
+                inside.append(a)
+            else:
+                grown.extend(a[:i] + (b,) + a[i + 1 :] for i, b in pure)
+        out = minimal_exponents(inside + grown) if grown else tuple(inside)
+    return out
+
+
+@st.composite
+def bounds_lists(draw):
+    """Bounds tuples in 0 to 5 variables, with repeats, redundant and all-zero components."""
+    n = draw(st.integers(0, 5))
+    comps = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=6))
+    contained = draw(st.lists(st.sampled_from(comps), max_size=3)) if comps else []
+    for d in contained:
+        # a component holding every pure power of d contains it: redundant
+        comps.append(tuple(draw(st.integers(1, b)) if b else b for b in d))
+        comps.append(d)
+    if draw(st.booleans()):
+        comps.append((0,) * n)
+    return n, draw(st.permutations(comps))
+
+
+@given(bounds_lists())
+@settings(max_examples=300, deadline=None)
+@example((2, []))  # no components: the unit ideal
+# (y) /\ (x, y^2) = (x*y, y^2); meeting (x^3), the grown x^3*y divides x^3*y^2
+@example((2, [(0, 1), (1, 2), (3, 0)]))
+# (x^2, y) meeting (x^2): the inside x^2 divides the grown x^2*y
+@example((2, [(2, 1), (2, 0)]))
+# (x^2, y) meeting (x, y), which holds every generator
+@example((2, [(2, 1), (1, 1)]))
+def test_intersection_matches_full_minimalization_reference(case):
+    n, comps = case
+    assert _intersect_components(comps, n) == intersect_components_reference(comps, n)
+
+
+@given(random_ideals())
+@settings(max_examples=100, deadline=None)
+def test_validation_refuses_a_decomposition_missing_any_component(ideal):
+    comps = decompose(ideal).components
+    for skip in range(len(comps)):
+        with pytest.raises(InvalidCandidatesError):
+            _validated(comps[:skip] + comps[skip + 1 :], ideal)
 
 
 @st.composite

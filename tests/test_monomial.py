@@ -104,7 +104,21 @@ def vector_lists(draw):
     return draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=12))
 
 
-@given(vector_lists())
+@st.composite
+def sparse_vector_lists(draw):
+    """Exponent vectors in 20 to 60 variables, each with at most three nonzero entries.
+
+    The nonzero entries fall at scattered positions, so the first nonzero
+    coordinate that minimal_exponents tests first varies from vector to
+    vector.
+    """
+    n = draw(st.integers(20, 60))
+    entries = st.dictionaries(st.integers(0, n - 1), st.integers(1, 3), max_size=3)
+    rows = draw(st.lists(entries, max_size=12))
+    return [tuple(row.get(i, 0) for i in range(n)) for row in rows]
+
+
+@given(st.one_of(vector_lists(), sparse_vector_lists()))
 @settings(max_examples=300)
 @example([()])  # the zero-variable ring's unit ideal
 @example([(0, 0), (1, 0), (0, 2)])  # the zero vector divides every other one

@@ -142,6 +142,21 @@ def test_planted_failure_keeps_its_text(monkeypatch, plant, suite, counts, sampl
     assert result.failure_samples == samples
 
 
+def test_uniqueness_reports_a_split_that_drops_a_component(monkeypatch):
+    # the suite validates only the canonical split and compares the other
+    # orders with it, so a bad order must show as a failed check, not raise
+    split = selftest.split_decompose
+
+    def dropping(ideal, strategy="first", seed=None):
+        comps = split(ideal, strategy, seed)
+        return comps[1:] if strategy == "last" else comps
+
+    monkeypatch.setattr(selftest, "split_decompose", dropping)
+    result = only(run_selftest(scope="decomposition-uniqueness", seed=42))
+    # every draw's "last" split misses a component; the per-prime check still passes
+    assert (result.checks, result.failure_count) == (2000, 1000)
+
+
 def test_suite_counts_match_the_benchmark_corpus(full_selftest):
     corpus = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.json"
     pinned = json.loads(corpus.read_text())["selftest"]

@@ -324,8 +324,9 @@ def test_tables_are_freed_with_their_staircase(first, second):
     g = Staircase(RingContext.default(first[0]), first[1])
     h = Staircase(RingContext.default(second[0]), second[1])
     shown = repr(g)
-    quotient_indices(g, [0])
-    quotient_indices(h, [0])
+    # the empty downset still reads the divisor table
+    DownsetSubmodule(g, frozenset())
+    DownsetSubmodule(h, frozenset())
     # the tables are no field: equality, hash and repr read only the members
     twin = Staircase(g.ring, frozenset(g.exponents))
     assert (g == twin, hash(g) == hash(twin), repr(g)) == (True, True, shown)
@@ -338,12 +339,15 @@ def test_tables_are_freed_with_their_staircase(first, second):
     finally:
         gc.enable()
     assert "_neighbours" in vars(h) and "_neighbours" not in vars(twin)
+    # quotient indices build their table per call and keep none
+    quotient_indices(twin, [0])
+    assert vars(twin).keys() == {"ring", "exponents"}
 
 
 def test_all_staircases_lets_go_of_each_staircase_it_passed():
     stairs = all_staircases(3, 10)
     g = next(stairs)
-    quotient_indices(g, [0])
+    DownsetSubmodule(g, frozenset())
     ref = weakref.ref(g)
     del g
     next(stairs)
